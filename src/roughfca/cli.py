@@ -23,10 +23,17 @@ import json
 import sys
 from pathlib import Path
 
-from .approx import CutParams, partition_from_json, partition_to_json
-from .pipeline import PipelineConfig, StageError, emit_reports, run_pipeline, search_alpha_beta
-from .proximity import proximity_to_csv
-from .table import load_table
+from .approx import CutParams, partition_from_json
+from .pipeline import (
+    PipelineConfig,
+    StageError,
+    emit_group,
+    emit_reports,
+    load_config_table,
+    run_pipeline,
+    search_alpha_beta,
+    write_files,
+)
 
 _OVERRIDE_STAGES = ("partitions", "ordered_table")
 
@@ -78,11 +85,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = _output_dir(config)
     manifest = emit_reports(report, out)
     print(f"wrote {len(manifest)} report files to {out}")
+    flagged = report.provenance["stages"]["validate"]["violations"]
+    if flagged:
+        print(f"forced past proximity violations: {flagged}")
+    print(f"dropped as indiscernible: {', '.join(report.ordered.dropped) or 'none'}")
     for analysis in report.analyses:
         chief = ", ".join(analysis.chief[0][1]) if analysis.chief else "-"
+        runner_up = ", ".join(analysis.chief[1][1]) if len(analysis.chief) > 1 else "-"
         print(f"cluster {analysis.cluster.cluster_id} "
               f"(ranks {analysis.cluster.rank_range[0]}-{analysis.cluster.rank_range[1]}): "
               f"chief attributes {chief}")
+        print(f"  members: {', '.join(analysis.cluster.members)}")
+        print(f"  concepts: {len(analysis.concepts)}, implications: {len(analysis.basis)}")
+        print(f"  next: {runner_up}")
     return 0
 
 
@@ -90,17 +105,16 @@ def _cmd_proximity(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     report = run_pipeline(dataclasses.replace(config, force=True))
     out = _output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
     names = args.attribute or sorted(report.relations)
     for name in names:
         if name not in report.relations:
             raise StageError("proximity", f"unknown attribute {name!r}")
-        (out / f"proximity_{name}.csv").write_text(
-            proximity_to_csv(report.relations[name]), encoding="utf-8")
+    selected = dataclasses.replace(report, relations={n: report.relations[n] for n in names})
+    written = emit_group(selected, out, "proximity")
     flagged = {name: len(v) for name, v in report.violations.items() if v}
     if flagged:
         print(f"validation violations: {flagged}")
-    print(f"wrote {len(names)} proximity matrices to {out}")
+    print(f"wrote {len(written)} proximity matrices to {out}")
     return 0
 
 
@@ -108,75 +122,40 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     report = run_pipeline(config)
     out = _output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    docs = [partition_to_json(report.partitions[name], name,
-                              config.cut.alpha, config.cut.beta)
-            for name in sorted(report.partitions)]
-    (out / "partitions.json").write_text(
-        json.dumps(docs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote partitions.json ({len(docs)} attributes) to {out}")
+    emit_group(report, out, "partition")
+    print(f"wrote partitions.json ({len(report.partitions)} attributes) to {out}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    from .ordering import ordered_table_to_csv, rank_table_to_csv
-
     config = _effective_config(args)
     report = run_pipeline(config)
-    out = _output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ordered_table.csv").write_text(ordered_table_to_csv(report.ordered), encoding="utf-8")
-    (out / "rank_table.csv").write_text(rank_table_to_csv(report.ranks), encoding="utf-8")
-    clusters = [{"cluster_id": c.cluster_id, "rank_range": list(c.rank_range),
-                 "members": list(c.members)} for c in report.clusters]
-    (out / "clusters.json").write_text(
-        json.dumps(clusters, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    emit_group(report, _output_dir(config), "rank")
     for row in report.ranks.rows:
         print(f"{row.object}: total {row.total}, rank {row.rank}")
     return 0
 
 
 def _cmd_fca(args: argparse.Namespace) -> int:
-    from . import fca as _fca
-
     config = _effective_config(args)
     report = run_pipeline(config)
-    out = _output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
+    emit_group(report, _output_dir(config), "fca")
     for analysis in report.analyses:
-        prefix = f"cluster_{analysis.cluster.cluster_id}"
-        (out / f"{prefix}_context.csv").write_text(
-            _fca.context_to_csv(analysis.context), encoding="utf-8")
-        (out / f"{prefix}_lattice.dot").write_text(
-            _fca.lattice_to_dot(analysis.concepts, analysis.cover), encoding="utf-8")
-        (out / f"{prefix}_basis.txt").write_text(
-            _fca.basis_to_text(analysis.basis), encoding="utf-8")
-        (out / f"{prefix}_basis.json").write_text(
-            _fca.basis_to_json(analysis.basis), encoding="utf-8")
-        (out / f"{prefix}_frequencies.csv").write_text(
-            _fca.frequencies_to_csv(analysis.frequencies), encoding="utf-8")
         chief = ", ".join(analysis.chief[0][1]) if analysis.chief else "-"
-        print(f"{prefix}: {len(analysis.concepts)} concepts, "
+        print(f"cluster_{analysis.cluster.cluster_id}: {len(analysis.concepts)} concepts, "
               f"{len(analysis.basis)} implications, chief {chief}")
     return 0
 
 
 def _cmd_search_cut(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    try:
-        csv_text = config.data_path.read_text(encoding="utf-8")
-        table = load_table(csv_text, config.attributes)
-    except (OSError, ValueError) as exc:
-        raise StageError("load", str(exc)) from None
+    table = load_config_table(config)
     try:
         docs = json.loads(Path(args.targets).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StageError("partition", f"cannot read targets {args.targets}: {exc}") from None
     docs = docs if isinstance(docs, list) else [docs]
-    targets = {}
-    for doc in docs:
-        name, part = partition_from_json(doc, table.objects)
-        targets[name] = part
+    targets = dict(partition_from_json(doc, table.objects) for doc in docs)
     result = search_alpha_beta(table, targets, step=args.step)
     payload = {
         "step": result.step,
@@ -188,8 +167,7 @@ def _cmd_search_cut(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        write_files(out.parent, [(out.name, text)])
         print(f"wrote {out} ({len(result.points)} feasible grid points)")
     else:
         print(text, end="")

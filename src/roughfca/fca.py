@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .ordering import OrderedTable
-from .table import InformationTable
+from .table import InformationTable, cell_token
 
 
 def attribute_code(source_index: int, level: int) -> str:
@@ -37,12 +37,6 @@ def attribute_code(source_index: int, level: int) -> str:
     if source_index <= 9 and level <= 9:
         return f"A{source_index}{level}"
     return f"A{source_index}.{level}"
-
-
-def _value_token(value: float | str) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -173,7 +167,7 @@ def build_context(source: OrderedTable | InformationTable,
                         pairs.append((o, code))
     else:
         for spec in source.attributes:
-            tokens = [_value_token(source.value(o, spec.name)) for o in objects]
+            tokens = [cell_token(source.value(o, spec.name)) for o in objects]
             if spec.ladder:
                 order = [t for t in spec.ladder if t in set(tokens)]
                 stray = sorted(set(tokens) - set(order))

@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .table import InformationTable, Partition, TableError
+from .table import InformationTable, Partition, TableError, cell_token
 
 BLOCK_ORDERS = ("appearance", "mean")
 
@@ -183,17 +183,11 @@ def column_from_raw(table: InformationTable, attribute: str,
     ladder = LabelLadder(tuple(ladder_values), tuple(range(len(ladder_values), 0, -1)))
     labels = {}
     for obj in table.objects:
-        labels[obj] = _token(table.value(obj, attribute))
+        labels[obj] = cell_token(table.value(obj, attribute))
         if labels[obj] not in ladder.labels:
             raise TableError(f"value {labels[obj]!r} of {obj!r} missing from the value order")
     src = table.attribute_names.index(attribute) + 1
     return OrderedColumn(attribute, src, ladder, labels)
-
-
-def _token(value: float | str) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
 
 
 def induced_order(column: OrderedColumn, x: str, y: str) -> str:

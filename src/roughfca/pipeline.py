@@ -16,7 +16,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -182,19 +183,23 @@ def _load_override_doc(path: Path, stage: str) -> object:
         raise StageError(stage, f"cannot read override {path}: {exc}") from None
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineReport:
-    """Execute every stage in order, honouring overrides, and return the
-    full report.  Raises :class:`StageError` with the failing stage name."""
-    provenance: dict = {"config": config.echo(), "stages": {}}
-
+def load_config_table(config: PipelineConfig) -> InformationTable:
+    """Read and validate the configured data table (the load stage)."""
     try:
         csv_text = config.data_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StageError("load", f"cannot read data {config.data_path}: {exc}") from None
     try:
-        table = load_table(csv_text, config.attributes)
+        return load_table(csv_text, config.attributes)
     except ValueError as exc:
         raise StageError("load", str(exc)) from None
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineReport:
+    """Execute every stage in order, honouring overrides, and return the
+    full report.  Raises :class:`StageError` with the failing stage name."""
+    provenance: dict = {"config": config.echo(), "stages": {}}
+    table = load_config_table(config)
 
     numeric = [a.name for a in table.attributes if a.numeric]
     try:
@@ -317,7 +322,9 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
     """Scan the (alpha, beta) grid of the admissible set for the points whose
     cut partitions reproduce every target exactly.  An empty result is a
     valid answer.  Work is memoised per distinct edge set, so fine grids stay
-    cheap."""
+    cheap.  ``step`` must lie in (0, 1]."""
+    if not 0 < step <= 1:  # also rejects NaN
+        raise ValueError(f"grid step must lie in (0, 1], got {step}")
     if not targets:
         raise ValueError("at least one target partition is required")
     for name, part in targets.items():
@@ -383,74 +390,100 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report emission: each group yields the (file name, text) pairs of one
+# stage's results, rendering a text only when its pair is reached, so a
+# caller that writes one group renders no other.
 
 
-def _write(path: Path, text: str, manifest: list[dict]) -> None:
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _proximity_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
+    for name in sorted(report.relations):
+        yield f"proximity_{name}.csv", proximity_to_csv(report.relations[name])
+
+
+def _partition_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
+    cut = report.config.cut
+    yield "partitions.json", _json_text([
+        partition_to_json(report.partitions[name], name, cut.alpha, cut.beta)
+        for name in sorted(report.partitions)
+    ])
+
+
+def _rank_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
+    yield "ordered_table.csv", ordered_table_to_csv(report.ordered)
+    yield "rank_table.csv", rank_table_to_csv(report.ranks)
+    yield "clusters.json", _json_text([
+        {"cluster_id": c.cluster_id, "rank_range": list(c.rank_range), "members": list(c.members)}
+        for c in report.clusters
+    ])
+
+
+def _fca_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
+    for analysis in report.analyses:
+        prefix = f"cluster_{analysis.cluster.cluster_id}"
+        yield f"{prefix}_context.csv", fca.context_to_csv(analysis.context)
+        yield f"{prefix}_lattice.dot", fca.lattice_to_dot(analysis.concepts, analysis.cover)
+        yield f"{prefix}_basis.txt", fca.basis_to_text(analysis.basis)
+        yield f"{prefix}_basis.json", fca.basis_to_json(analysis.basis)
+        yield f"{prefix}_frequencies.csv", fca.frequencies_to_csv(analysis.frequencies)
+
+
+def _summary_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
+    chief_doc = {}
+    for analysis in report.analyses:
+        groups = [{"frequency": f, "attributes": list(attrs)} for f, attrs in analysis.chief]
+        chief_doc[f"cluster_{analysis.cluster.cluster_id}"] = {
+            "groups": groups,
+            "chief": groups[0]["attributes"] if groups else [],
+            "next": groups[1]["attributes"] if len(groups) > 1 else [],
+        }
+    yield "chief_attributes.json", _json_text(chief_doc)
+    yield "report.json", _json_text(report.provenance)
+
+
+REPORT_GROUPS: dict[str, Callable[[PipelineReport], Iterable[tuple[str, str]]]] = {
+    "proximity": _proximity_files,
+    "partition": _partition_files,
+    "rank": _rank_files,
+    "fca": _fca_files,
+}
+
+
+def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[dict]:
+    """Create ``output_dir`` and write each (file name, text) pair into it.
+    Returns one manifest entry per file with its content digest.  Any I/O
+    failure raises :class:`StageError` tagged ``emit``."""
+    out = Path(output_dir)
     try:
-        path.write_text(text, encoding="utf-8")
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise StageError("emit", f"cannot write {path}: {exc}") from None
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    manifest.append({"path": path.name, "sha256": digest})
+        raise StageError("emit", f"cannot create {out}: {exc}") from None
+    entries = []
+    for name, text in files:
+        path = out / name
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise StageError("emit", f"cannot write {path}: {exc}") from None
+        entries.append({"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
+        del text  # hold one rendered file at a time, not two, while the next renders
+    return entries
+
+
+def emit_group(report: PipelineReport, output_dir: str | Path, group: str) -> list[dict]:
+    """Write the files of one :data:`REPORT_GROUPS` group, and no other."""
+    return write_files(output_dir, REPORT_GROUPS[group](report))
 
 
 def emit_reports(report: PipelineReport, output_dir: str | Path) -> list[dict]:
     """Write every artifact of a pipeline run into ``output_dir`` and return
     the manifest (also written as ``manifest.json``), one entry per file with
     its content digest."""
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise StageError("emit", f"cannot create {out}: {exc}") from None
-
-    manifest: list[dict] = []
-    cut = report.config.cut
-    for name in sorted(report.relations):
-        _write(out / f"proximity_{name}.csv", proximity_to_csv(report.relations[name]), manifest)
-
-    partition_docs = [
-        partition_to_json(report.partitions[name], name, cut.alpha, cut.beta)
-        for name in sorted(report.partitions)
-    ]
-    _write(out / "partitions.json", json.dumps(partition_docs, indent=2, sort_keys=True) + "\n",
-           manifest)
-
-    _write(out / "ordered_table.csv", ordered_table_to_csv(report.ordered), manifest)
-    _write(out / "rank_table.csv", rank_table_to_csv(report.ranks), manifest)
-
-    clusters_doc = [
-        {"cluster_id": c.cluster_id, "rank_range": list(c.rank_range), "members": list(c.members)}
-        for c in report.clusters
-    ]
-    _write(out / "clusters.json", json.dumps(clusters_doc, indent=2, sort_keys=True) + "\n",
-           manifest)
-
-    chief_doc = {}
-    for analysis in report.analyses:
-        cid = analysis.cluster.cluster_id
-        prefix = f"cluster_{cid}"
-        _write(out / f"{prefix}_context.csv", fca.context_to_csv(analysis.context), manifest)
-        _write(out / f"{prefix}_lattice.dot",
-               fca.lattice_to_dot(analysis.concepts, analysis.cover), manifest)
-        _write(out / f"{prefix}_basis.txt", fca.basis_to_text(analysis.basis), manifest)
-        _write(out / f"{prefix}_basis.json", fca.basis_to_json(analysis.basis), manifest)
-        _write(out / f"{prefix}_frequencies.csv",
-               fca.frequencies_to_csv(analysis.frequencies), manifest)
-        groups = [{"frequency": f, "attributes": list(attrs)} for f, attrs in analysis.chief]
-        chief_doc[prefix] = {
-            "groups": groups,
-            "chief": groups[0]["attributes"] if groups else [],
-            "next": groups[1]["attributes"] if len(groups) > 1 else [],
-        }
-    _write(out / "chief_attributes.json", json.dumps(chief_doc, indent=2, sort_keys=True) + "\n",
-           manifest)
-
-    _write(out / "report.json", json.dumps(report.provenance, indent=2, sort_keys=True) + "\n",
-           manifest)
-
+    groups = [files(report) for files in REPORT_GROUPS.values()]
+    manifest = write_files(output_dir, chain(*groups, _summary_files(report)))
     manifest.sort(key=lambda e: e["path"])
-    (out / "manifest.json").write_text(
-        json.dumps({"files": manifest}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_files(output_dir, [("manifest.json", _json_text({"files": manifest}))])
     return manifest

@@ -151,6 +151,14 @@ class Partition:
         return self.block_of[x] == self.block_of[y]
 
 
+def cell_token(value: float | str) -> str:
+    """Text of one table cell: integral numbers without a trailing .0, so
+    integer data reads as written."""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
+
+
 def _position(order: Mapping[str, int], obj: str) -> int:
     if obj not in order:
         raise TableError(f"object {obj!r} not in the universe")

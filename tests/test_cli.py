@@ -1,0 +1,108 @@
+"""Command-line behaviour shared by every subcommand: each per-stage command
+writes exactly its own group of report files, byte-identical to what
+``roughfca run`` writes; write failures and bad arguments exit 2; the README
+documents the registered subcommands."""
+
+import argparse
+import re
+
+import pytest
+
+from conftest import DATA_DIR, REPO_ROOT
+from roughfca.cli import build_parser, main
+
+CONFIG_PATH = DATA_DIR / "institutions_config.json"
+TARGETS_PATH = DATA_DIR / "target_partitions.json"
+
+PROXIMITY_FILES = {f"proximity_{a}.csv" for a in ("IC", "IF", "PP", "RS", "SS", "ECA")}
+FCA_FILES = {f"cluster_{k}_{suffix}" for k in (1, 2, 3)
+             for suffix in ("context.csv", "lattice.dot", "basis.txt", "basis.json",
+                            "frequencies.csv")}
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def run_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert run_cli("run", "--config", CONFIG_PATH, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["proximity"], PROXIMITY_FILES),
+    (["proximity", "--attribute", "SS"], {"proximity_SS.csv"}),
+    (["partition"], {"partitions.json"}),
+    (["rank"], {"ordered_table.csv", "rank_table.csv", "clusters.json"}),
+    (["fca"], FCA_FILES),
+], ids=["proximity", "proximity-SS", "partition", "rank", "fca"])
+def test_stage_command_writes_its_group_as_run_does(run_tree, tmp_path, capsys, argv, expected):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", CONFIG_PATH, "--out", out) == 0
+    capsys.readouterr()
+    assert {p.name for p in out.iterdir()} == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (run_tree / name).read_bytes(), name
+
+
+def test_run_prints_the_cluster_summary(tmp_path, capsys):
+    assert run_cli("run", "--config", CONFIG_PATH, "--out", tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "forced past proximity violations: {'ECA': 6}" in lines
+    assert "dropped as indiscernible: RS" in lines
+    at = lines.index("cluster 3 (ranks 7-9): chief attributes A14, A66")
+    assert lines[at + 1:at + 4] == [
+        "  members: i_8, i_9, i_10",
+        "  concepts: 7, implications: 6",
+        "  next: A52",
+    ]
+
+
+def _existing_file(path):
+    path.write_text("occupied", encoding="utf-8")
+    return path
+
+
+def _existing_dir(path):
+    path.mkdir()
+    return path
+
+
+def _manifest_dir(path):
+    (path / "manifest.json").mkdir(parents=True)
+    return path
+
+
+@pytest.mark.parametrize("argv, make_out", [
+    (["partition"], _existing_file),
+    (["search-cut", "--targets", TARGETS_PATH, "--step", "0.05"], _existing_dir),
+    (["run"], _manifest_dir),
+], ids=["partition-out-is-file", "search-cut-out-is-dir", "run-manifest-is-dir"])
+def test_unwritable_output_is_an_emit_error(tmp_path, capsys, argv, make_out):
+    out = make_out(tmp_path / "out")
+    assert run_cli(*argv, "--config", CONFIG_PATH, "--out", out) == 2
+    assert "error [stage:emit]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.005", "2", "nan"])
+def test_search_cut_rejects_step_outside_unit_interval(capsys, step):
+    code = run_cli("search-cut", "--config", CONFIG_PATH, "--targets", TARGETS_PATH,
+                   f"--step={step}")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "(0, 1]" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if re.match(r"roughfca\s", line)]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
+    assert len(documented) == len(set(documented))
