@@ -11,6 +11,19 @@ Next-Closure iteration.  Rows and columns are kept as integer bitmasks, so
 closures are a handful of machine-word operations at the scale this package
 targets (tens of objects and attributes).
 
+The basis's Next-Closure runs over the logical closure under the rules found
+so far.  A rule index makes that closure bit-parallel: ``uses[a]`` is a
+bitmask over rule indices marking the rules whose premise contains attribute
+``a``, so the rules that fire on a set X are all rules minus the OR of
+``uses[a]`` over the attributes a outside X.  For each candidate of one
+Next-Closure step, that OR is read off a prefix and a suffix computed once
+per step.  A candidate's closure stops as soon as it gains an attribute
+below the one added, since the canonicity test has then failed (Bazhanov &
+Obiedkov 2014, "Optimizations in computing the Duquenne-Guigues basis of
+implications").  The lattice cover finds each concept's upper neighbours as
+the minimal strict supersets of its extent bitmask (after Lindig 2000,
+"Fast Concept Analysis").
+
 The canonical basis returned by default contains the rules whose premise is
 satisfied by at least one object.  Premises satisfied by no object close to
 the full attribute set and add only vacuous rules; they are available via
@@ -40,13 +53,12 @@ def attribute_code(source_index: int, level: int) -> str:
 
 
 def _bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits, ascending; one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -205,42 +217,68 @@ class Concept:
 
 
 def _next_closure(mask: int, n: int, close) -> int | None:
-    """Lectically smallest closed set after ``mask``, or None past the top."""
+    """Lectically smallest closed set after ``mask``, or None past the top.
+
+    A candidate is the attributes of ``mask`` below some i plus i itself, so
+    i is its highest attribute.  ``close(candidate, below)`` returns the
+    candidate's closure, or None once it finds in it an attribute of
+    ``below``, the attributes below i that ``mask`` lacks: such a closure
+    fails the canonicity test, so the rest of it is not needed.
+    """
     for i in range(n - 1, -1, -1):
         bit = 1 << i
         if mask & bit:
             mask &= ~bit
         else:
-            closed = close(mask | bit)
-            if (closed & ~mask) & (bit - 1) == 0:
+            closed = close(mask | bit, ~mask & (bit - 1))
+            if closed is not None:
                 return closed
     return None
 
 
 def enumerate_concepts(context: FormalContext) -> list[Concept]:
     """All formal concepts, each exactly once, in lectic order of intents."""
+    def close(mask: int, below: int) -> int | None:
+        closed = context.intent_closure(mask)
+        return None if closed & below else closed
+
     n = len(context.attributes)
     concepts = []
     intent = context.intent_closure(0)
     while intent is not None:
         extent = context.extent_of(intent)
         concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
-        intent = _next_closure(intent, n, context.intent_closure)
+        intent = _next_closure(intent, n, close)
     return concepts
 
 
 def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     """Hasse diagram of the extent-inclusion order: (parent, child) index
     pairs where the parent's extent covers the child's with nothing between.
+
+    The parents of a concept are the minimal strict supersets of its extent.
+    Scanning the strict supersets by ascending size, one is minimal iff it
+    strictly contains none of the parents already kept.
     """
-    exts = [frozenset(c.extent) for c in concepts]
+    index: dict[str, int] = {}
+    masks = []
+    for concept in concepts:
+        mask = 0
+        for obj in concept.extent:
+            mask |= 1 << index.setdefault(obj, len(index))
+        masks.append(mask)
+    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
     edges = []
-    for i, ei in enumerate(exts):
-        for j, ej in enumerate(exts):
-            if i == j or not ej < ei:
+    for pos, j in enumerate(by_size):
+        child = masks[j]
+        kept: list[int] = []
+        for i in by_size[pos + 1:]:
+            ext = masks[i]
+            if child & ~ext or ext == child:
                 continue
-            if any(ej < exts[k] < ei for k in range(len(exts)) if k != i and k != j):
+            if any(k & ~ext == 0 and k != ext for k in kept):
                 continue
+            kept.append(ext)
             edges.append((i, j))
     edges.sort()
     return edges
@@ -263,27 +301,60 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
     unless ``include_unsupported`` is set.
     """
     n = len(context.attributes)
-    rules: list[tuple[int, int]] = []  # (premise mask, full closure mask)
+    full = (1 << n) - 1
+    premises: list[int] = []
+    closures: list[int] = []  # full closure mask of each rule's premise
+    uses = [0] * n  # per attribute, bitmask over the rules whose premise holds it
+    first = [0] * n  # per attribute i, the rules blocked on the candidate for i
 
-    def logical_closure(mask: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            for prem, concl in rules:
-                if prem & ~mask == 0 and concl & ~mask:
-                    mask |= concl
-                    changed = True
+    def blocked_by(mask: int) -> int:
+        """Rules whose premise holds an attribute outside ``mask``."""
+        blocked = 0
+        absent = full & ~mask
+        while absent:
+            low = absent & -absent
+            blocked |= uses[low.bit_length() - 1]
+            absent ^= low
+        return blocked
+
+    def logical_closure(mask: int, below: int) -> int | None:
+        blocked = first[mask.bit_length() - 1]  # the candidate's top attribute
+        fired = 0
+        while fresh := ((1 << len(closures)) - 1) & ~blocked & ~fired:
+            fired |= fresh
+            while fresh:
+                low = fresh & -fresh
+                mask |= closures[low.bit_length() - 1]
+                fresh ^= low
+            if mask & below:
+                return None
+            blocked = blocked_by(mask)
         return mask
 
     mask = 0
     while mask is not None:
         closed = context.intent_closure(mask)
         if closed != mask:
-            rules.append((mask, closed))
+            rule = 1 << len(closures)
+            for a in _bit_indices(mask):
+                uses[a] |= rule
+            premises.append(mask)
+            closures.append(closed)
+        # The candidate for i lacks every attribute above i and those below i
+        # that mask lacks: OR their rule sets once, as a prefix and a suffix.
+        below_i = 0
+        for a in range(n):
+            first[a] = below_i
+            if not mask >> a & 1:
+                below_i |= uses[a]
+        above_i = 0
+        for a in range(n - 1, -1, -1):
+            first[a] |= above_i
+            above_i |= uses[a]
         mask = _next_closure(mask, n, logical_closure)
 
     out = []
-    for prem, closed in rules:
+    for prem, closed in zip(premises, closures):
         support = context.extent_of(prem).bit_count()
         if support == 0 and not include_unsupported:
             continue

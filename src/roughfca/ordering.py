@@ -19,6 +19,7 @@ Two block-ordering strategies are provided:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from dataclasses import dataclass
@@ -260,22 +261,29 @@ class RankCluster:
 
 def cluster_by_rank(ranks: RankTable, ranges: Sequence[tuple[int, int]]) -> list[RankCluster]:
     """Group objects whose rank falls in each inclusive range.  Ranges must
-    be disjoint and jointly cover every occurring rank."""
-    covered: dict[int, int] = {}
-    for idx, (lo, hi) in enumerate(ranges):
+    be disjoint and jointly cover every occurring rank.  Coverage is checked
+    on the range bounds, so the cost does not grow with the width of a range.
+    """
+    for lo, hi in ranges:
         if lo > hi:
             raise TableError(f"rank range [{lo}, {hi}] is empty")
-        for r in range(lo, hi + 1):
-            if r in covered:
-                raise TableError(f"rank {r} covered by two ranges")
-            covered[r] = idx
+    order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
+    for prev, cur in zip(order, order[1:]):
+        if ranges[cur][0] <= ranges[prev][1]:
+            raise TableError(f"rank {ranges[cur][0]} covered by two ranges")
+    lows = [ranges[i][0] for i in order]
     occurring = {row.rank for row in ranks.rows}
-    missing = sorted(occurring - covered.keys())
+    home: dict[int, int] = {}
+    for rank in occurring:
+        pos = bisect.bisect_right(lows, rank) - 1
+        if pos >= 0 and rank <= ranges[order[pos]][1]:
+            home[rank] = order[pos]
+    missing = sorted(occurring - home.keys())
     if missing:
         raise TableError(f"ranks {missing} not covered by any range")
     members: dict[int, list[str]] = {i: [] for i in range(len(ranges))}
     for row in ranks.rows:
-        members[covered[row.rank]].append(row.object)
+        members[home[row.rank]].append(row.object)
     return [RankCluster(i + 1, tuple(ranges[i]), tuple(members[i]))
             for i in range(len(ranges))]
 

@@ -182,6 +182,7 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
         raise TableError(f"header {header[1:]} does not match declared attributes {names}")
 
     objects: list[str] = []
+    seen: set[str] = set()
     values: dict[tuple[str, str], float | str] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -189,11 +190,12 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
         label = row[0].strip()
         if not label:
             raise TableError(f"line {lineno}: missing object label")
-        if label in objects:
+        if label in seen:
             raise TableError(f"line {lineno}: duplicate object label {label!r}")
         if len(row) != len(specs) + 1:
             raise TableError(f"row {label!r}: expected {len(specs)} cells, got {len(row) - 1}")
         objects.append(label)
+        seen.add(label)
         for spec, cell in zip(specs, row[1:]):
             token = cell.strip()
             if not token:

@@ -7,7 +7,7 @@ implementations have something honest to be checked against.
 
 from itertools import combinations
 
-from roughfca.fca import FormalContext
+from roughfca.fca import FormalContext, Implication
 
 
 def closure_partition_bruteforce(objects, edge_pairs):
@@ -106,6 +106,58 @@ def hasse_edges_bruteforce(extents):
             if not any(ej < ek < ei for k, ek in enumerate(extents) if k not in (i, j)):
                 edges.add((i, j))
     return edges
+
+
+def _next_closure_reference(mask: int, n: int, close) -> int | None:
+    """Lectically smallest closed set after ``mask``, or None past the top."""
+    for i in range(n - 1, -1, -1):
+        bit = 1 << i
+        if mask & bit:
+            mask &= ~bit
+        else:
+            closed = close(mask | bit)
+            if (closed & ~mask) & (bit - 1) == 0:
+                return closed
+    return None
+
+
+def canonical_basis_reference(context: FormalContext, include_unsupported: bool = False):
+    """The library's former canonical basis: Next-Closure over a logical
+    closure that rescans every rule found so far until nothing changes.
+    Same contract as ``roughfca.fca.canonical_basis``: rules by support
+    descending, then lectic premise order."""
+    n = len(context.attributes)
+    rules: list[tuple[int, int]] = []  # (premise mask, full closure mask)
+
+    def logical_closure(mask: int) -> int:
+        changed = True
+        while changed:
+            changed = False
+            for prem, concl in rules:
+                if prem & ~mask == 0 and concl & ~mask:
+                    mask |= concl
+                    changed = True
+        return mask
+
+    mask = 0
+    while mask is not None:
+        closed = context.intent_closure(mask)
+        if closed != mask:
+            rules.append((mask, closed))
+        mask = _next_closure_reference(mask, n, logical_closure)
+
+    out = []
+    for prem, closed in rules:
+        support = context.extent_of(prem).bit_count()
+        if support == 0 and not include_unsupported:
+            continue
+        out.append(Implication(
+            premise=context.attr_names(prem),
+            conclusion=context.attr_names(closed & ~prem),
+            support=support,
+        ))
+    out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
+    return out
 
 
 def is_valid_partition(blocks, universe) -> bool:

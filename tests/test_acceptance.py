@@ -11,6 +11,7 @@ totals (see tests/golden.py).
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,6 +35,7 @@ from roughfca.fca import (
     enumerate_concepts,
     implication_closure,
     implication_frequencies,
+    lattice_cover,
 )
 from roughfca.ordering import build_ordered_table, cluster_by_rank, score_and_rank
 from roughfca.pipeline import PipelineConfig, emit_reports, run_pipeline, search_alpha_beta
@@ -274,6 +276,28 @@ def random_contexts(draw):
 
 
 @st.composite
+def scaled_contexts(draw):
+    # nominally scaled, as by build_context: one-hot groups of levels, each
+    # object in exactly one level of every group (a level may go unused);
+    # up to 24 objects x 6 groups x 4 levels
+    n_obj = draw(st.integers(1, 24))
+    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    return _scaled_context(n_obj, levels,
+                           lambda size: draw(st.integers(0, size - 1)))
+
+
+def _scaled_context(n_obj, levels, pick):
+    attrs = tuple(f"A{g + 1}{k + 1}" for g, size in enumerate(levels) for k in range(size))
+    offsets = [sum(levels[:g]) for g in range(len(levels))]
+    rows = tuple(sum(1 << (offset + pick(size)) for offset, size in zip(offsets, levels))
+                 for _ in range(n_obj))
+    return FormalContext(tuple(f"g{i}" for i in range(n_obj)), attrs, rows)
+
+
+CONTEXT_KINDS = {"random": random_contexts(), "scaled": scaled_contexts()}
+
+
+@st.composite
 def admissible_cut_pairs(draw):
     # a nested pair of admissible cuts: the second is at least as strict
     ai = draw(st.integers(0, 20))
@@ -382,6 +406,36 @@ def test_c8_canonical_basis_sound_complete_minimal(ctx):
         rest = oracles.mask_rules(basis[:skip] + basis[skip + 1:], ctx)
         closed = oracles.mask_closure(rest, ctx.attr_mask(basis[skip].premise))
         assert ctx.attr_mask(basis[skip].conclusion) & ~closed != 0
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_canonical_basis_matches_reference(kind, data):
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    for include_unsupported in (False, True):
+        assert (canonical_basis(ctx, include_unsupported)
+                == oracles.canonical_basis_reference(ctx, include_unsupported))
+
+
+def test_c8_canonical_basis_matches_reference_past_one_word():
+    # the rule index of a basis with more than 64 rules spans several words
+    rnd = random.Random(0)
+    ctx = _scaled_context(24, [4] * 6, rnd.randrange)
+    for include_unsupported in (False, True):
+        basis = canonical_basis(ctx, include_unsupported)
+        assert len(basis) > 64
+        assert basis == oracles.canonical_basis_reference(ctx, include_unsupported)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_lattice_cover_matches_bruteforce(kind, data):
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    concepts = enumerate_concepts(ctx)
+    extents = [frozenset(c.extent) for c in concepts]
+    assert lattice_cover(concepts) == sorted(oracles.hasse_edges_bruteforce(extents))
 
 
 @ACCEPTANCE

@@ -1,4 +1,9 @@
+import re
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfca.ordering import (
     LabelLadder,
@@ -208,6 +213,55 @@ def test_cluster_rejects_overlap(institutions, case_partitions):
     ranks = score_and_rank(build_ordered_table(institutions, case_partitions))
     with pytest.raises(TableError, match="two ranges"):
         cluster_by_rank(ranks, [(1, 4), (4, 9)])
+
+
+def test_cluster_huge_range_is_interval_arithmetic(institutions, case_partitions):
+    # one dict entry per rank in the range would exhaust memory here
+    ranks = score_and_rank(build_ordered_table(institutions, case_partitions))
+    start = time.perf_counter()
+    (only,) = cluster_by_rank(ranks, [(1, 10**12)])
+    assert time.perf_counter() - start < 1.0
+    assert only.rank_range == (1, 10**12)
+    assert only.members == tuple(row.object for row in ranks.rows)
+
+
+def test_cluster_overlap_with_huge_range_names_first_shared_rank(institutions, case_partitions):
+    ranks = score_and_rank(build_ordered_table(institutions, case_partitions))
+    with pytest.raises(TableError, match=r"^rank 3 covered by two ranges$"):
+        cluster_by_rank(ranks, [(1, 5), (3, 10**12)])
+
+
+def test_cluster_ranges_out_of_order_keep_their_ids(institutions, case_partitions):
+    ranks = score_and_rank(build_ordered_table(institutions, case_partitions))
+    clusters = cluster_by_rank(ranks, [(7, 9), (1, 3), (4, 6)])
+    assert [c.rank_range for c in clusters] == [(7, 9), (1, 3), (4, 6)]
+    by_range = {c.rank_range: c.members for c in clusters}
+    assert {1: by_range[(1, 3)], 2: by_range[(4, 6)], 3: by_range[(7, 9)]} == \
+        golden.REFERENCE_CLUSTERS
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ranges=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 4))
+                       .map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=5))
+def test_cluster_by_rank_matches_rank_by_rank_scan(institutions, case_partitions, ranges):
+    ranks = score_and_rank(build_ordered_table(institutions, case_partitions))
+    owners: dict[int, list[int]] = {}  # rank -> the ranges covering it
+    for idx, (lo, hi) in enumerate(ranges):
+        for r in range(lo, hi + 1):
+            owners.setdefault(r, []).append(idx)
+    shared = sorted(r for r, idx in owners.items() if len(idx) > 1)
+    missing = sorted({row.rank for row in ranks.rows} - owners.keys())
+    if shared:
+        with pytest.raises(TableError, match=rf"^rank {shared[0]} covered by two ranges$"):
+            cluster_by_rank(ranks, ranges)
+    elif missing:
+        with pytest.raises(TableError, match=re.escape(f"ranks {missing} not covered")):
+            cluster_by_rank(ranks, ranges)
+    else:
+        clusters = cluster_by_rank(ranks, ranges)
+        assert [c.members for c in clusters] == [
+            tuple(row.object for row in ranks.rows if owners[row.rank] == [idx])
+            for idx in range(len(ranges))]
 
 
 def test_ordered_table_override(institutions, case_partitions):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from roughfca.table import AttributeSpec, Partition, TableError, indiscernibility, load_table
@@ -41,6 +43,21 @@ def test_load_rejects_non_numeric_token():
 def test_load_rejects_duplicate_labels():
     with pytest.raises(TableError, match="duplicate object label"):
         load_table("object,a\nx,1\nx,2\n", [AttributeSpec("a", range_max=10)])
+
+
+def test_load_duplicate_label_names_its_line():
+    with pytest.raises(TableError, match=r"^line 4: duplicate object label 'x'$"):
+        load_table("object,a\nx,1\ny,2\nx,3\n", [AttributeSpec("a", range_max=10)])
+
+
+def test_load_40k_rows_in_linear_time():
+    # a duplicate-label scan over a list made this take about 15 s
+    rows = "".join(f"o{i},{i % 9 + 1}\n" for i in range(40_000))
+    start = time.perf_counter()
+    table = load_table("object,a\n" + rows, [AttributeSpec("a", range_max=10)])
+    assert time.perf_counter() - start < 5.0
+    assert len(table.objects) == 40_000
+    assert table.value("o39999", "a") == 39_999 % 9 + 1
 
 
 def test_load_rejects_missing_cell():
