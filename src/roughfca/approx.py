@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .proximity import IFProximityRelation
 from .table import Partition, TableError
 from .unionfind import UnionFind
@@ -54,13 +56,9 @@ class SimilarityGraph:
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
     """Pairs passing both threshold tests at full precision.  The diagonal
     always passes since the relation is reflexive."""
-    edges = set()
-    n = rel.size
-    for i in range(n):
-        for j in range(i, n):
-            if rel.mu[i, j] >= params.alpha and rel.nu[i, j] <= params.beta:
-                edges.add((i, j))
-    return SimilarityGraph(rel.objects, frozenset(edges))
+    iu, ju = np.triu_indices(rel.size)
+    keep = (rel.mu[iu, ju] >= params.alpha) & (rel.nu[iu, ju] <= params.beta)
+    return SimilarityGraph(rel.objects, frozenset(zip(iu[keep].tolist(), ju[keep].tolist())))
 
 
 def partition_from_cut(graph: SimilarityGraph) -> Partition:

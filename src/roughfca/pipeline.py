@@ -71,6 +71,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "PipelineConfig":
+        """Build a config from its JSON document.  A missing key, or a value
+        of the wrong type or out of range, raises :class:`StageError`
+        tagged ``load``."""
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
@@ -111,6 +114,8 @@ class PipelineConfig:
             )
         except KeyError as exc:
             raise StageError("load", f"config missing key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise StageError("load", f"bad config: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

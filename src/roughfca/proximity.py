@@ -11,6 +11,14 @@ The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
 downstream consumers decide whether to proceed.
+
+Reports print each degree rounded half up to three decimals, taken on the
+shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
+0.005 although its double lies just below the tie, where ``round(x, 3)``
+gives 0.004.
+:func:`proximity_to_csv` reads most cells from a table of the 1001 texts of
+[0, 1] and sends only near-ties, values outside [0, 1] and non-finite values
+through the exact ``Decimal`` path.
 """
 
 from __future__ import annotations
@@ -86,28 +94,32 @@ class ProximityViolation:
 def validate_proximity(rel: IFProximityRelation) -> list[ProximityViolation]:
     """Check reflexivity, symmetry and the constraint mu + nu <= 1 for every
     pair.  Returns an empty list iff all three hold; violations carry the
-    offending pair and axiom name.
+    offending pair and axiom name.  Order: reflexivity failures along the
+    diagonal, then pairs i < j in row-major order, symmetry before sum.
     """
     out: list[ProximityViolation] = []
     objs = rel.objects
-    for i, x in enumerate(objs):
-        if rel.mu[i, i] != 1.0 or rel.nu[i, i] != 0.0:
+    mu_d, nu_d = np.diagonal(rel.mu), np.diagonal(rel.nu)
+    for i in np.flatnonzero((mu_d != 1.0) | (nu_d != 0.0)).tolist():
+        out.append(ProximityViolation(
+            "reflexivity", (objs[i], objs[i]),
+            f"diagonal is ({mu_d[i].item():.6g}, {nu_d[i].item():.6g}), expected (1, 0)"))
+    iu, ju = np.triu_indices(rel.size, 1)
+    mu, nu = rel.mu[iu, ju], rel.nu[iu, ju]
+    mu_t, nu_t = rel.mu[ju, iu], rel.nu[ju, iu]
+    total = mu + nu
+    asym = (mu != mu_t) | (nu != nu_t)
+    over = total > 1.0
+    for k in np.flatnonzero(asym | over).tolist():
+        pair = (objs[iu[k]], objs[ju[k]])
+        if asym[k]:
             out.append(ProximityViolation(
-                "reflexivity", (x, x),
-                f"diagonal is ({rel.mu[i, i]:.6g}, {rel.nu[i, i]:.6g}), expected (1, 0)"))
-    for i, x in enumerate(objs):
-        for j in range(i + 1, len(objs)):
-            y = objs[j]
-            if rel.mu[i, j] != rel.mu[j, i] or rel.nu[i, j] != rel.nu[j, i]:
-                out.append(ProximityViolation(
-                    "symmetry", (x, y),
-                    f"({rel.mu[i, j]:.6g}, {rel.nu[i, j]:.6g}) vs "
-                    f"({rel.mu[j, i]:.6g}, {rel.nu[j, i]:.6g})"))
-            total = rel.mu[i, j] + rel.nu[i, j]
-            if total > 1.0:
-                out.append(ProximityViolation(
-                    "sum", (x, y),
-                    f"mu + nu = {total:.6g} > 1"))
+                "symmetry", pair,
+                f"({mu[k].item():.6g}, {nu[k].item():.6g}) vs "
+                f"({mu_t[k].item():.6g}, {nu_t[k].item():.6g})"))
+        if over[k]:
+            out.append(ProximityViolation(
+                "sum", pair, f"mu + nu = {total[k].item():.6g} > 1"))
     return out
 
 
@@ -117,17 +129,56 @@ def round_half_up(x: float, places: int = 3) -> float:
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
+#: Three-decimal text of k / 1000 for k = 0 .. 1000.
+_CELL_TEXT = np.array([f"{k // 1000}.{k % 1000:03d}" for k in range(1001)], dtype=object)
+
+
+def _cell_texts(row: np.ndarray) -> np.ndarray:
+    """Three-decimal texts of one row of degrees, as ``round_half_up`` and
+    ``:.3f`` give them.  A cell in [0, 1] more than 1e-9 from a half-way
+    point reads its text from the table: the product ``x * 1000`` is within
+    about 2e-13 of the shortest repr of x times 1000, so it falls on the
+    same side of the tie.  Every other cell, -0.0 included, goes through
+    ``Decimal``."""
+    row = np.asarray(row, dtype=np.float64)
+    in_range = (row <= 1.0) & ~np.signbit(row)  # False for NaN
+    scaled = np.where(in_range, row, 0.0) * 1000.0
+    floor = np.floor(scaled)
+    frac = scaled - floor
+    texts = _CELL_TEXT[(floor + (frac > 0.5)).astype(np.int16)]
+    for j in np.flatnonzero(~in_range | (np.abs(frac - 0.5) <= 1e-9)).tolist():
+        texts[j] = f"{round_half_up(row[j].item()):.3f}"
+    return texts
+
+
+def _label_field(label: str) -> str:
+    """``label`` and the comma after it, as ``csv.writer`` starts a row."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((label, ""))
+    return line.getvalue()[:-1]
+
+
 def proximity_to_csv(rel: IFProximityRelation) -> str:
     """Render the relation as a CSV cross table with "mu,nu" cells rounded
     to three decimals (cells are quoted since they contain commas).
+
+    Rounding is half up on the shortest decimal repr of each degree, as
+    :func:`round_half_up` does it.  Cells are rendered a row at a time: a
+    degree in [0, 1] away from a half-way point takes its text from a
+    1001-entry table, and near-ties (within 1e-9 of one), degrees outside
+    [0, 1] and non-finite degrees fall back to ``Decimal``.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([rel.attribute, *rel.objects])
+    csv.writer(buf, lineterminator="\n").writerow([rel.attribute, *rel.objects])
+    # one row's text as pieces: mu "," nu '","' per cell.  A cell holds a
+    # comma and no quote, so csv.writer would wrap it in quotes and no more.
+    pieces = np.empty((rel.size, 4), dtype=object)
+    pieces[:, 1] = ","
+    pieces[:, 3] = '","'
+    if rel.size:
+        pieces[-1, 3] = '"\n'
     for i, x in enumerate(rel.objects):
-        cells = [
-            f"{round_half_up(float(rel.mu[i, j])):.3f},{round_half_up(float(rel.nu[i, j])):.3f}"
-            for j in range(rel.size)
-        ]
-        writer.writerow([x, *cells])
+        pieces[:, 0] = _cell_texts(rel.mu[i])
+        pieces[:, 2] = _cell_texts(rel.nu[i])
+        buf.write(_label_field(x) + '"' + "".join(pieces.ravel().tolist()))
     return buf.getvalue()

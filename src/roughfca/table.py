@@ -43,7 +43,7 @@ class AttributeSpec:
         if self.kind == "numeric":
             if self.range_max is None:
                 raise TableError(f"attribute {self.name!r}: numeric column needs range_max")
-            if self.range_max < 1:
+            if not self.range_max >= 1:  # also rejects NaN
                 raise TableError(f"attribute {self.name!r}: range_max must be >= 1")
         if self.ladder is not None:
             object.__setattr__(self, "ladder", tuple(self.ladder))

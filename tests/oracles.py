@@ -5,9 +5,65 @@ transitive closure, powerset enumeration, naive fixpoints) so the fast
 implementations have something honest to be checked against.
 """
 
+import csv
+import io
 from itertools import combinations
 
+from roughfca.approx import SimilarityGraph
 from roughfca.fca import FormalContext, Implication
+from roughfca.proximity import ProximityViolation, round_half_up
+
+
+# --- the proximity layer's former pair-by-pair loops --------------------------
+
+def proximity_to_csv_reference(rel):
+    """The library's former CSV renderer: every cell through ``Decimal``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([rel.attribute, *rel.objects])
+    for i, x in enumerate(rel.objects):
+        cells = [
+            f"{round_half_up(float(rel.mu[i, j])):.3f},{round_half_up(float(rel.nu[i, j])):.3f}"
+            for j in range(rel.size)
+        ]
+        writer.writerow([x, *cells])
+    return buf.getvalue()
+
+
+def validate_proximity_reference(rel):
+    """The library's former axiom scan, one numpy scalar at a time."""
+    out = []
+    objs = rel.objects
+    for i, x in enumerate(objs):
+        if rel.mu[i, i] != 1.0 or rel.nu[i, i] != 0.0:
+            out.append(ProximityViolation(
+                "reflexivity", (x, x),
+                f"diagonal is ({rel.mu[i, i]:.6g}, {rel.nu[i, i]:.6g}), expected (1, 0)"))
+    for i, x in enumerate(objs):
+        for j in range(i + 1, len(objs)):
+            y = objs[j]
+            if rel.mu[i, j] != rel.mu[j, i] or rel.nu[i, j] != rel.nu[j, i]:
+                out.append(ProximityViolation(
+                    "symmetry", (x, y),
+                    f"({rel.mu[i, j]:.6g}, {rel.nu[i, j]:.6g}) vs "
+                    f"({rel.mu[j, i]:.6g}, {rel.nu[j, i]:.6g})"))
+            total = rel.mu[i, j] + rel.nu[i, j]
+            if total > 1.0:
+                out.append(ProximityViolation(
+                    "sum", (x, y),
+                    f"mu + nu = {total:.6g} > 1"))
+    return out
+
+
+def cut_graph_reference(rel, params):
+    """The library's former cut test, pair by pair over i <= j."""
+    edges = set()
+    n = rel.size
+    for i in range(n):
+        for j in range(i, n):
+            if rel.mu[i, j] >= params.alpha and rel.nu[i, j] <= params.beta:
+                edges.add((i, j))
+    return SimilarityGraph(rel.objects, frozenset(edges))
 
 
 def closure_partition_bruteforce(objects, edge_pairs):

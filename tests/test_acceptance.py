@@ -10,6 +10,7 @@ totals (see tests/golden.py).
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -480,3 +481,13 @@ def test_c9_identical_runs_byte_identical_trees(tmp_path):
         a = (tmp_path / "first" / name).read_bytes()
         b = (tmp_path / "second" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_c9_report_tree_matches_recorded_digests(tmp_path):
+    # pins the bytes across commits, where the test above compares two runs
+    # of the same code; report.json and manifest.json echo checkout paths
+    config = PipelineConfig.from_file(DATA_DIR / "institutions_config.json")
+    emit_reports(run_pipeline(config), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name not in ("report.json", "manifest.json")}
+    assert digests == golden.REPORT_TREE_SHA256

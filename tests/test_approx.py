@@ -1,6 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfca.approx import (
     CutParams,
@@ -15,6 +19,8 @@ from roughfca.approx import (
 from roughfca.table import Partition, TableError
 
 import golden
+import oracles
+from relation_strategies import hand_built_relations, table_relations
 
 
 def test_cut_params_admissible_set():
@@ -90,6 +96,29 @@ def test_zero_nonmembership_cut_depends_on_alpha_alone(relations):
         admissible = (0.0, (1.0 - alpha) / 2, 1.0 - alpha)
         edge_sets = [cut_graph(fuzzy, CutParams(alpha, b)).edges for b in admissible]
         assert edge_sets[0] == edge_sets[1] == edge_sets[2]
+
+
+def _one_ulp_around(values, low, high):
+    """Each value in [low, high] and its neighbours one ulp either side,
+    kept inside [low, high]."""
+    out = set()
+    for v in values:
+        if low <= v <= high:
+            out.update(min(max(w, low), high)
+                       for w in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rel=st.one_of(table_relations(), hand_built_relations()), data=st.data())
+def test_cut_graph_matches_oracle_at_cell_boundaries(rel, data):
+    # thresholds on a cell's mu or nu, or one ulp either side of it
+    alphas = _one_ulp_around(np.asarray(rel.mu).ravel().tolist(), 0.0, 1.0)
+    alpha = data.draw(st.sampled_from(alphas) if alphas else st.floats(0.0, 1.0), label="alpha")
+    betas = _one_ulp_around(np.asarray(rel.nu).ravel().tolist(), 0.0, 1.0 - alpha)
+    beta = data.draw(st.sampled_from(betas) if betas else st.floats(0.0, 1.0 - alpha), label="beta")
+    params = CutParams(alpha, beta)
+    assert cut_graph(rel, params).edges == oracles.cut_graph_reference(rel, params).edges
 
 
 TOY_UNIVERSE = ("i_1", "i_2", "i_3", "i_4", "i_5")

@@ -4,6 +4,7 @@ writes exactly its own group of report files, byte-identical to what
 documents the registered subcommands."""
 
 import argparse
+import json
 import re
 
 import pytest
@@ -106,3 +107,41 @@ def test_readme_command_block_names_every_subcommand():
                       if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(subparsers.choices)
     assert len(documented) == len(set(documented))
+
+
+def _config_with(tmp_path, **changes):
+    """The bundled config without its override, top-level keys replaced,
+    reading the bundled data."""
+    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
+    doc.pop("overrides")
+    doc.update(changes)
+    doc["data"] = str(DATA_DIR / "institutions.csv")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _ic_range(value):
+    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
+    attributes = doc["attributes"]
+    attributes[0] = dict(attributes[0], range_max=value)
+    return attributes
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"attributes": _ic_range("250")}, "not supported"),
+    ({"attributes": 5}, "not iterable"),
+    ({"attributes": _ic_range(float("nan"))}, "range_max must be >= 1"),
+    ({"attributes": [5]}, "not subscriptable"),
+    ({"rank_ranges": [[1, "three"]]}, "invalid literal"),
+    ({"overrides": 5}, "has no attribute"),
+], ids=["range-max-string", "attributes-int", "range-max-nan", "attribute-int",
+        "rank-range-word", "overrides-int"])
+def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
+    config = _config_with(tmp_path, **changes)
+    code = run_cli("run", "--config", config, "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:load]") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

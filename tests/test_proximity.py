@@ -1,8 +1,15 @@
+import math
+import time
+from decimal import InvalidOperation
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfca.proximity import (
+    IFProximityRelation,
     build_proximity,
     membership_degree,
     nonmembership_degree,
@@ -10,8 +17,18 @@ from roughfca.proximity import (
     round_half_up,
     validate_proximity,
 )
+from roughfca.table import AttributeSpec, load_table
 
 import golden
+import oracles
+from relation_strategies import (
+    hand_built_relations,
+    near_tie,
+    perturbed_relations,
+    table_relations,
+)
+
+DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def test_membership_reference_values():
@@ -143,3 +160,69 @@ def test_reference_table_cells_within_tolerance(relations):
             assert abs(nu - nu_ref) <= golden.PROXIMITY_TOL, (attr, x, y)
             total += 1
     assert total >= 240
+
+
+# --- the vectorised kernels against their former loops in tests/oracles.py ---
+
+def _outcome(render, rel):
+    """The rendered text, or the type of the exception rendering raised."""
+    try:
+        return render(rel)
+    except InvalidOperation as exc:  # Decimal cannot quantize an infinity
+        return type(exc)
+
+
+@DIFFERENTIAL
+@given(rel=table_relations())
+def test_csv_and_validation_match_oracles_on_tables(rel):
+    assert proximity_to_csv(rel) == oracles.proximity_to_csv_reference(rel)
+    assert validate_proximity(rel) == oracles.validate_proximity_reference(rel)
+
+
+@DIFFERENTIAL
+@given(rel=hand_built_relations())
+def test_csv_matches_oracle_on_hand_built_cells(rel):
+    assert _outcome(proximity_to_csv, rel) == _outcome(oracles.proximity_to_csv_reference, rel)
+
+
+@DIFFERENTIAL
+@given(rel=st.one_of(hand_built_relations(), perturbed_relations()))
+def test_validation_matches_oracle_on_broken_axioms(rel):
+    with np.errstate(invalid="ignore"):  # mu + nu of inf and -inf
+        assert validate_proximity(rel) == oracles.validate_proximity_reference(rel)
+
+
+def _one_cell(value):
+    return IFProximityRelation("a", ("x",), np.array([[value]]), np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.0015, "0.002"), (0.0025, "0.003"), (0.0125, "0.013"), (0.0005, "0.001"),
+    (0.0045, "0.005"),  # its double lies below the tie: round(0.0045, 3) == 0.004
+    (math.nextafter(0.0015, 0.0), "0.001"), (math.nextafter(0.0015, 1.0), "0.002"),
+    (near_tie(999, 0), "1.000"), (near_tie(999, -1), "0.999"),
+    (1.0, "1.000"), (0.0, "0.000"), (-0.0, "-0.000"), (-0.0015, "-0.002"),
+    (1.0005, "1.001"), (12.0, "12.000"), (math.nan, "nan"),
+])
+def test_csv_cell_text_at_ties_and_outside_unit_interval(value, text):
+    rel = _one_cell(value)
+    assert proximity_to_csv(rel) == f'a,x\nx,"{text},0.500"\n'
+    assert proximity_to_csv(rel) == oracles.proximity_to_csv_reference(rel)
+
+
+def test_csv_infinite_cell_raises_as_decimal_does():
+    with pytest.raises(InvalidOperation):
+        proximity_to_csv(_one_cell(math.inf))
+
+
+def test_render_and_validate_1000_objects_in_time():
+    # 10^6 cells: rounding each through Decimal takes about 7 s
+    rows = "".join(f"o{i},{i * 7919 % 1000 + 1}\n" for i in range(1000))
+    table = load_table("object,a\n" + rows, [AttributeSpec("a", range_max=1000)])
+    rel = build_proximity(table, "a")
+    start = time.perf_counter()
+    text = proximity_to_csv(rel)
+    violations = validate_proximity(rel)
+    assert time.perf_counter() - start < 3.0
+    assert text.count("\n") == 1001
+    assert {v.kind for v in violations} == {"sum"}

@@ -76,6 +76,13 @@ def test_nominal_columns_skip_range_validation(rnd_table):
     assert rnd_table.value("o_2", "profit") == 300
 
 
+@pytest.mark.parametrize("range_max", [0, 0.5, -3, float("nan")])
+def test_spec_rejects_range_max_below_one_or_nan(range_max):
+    # NaN fails every comparison, so a NaN bound would reject every cell
+    with pytest.raises(TableError, match="range_max must be >= 1"):
+        AttributeSpec("a", range_max=range_max)
+
+
 def test_indiscernibility_three_attributes(rnd_table):
     part = indiscernibility(rnd_table, ["rd", "art", "marketing"])
     assert part.as_sets() == frozenset({
