@@ -157,14 +157,7 @@ def _cmd_search_cut(args: argparse.Namespace) -> int:
     docs = docs if isinstance(docs, list) else [docs]
     targets = dict(partition_from_json(doc, table.objects) for doc in docs)
     result = search_alpha_beta(table, targets, step=args.step)
-    payload = {
-        "step": result.step,
-        "feasible_points": [list(p) for p in result.points],
-        "hull": list(result.hull) if result.hull else None,
-        "per_attribute": {name: (list(h) if h else None)
-                          for name, h in sorted(result.per_attribute.items())},
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = result.to_json()
     if args.out:
         out = Path(args.out)
         write_files(out.parent, [(out.name, text)])

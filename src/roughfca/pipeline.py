@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .proximity import (
     validate_proximity,
 )
 from .table import AttributeSpec, InformationTable, Partition, load_table
-from .unionfind import UnionFind
+from .unionfind import UnionFind  # noqa: F401 (unused: perfbench/spans.py patches this name)
 
 STAGES = ("load", "proximity", "validate", "partition", "order", "rank", "cluster", "fca", "emit")
 
@@ -54,6 +54,12 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage:{stage}] {message}")
         self.stage = stage
+
+
+def _json_bool(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ class PipelineConfig:
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "PipelineConfig":
         """Build a config from its JSON document.  A missing key, or a value
         of the wrong type or out of range, raises :class:`StageError`
-        tagged ``load``."""
+        tagged ``load``: flags must be JSON booleans and rank bounds JSON
+        integers."""
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
@@ -89,12 +96,15 @@ class PipelineConfig:
                     kind=a.get("kind", "numeric"),
                     range_max=a.get("range_max"),
                     ladder=tuple(a["ladder"]) if "ladder" in a else None,
-                    drop_if_indiscernible=a.get("drop_if_indiscernible", True),
+                    drop_if_indiscernible=_json_bool(a.get("drop_if_indiscernible", True),
+                                                     "drop_if_indiscernible"),
                 )
                 for a in doc["attributes"]
             )
             cut = CutParams(float(doc["alpha"]), float(doc["beta"]))
             ranges = tuple((int(lo), int(hi)) for lo, hi in doc["rank_ranges"])
+            if any(type(bound) is not int for pair in doc["rank_ranges"] for bound in pair):
+                raise TypeError(f"rank bounds must be integers, got {doc['rank_ranges']!r}")
             ladders = {
                 name: LabelLadder(tuple(spec["labels"]), tuple(spec["weights"]))
                 for name, spec in doc.get("ladders", {}).items()
@@ -110,7 +120,7 @@ class PipelineConfig:
                 partitions_override=resolve(overrides.get("partitions")),
                 ordered_override=resolve(overrides.get("ordered_table")),
                 output_dir=resolve(doc.get("output_dir")),
-                force=bool(doc.get("force", False)),
+                force=_json_bool(doc.get("force", False), "force"),
             )
         except KeyError as exc:
             raise StageError("load", f"config missing key {exc}") from None
@@ -313,23 +323,61 @@ class CutSearchResult:
     hull: tuple[float, float, float, float] | None
     per_attribute: dict[str, tuple[float, float, float, float] | None]
 
+    def to_json(self) -> str:
+        """The document ``roughfca search-cut`` prints or writes."""
+        hulls = {name: list(h) if h else None for name, h in sorted(self.per_attribute.items())}
+        return _json_text({"step": self.step, "feasible_points": [list(p) for p in self.points],
+                           "hull": list(self.hull) if self.hull else None, "per_attribute": hulls})
 
-def _hull(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float] | None:
-    if not points:
-        return None
-    alphas = [p[0] for p in points]
-    betas = [p[1] for p in points]
-    return (min(alphas), max(alphas), min(betas), max(betas))
+
+def _hull(feasible: np.ndarray, levels: np.ndarray) -> tuple[float, float, float, float] | None:
+    """(alpha min, alpha max, beta min, beta max) of a mask over alpha x beta levels."""
+    alphas = levels[feasible.any(axis=1)].tolist()
+    betas = levels[feasible.any(axis=0)].tolist()
+    return (alphas[0], alphas[-1], betas[0], betas[-1]) if alphas else None
+
+
+def _cut_region(table: InformationTable, name: str, target: Partition,
+                levels: np.ndarray) -> np.ndarray:
+    """Mask over alpha x beta levels of the cuts of ``name`` that give ``target``.
+
+    Along sorted values a pair's mu falls and its nu rises as it widens, so
+    a cut's blocks are runs joined by the adjacent pairs that pass it, and
+    each target block must be one run of the order by (value, target
+    block).  An adjacent pair inside a run needs alpha <= mu and beta >= nu;
+    one at a boundary needs beta < nu wherever alpha <= mu.  In floats mu
+    keeps the order, and nu does for integer data, but near-duplicate
+    doubles can put a wide pair's nu an ulp below an adjacent nu inside it:
+    such an attribute raises ValueError."""
+    rel = build_proximity(table, name)
+    values = np.array(table.column(name), dtype=float)
+    blocks = np.array([target.block_of[o] for o in table.objects])
+    order = np.lexsort((blocks, values))
+    nu = rel.nu[np.ix_(order, order)]
+    mu_adj, nu_adj = rel.mu[order[:-1], order[1:]], np.diagonal(nu, 1)
+    inside = np.where(np.arange(len(order) - 1) >= np.arange(len(order))[:, None], nu_adj, -np.inf)
+    bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1] for i < j
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted values "
+                         f"{values[order][i:j + 2].tolist()}; near-duplicates break it by an ulp")
+    inner = blocks[order[:-1]] == blocks[order[1:]]
+    beta_below = np.where(mu_adj[~inner] >= levels[:, None], nu_adj[~inner], np.inf)
+    return ((np.count_nonzero(~inner) < len(target.blocks))  # each target block is one run
+            & (levels[:, None] <= mu_adj[inner].min(initial=np.inf))
+            & (levels >= nu_adj[inner].max(initial=-np.inf))
+            & (levels < beta_below.min(axis=1, initial=np.inf)[:, None]))
 
 
 def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
                       step: float = 0.005) -> CutSearchResult:
-    """Scan the (alpha, beta) grid of the admissible set for the points whose
-    cut partitions reproduce every target exactly.  An empty result is a
-    valid answer.  Work is memoised per distinct edge set, so fine grids stay
-    cheap.  ``step`` must lie in (0, 1]."""
-    if not 0 < step <= 1:  # also rejects NaN
-        raise ValueError(f"grid step must lie in (0, 1], got {step}")
+    """The points of the (alpha, beta) grid over the admissible set whose cut
+    partitions reproduce every target (maybe none), each attribute's region
+    derived from its sorted values by :func:`_cut_region`, which raises
+    ValueError on near-duplicate values that break the derivation.  ``step``
+    must lie in (0, 1] and be at least 0.001: reports print three decimals."""
+    if not 0.001 <= step <= 1:  # also rejects NaN
+        raise ValueError(f"grid step must lie in (0, 1] and be at least 0.001, got {step}")
     if not targets:
         raise ValueError("at least one target partition is required")
     for name, part in targets.items():
@@ -337,60 +385,17 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
         if set(part.block_of) != set(table.objects):
             raise ValueError(f"target partition for {name!r} does not cover the universe")
 
-    n = len(table.objects)
-    pair_index = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    per_attr = {}
-    for name in targets:
-        rel = build_proximity(table, name)
-        mu = np.array([rel.mu[i, j] for i, j in pair_index])
-        nu = np.array([rel.nu[i, j] for i, j in pair_index])
-        per_attr[name] = (mu, nu)
-
-    steps = round(1.0 / step)
-    levels = [i * step for i in range(steps + 1)]
-    target_sets = {name: part.as_sets() for name, part in targets.items()}
-
-    match_cache: dict[tuple[str, bytes], bool] = {}
-
-    def matches(name: str, edge_mask: np.ndarray) -> bool:
-        key = (name, edge_mask.tobytes())
-        hit = match_cache.get(key)
-        if hit is not None:
-            return hit
-        uf = UnionFind(n)
-        for flag, (i, j) in zip(edge_mask, pair_index):
-            if flag:
-                uf.union(i, j)
-        blocks = frozenset(
-            frozenset(table.objects[i] for i in grp) for grp in uf.groups()
-        )
-        ok = blocks == target_sets[name]
-        match_cache[key] = ok
-        return ok
-
-    feasible: list[tuple[float, float]] = []
-    attr_points: dict[str, list[tuple[float, float]]] = {name: [] for name in targets}
-    mu_ge = {name: {a: per_attr[name][0] >= a for a in levels} for name in targets}
-    nu_le = {name: {b: per_attr[name][1] <= b for b in levels} for name in targets}
-    for alpha in levels:
-        for beta in levels:
-            if alpha + beta > 1.0 + 1e-12:
-                break
-            ok_all = True
-            for name in targets:
-                edges = mu_ge[name][alpha] & nu_le[name][beta]
-                if matches(name, edges):
-                    attr_points[name].append((alpha, beta))
-                else:
-                    ok_all = False
-            if ok_all:
-                feasible.append((alpha, beta))
-
+    levels = np.arange(round(1.0 / step) + 1) * step
+    admissible = levels[:, None] + levels <= 1.0 + 1e-12
+    regions = {name: admissible & _cut_region(table, name, part, levels)
+               for name, part in targets.items()}
+    feasible = np.logical_and.reduce(list(regions.values()))
+    alphas, betas = np.nonzero(feasible)
     return CutSearchResult(
         step=step,
-        points=feasible,
-        hull=_hull(feasible),
-        per_attribute={name: _hull(pts) for name, pts in attr_points.items()},
+        points=list(zip(levels[alphas].tolist(), levels[betas].tolist())),
+        hull=_hull(feasible, levels),
+        per_attribute={name: _hull(region, levels) for name, region in regions.items()},
     )
 
 

@@ -9,9 +9,13 @@ import csv
 import io
 from itertools import combinations
 
+import numpy as np
+
 from roughfca.approx import SimilarityGraph
 from roughfca.fca import FormalContext, Implication
-from roughfca.proximity import ProximityViolation, round_half_up
+from roughfca.pipeline import CutSearchResult
+from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
+from roughfca.unionfind import UnionFind
 
 
 # --- the proximity layer's former pair-by-pair loops --------------------------
@@ -64,6 +68,86 @@ def cut_graph_reference(rel, params):
             if rel.mu[i, j] >= params.alpha and rel.nu[i, j] <= params.beta:
                 edges.add((i, j))
     return SimilarityGraph(rel.objects, frozenset(edges))
+
+
+# --- the cut search's former grid scan ---------------------------------------
+
+def _points_hull(points):
+    if not points:
+        return None
+    alphas = [p[0] for p in points]
+    betas = [p[1] for p in points]
+    return (min(alphas), max(alphas), min(betas), max(betas))
+
+
+def search_alpha_beta_grid_reference(table, targets, step=0.005):
+    """The library's former cut search: scan the (alpha, beta) grid of the
+    admissible set for the points whose cut partitions reproduce every
+    target exactly, closing each distinct edge set with a union-find."""
+    if not 0 < step <= 1:  # also rejects NaN
+        raise ValueError(f"grid step must lie in (0, 1], got {step}")
+    if not targets:
+        raise ValueError("at least one target partition is required")
+    for name, part in targets.items():
+        table.spec(name)
+        if set(part.block_of) != set(table.objects):
+            raise ValueError(f"target partition for {name!r} does not cover the universe")
+
+    n = len(table.objects)
+    pair_index = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    per_attr = {}
+    for name in targets:
+        rel = build_proximity(table, name)
+        mu = np.array([rel.mu[i, j] for i, j in pair_index])
+        nu = np.array([rel.nu[i, j] for i, j in pair_index])
+        per_attr[name] = (mu, nu)
+
+    steps = round(1.0 / step)
+    levels = [i * step for i in range(steps + 1)]
+    target_sets = {name: part.as_sets() for name, part in targets.items()}
+
+    match_cache: dict[tuple[str, bytes], bool] = {}
+
+    def matches(name, edge_mask):
+        key = (name, edge_mask.tobytes())
+        hit = match_cache.get(key)
+        if hit is not None:
+            return hit
+        uf = UnionFind(n)
+        for flag, (i, j) in zip(edge_mask, pair_index):
+            if flag:
+                uf.union(i, j)
+        blocks = frozenset(
+            frozenset(table.objects[i] for i in grp) for grp in uf.groups()
+        )
+        ok = blocks == target_sets[name]
+        match_cache[key] = ok
+        return ok
+
+    feasible: list[tuple[float, float]] = []
+    attr_points: dict[str, list[tuple[float, float]]] = {name: [] for name in targets}
+    mu_ge = {name: {a: per_attr[name][0] >= a for a in levels} for name in targets}
+    nu_le = {name: {b: per_attr[name][1] <= b for b in levels} for name in targets}
+    for alpha in levels:
+        for beta in levels:
+            if alpha + beta > 1.0 + 1e-12:
+                break
+            ok_all = True
+            for name in targets:
+                edges = mu_ge[name][alpha] & nu_le[name][beta]
+                if matches(name, edges):
+                    attr_points[name].append((alpha, beta))
+                else:
+                    ok_all = False
+            if ok_all:
+                feasible.append((alpha, beta))
+
+    return CutSearchResult(
+        step=step,
+        points=feasible,
+        hull=_points_hull(feasible),
+        per_attribute={name: _points_hull(pts) for name, pts in attr_points.items()},
+    )
 
 
 def closure_partition_bruteforce(objects, edge_pairs):

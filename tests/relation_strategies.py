@@ -1,7 +1,8 @@
 """Hypothesis strategies for intuitionistic fuzzy proximity relations.
 
 ``table_relations`` builds the relation of one numeric column read through
-``load_table``, as a pipeline run does.  ``hand_built_relations`` fills both
+``load_table``, as a pipeline run does, and ``numeric_tables`` a table of
+a few such columns.  ``hand_built_relations`` fills both
 matrices cell by cell with values that are hard to round or to compare:
 exact decimal ties, ties one ulp off, -0.0, values outside [0, 1], NaN and
 infinities.  ``perturbed_relations`` breaks a few cells of a table relation,
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from roughfca.proximity import IFProximityRelation, build_proximity
-from roughfca.table import AttributeSpec, load_table
+from roughfca.table import AttributeSpec, InformationTable, load_table
 
 #: Cells whose shortest repr lies exactly half-way between two three-decimal
 #: values.  The double of 0.0045 lies below its tie: rounding the double
@@ -43,19 +44,36 @@ cell_values = st.one_of(
 labels = st.text(alphabet='ab ,"\n\r', max_size=3)
 
 
+def _column_tokens(draw, r: int, n: int) -> list[str]:
+    """n cells of integer or two-decimal values in [1, r]."""
+    if draw(st.booleans()):
+        return [str(v) for v in draw(st.lists(st.integers(1, r), min_size=n, max_size=n))]
+    return [f"{v / 100:.2f}"
+            for v in draw(st.lists(st.integers(100, 100 * r), min_size=n, max_size=n))]
+
+
 @st.composite
 def table_relations(draw, max_objects: int = 12) -> IFProximityRelation:
     """The relation of a column of integer or two-decimal values in [1, R],
     R from 5 to 1000."""
     r = draw(st.integers(5, 1000))
     n = draw(st.integers(1, max_objects))
-    if draw(st.booleans()):
-        tokens = [str(v) for v in draw(st.lists(st.integers(1, r), min_size=n, max_size=n))]
-    else:
-        tokens = [f"{v / 100:.2f}"
-                  for v in draw(st.lists(st.integers(100, 100 * r), min_size=n, max_size=n))]
+    tokens = _column_tokens(draw, r, n)
     text = "object,a\n" + "".join(f"o{i},{t}\n" for i, t in enumerate(tokens))
     return build_proximity(load_table(text, [AttributeSpec("a", range_max=r)]), "a")
+
+
+@st.composite
+def numeric_tables(draw, max_objects: int = 8, max_attributes: int = 3) -> InformationTable:
+    """A table of one to ``max_attributes`` columns a0, a1, ..., each of
+    integer or two-decimal values in [1, R] with its own R from 5 to 1000."""
+    n = draw(st.integers(1, max_objects))
+    ranges = draw(st.lists(st.integers(5, 1000), min_size=1, max_size=max_attributes))
+    names = [f"a{k}" for k in range(len(ranges))]
+    columns = [_column_tokens(draw, r, n) for r in ranges]
+    rows = "".join(f"o{i}," + ",".join(col[i] for col in columns) + "\n" for i in range(n))
+    specs = [AttributeSpec(name, range_max=r) for name, r in zip(names, ranges)]
+    return load_table("object," + ",".join(names) + "\n" + rows, specs)
 
 
 @st.composite

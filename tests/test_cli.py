@@ -87,7 +87,7 @@ def test_unwritable_output_is_an_emit_error(tmp_path, capsys, argv, make_out):
     assert "error [stage:emit]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step", ["0", "-0.005", "2", "nan"])
+@pytest.mark.parametrize("step", ["0", "-0.005", "2", "nan", "0.0005", "1e-300"])
 def test_search_cut_rejects_step_outside_unit_interval(capsys, step):
     code = run_cli("search-cut", "--config", CONFIG_PATH, "--targets", TARGETS_PATH,
                    f"--step={step}")
@@ -128,6 +128,13 @@ def _ic_range(value):
     return attributes
 
 
+def _ic_flag(value):
+    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
+    attributes = doc["attributes"]
+    attributes[0] = dict(attributes[0], drop_if_indiscernible=value)
+    return attributes
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"attributes": _ic_range("250")}, "not supported"),
     ({"attributes": 5}, "not iterable"),
@@ -135,8 +142,11 @@ def _ic_range(value):
     ({"attributes": [5]}, "not subscriptable"),
     ({"rank_ranges": [[1, "three"]]}, "invalid literal"),
     ({"overrides": 5}, "has no attribute"),
+    ({"force": "false"}, "force must be true or false"),
+    ({"attributes": _ic_flag("false")}, "drop_if_indiscernible must be true or false"),
+    ({"rank_ranges": [[1, 3.9], [4, 6], [7, 9]]}, "rank bounds must be integers"),
 ], ids=["range-max-string", "attributes-int", "range-max-nan", "attribute-int",
-        "rank-range-word", "overrides-int"])
+        "rank-range-word", "overrides-int", "force-string", "drop-string", "rank-bound-float"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     config = _config_with(tmp_path, **changes)
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")

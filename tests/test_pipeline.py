@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from roughfca.approx import CutParams
+from roughfca.approx import CutParams, cut_graph, partition_from_cut
 from roughfca.cli import main
 from roughfca.pipeline import (
     PipelineConfig,
@@ -13,10 +16,13 @@ from roughfca.pipeline import (
     run_pipeline,
     search_alpha_beta,
 )
-from roughfca.table import Partition
+from roughfca.proximity import build_proximity
+from roughfca.table import AttributeSpec, Partition, load_table
 
 import golden
+import oracles
 from conftest import DATA_DIR
+from relation_strategies import numeric_tables
 
 CONFIG_PATH = DATA_DIR / "institutions_config.json"
 
@@ -258,6 +264,101 @@ def test_search_rejects_bad_targets(institutions):
     half = Partition.from_blocks([["i_1"]], ["i_1"])
     with pytest.raises(ValueError, match="does not cover"):
         search_alpha_beta(institutions, {"IC": half})
+
+
+@st.composite
+def search_cases(draw):
+    """A table, targets for some of its columns and a grid step.  Each target
+    is the partition at a random cut, at the cut on one cell's (mu, nu) or
+    one ulp stricter, or an arbitrary partition; the step is 0.01, 0.005 or
+    one cell's nu of at least 0.01, so that grid levels fall on a degree."""
+    table = draw(numeric_tables())
+    names = draw(st.lists(st.sampled_from(table.attribute_names), min_size=1, unique=True))
+    targets, steps = {}, [0.01, 0.005]
+    for name in names:
+        rel = build_proximity(table, name)
+        i, j = (draw(st.integers(0, rel.size - 1)) for _ in range(2))
+        mu, nu = rel.mu[i, j].item(), rel.nu[i, j].item()
+        if nu >= 0.01:
+            steps.append(nu)
+        kind = draw(st.sampled_from(["random cut", "cell cut", "cell cut one ulp off",
+                                     "arbitrary"]))
+        if kind == "arbitrary":
+            labels = draw(st.lists(st.integers(0, rel.size - 1),
+                                   min_size=rel.size, max_size=rel.size))
+            blocks = {}
+            for obj, label in zip(table.objects, labels):
+                blocks.setdefault(label, []).append(obj)
+            targets[name] = Partition.from_blocks(blocks.values(), table.objects)
+            continue
+        if kind == "random cut":
+            alpha = draw(st.floats(0, 1))
+            beta = draw(st.floats(0, 1 - alpha))
+        else:
+            alpha, beta = mu, min(nu, 1 - mu)
+            if kind == "cell cut one ulp off":
+                if draw(st.booleans()):
+                    alpha = min(math.nextafter(alpha, 2), 1.0)
+                else:
+                    beta = max(math.nextafter(beta, -1), 0.0)
+        targets[name] = partition_from_cut(cut_graph(rel, CutParams(alpha, beta)))
+    return table, targets, draw(st.sampled_from(steps))
+
+
+def _two_object_case():
+    """Values 1 and 3 with R = 8 give the pair (mu, nu) = (0.75, 0.25), both
+    on the grid of step 0.25: the split target is infeasible exactly where
+    alpha <= 0.75 and beta >= 0.25."""
+    table = load_table("object,a\no0,1\no1,3\n", [AttributeSpec("a", range_max=8)])
+    return table, {"a": Partition.from_blocks([["o0"], ["o1"]], table.objects)}, 0.25
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+@example(_two_object_case())
+def test_search_matches_grid_oracle(case):
+    table, targets, step = case
+    result = search_alpha_beta(table, targets, step=step)
+    expected = oracles.search_alpha_beta_grid_reference(table, targets, step=step)
+    assert result.points == expected.points
+    assert result.hull == expected.hull
+    assert result.per_attribute == expected.per_attribute
+
+
+#: nu of the outer pair rounds one ulp below nu of the inner pair
+#: (13.88..., 56.64...73), so the cut's blocks are not runs of sorted values
+#: at every grid point: the grid oracle finds 6 points, a region derived
+#: from runs without the monotonicity check finds 3.
+NEAR_DUPLICATES = ("13.885933829828321", "56.64749629608073", "56.64749629608074")
+NEAR_DUPLICATE_STEP = 0.3031297527280245
+
+
+def test_search_refuses_near_duplicate_values():
+    text = "object,a\n" + "".join(f"o{i},{v}\n" for i, v in enumerate(NEAR_DUPLICATES))
+    table = load_table(text, [AttributeSpec("a", range_max=1000)])
+    targets = {"a": Partition.from_blocks([table.objects], table.objects)}
+    grid = oracles.search_alpha_beta_grid_reference(table, targets, step=NEAR_DUPLICATE_STEP)
+    assert len(grid.points) == 6
+    with pytest.raises(ValueError, match=r"'a'.*13\.885933829828321.*56\.6474962960807"):
+        search_alpha_beta(table, targets, step=NEAR_DUPLICATE_STEP)
+
+
+def test_cli_search_cut_refuses_near_duplicate_values(tmp_path, capsys):
+    (tmp_path / "table.csv").write_text(
+        "object,a\n" + "".join(f"o{i},{v}\n" for i, v in enumerate(NEAR_DUPLICATES)),
+        encoding="utf-8")
+    config = {"data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 3]],
+              "attributes": [{"name": "a", "range_max": 1000}]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "targets.json").write_text(
+        json.dumps([{"attribute": "a", "blocks": [["o0", "o1", "o2"]]}]), encoding="utf-8")
+    code = run_cli("search-cut", "--config", tmp_path / "config.json",
+                   "--targets", tmp_path / "targets.json", "--step", NEAR_DUPLICATE_STEP)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "'a'" in captured.err
+    assert "56.64749629608074" in captured.err
+    assert captured.out == ""
 
 
 # --- command line ------------------------------------------------------------
