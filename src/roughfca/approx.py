@@ -129,6 +129,8 @@ def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) 
     beta are informative only.  Returns (attribute name, partition)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise TableError(f"partition document must be a JSON object, got {doc!r}")
     try:
         attribute = doc["attribute"]
         blocks = doc["blocks"]

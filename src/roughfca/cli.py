@@ -155,8 +155,11 @@ def _cmd_search_cut(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise StageError("partition", f"cannot read targets {args.targets}: {exc}") from None
     docs = docs if isinstance(docs, list) else [docs]
-    targets = dict(partition_from_json(doc, table.objects) for doc in docs)
-    result = search_alpha_beta(table, targets, step=args.step)
+    try:
+        targets = dict(partition_from_json(doc, table.objects) for doc in docs)
+        result = search_alpha_beta(table, targets, step=args.step)
+    except ValueError as exc:
+        raise StageError("partition", str(exc)) from None
     text = result.to_json()
     if args.out:
         out = Path(args.out)

@@ -409,18 +409,20 @@ class FrequencyTable:
 def implication_frequencies(basis: Sequence[Implication]) -> FrequencyTable:
     """frequency(a) = sum of support * |premise| over the rules whose
     conclusion contains a.  One row per attribute occurring in at least one
-    conclusion, sorted by attribute name."""
-    attrs = sorted({a for imp in basis for a in imp.conclusion})
-    rows = []
-    for attr in attrs:
-        contributing = [imp for imp in basis if attr in imp.conclusion]
-        freq = sum(imp.support * len(imp.premise) for imp in contributing)
-        rows.append(FrequencyRow(
+    conclusion, sorted by attribute name, with its contributors in basis
+    order; one pass over the basis groups them."""
+    contributors: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    for imp in basis:
+        pair = (imp.premise, imp.support)
+        for attr in set(imp.conclusion):
+            contributors.setdefault(attr, []).append(pair)
+    return FrequencyTable(tuple(
+        FrequencyRow(
             attribute=attr,
-            frequency=freq,
-            contributors=tuple((imp.premise, imp.support) for imp in contributing),
-        ))
-    return FrequencyTable(tuple(rows))
+            frequency=sum(support * len(premise) for premise, support in contributors[attr]),
+            contributors=tuple(contributors[attr]),
+        )
+        for attr in sorted(contributors)))
 
 
 def chief_attributes(freqs: FrequencyTable) -> list[tuple[int, tuple[str, ...]]]:

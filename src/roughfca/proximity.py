@@ -18,7 +18,10 @@ shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
 gives 0.004.
 :func:`proximity_to_csv` reads most cells from a table of the 1001 texts of
 [0, 1] and sends only near-ties, values outside [0, 1] and non-finite values
-through the exact ``Decimal`` path.
+through the exact ``Decimal`` path.  It renders a block of whole rows per
+numpy pass: one pass per row pays numpy's fixed cost per call on every row,
+and one pass over the whole matrix holds several times the output text in
+temporaries, so blocks keep the peak memory near the size of the text.
 """
 
 from __future__ import annotations
@@ -132,30 +135,43 @@ def round_half_up(x: float, places: int = 3) -> float:
 #: Three-decimal text of k / 1000 for k = 0 .. 1000.
 _CELL_TEXT = np.array([f"{k // 1000}.{k % 1000:03d}" for k in range(1001)], dtype=object)
 
+#: Cells rendered per numpy pass, in whole rows and at least one row.
+_BLOCK_CELLS = 1024
 
-def _cell_texts(row: np.ndarray) -> np.ndarray:
-    """Three-decimal texts of one row of degrees, as ``round_half_up`` and
-    ``:.3f`` give them.  A cell in [0, 1] more than 1e-9 from a half-way
+
+def _cell_texts(block: np.ndarray) -> np.ndarray:
+    """Three-decimal texts of a 2-D block of degrees, as ``round_half_up``
+    and ``:.3f`` give them.  A cell in [0, 1] more than 1e-9 from a half-way
     point reads its text from the table: the product ``x * 1000`` is within
     about 2e-13 of the shortest repr of x times 1000, so it falls on the
     same side of the tie.  Every other cell, -0.0 included, goes through
     ``Decimal``."""
-    row = np.asarray(row, dtype=np.float64)
-    in_range = (row <= 1.0) & ~np.signbit(row)  # False for NaN
-    scaled = np.where(in_range, row, 0.0) * 1000.0
+    block = np.asarray(block, dtype=np.float64)
+    in_range = (block <= 1.0) & ~np.signbit(block)  # False for NaN
+    scaled = np.where(in_range, block, 0.0) * 1000.0
     floor = np.floor(scaled)
     frac = scaled - floor
     texts = _CELL_TEXT[(floor + (frac > 0.5)).astype(np.int16)]
-    for j in np.flatnonzero(~in_range | (np.abs(frac - 0.5) <= 1e-9)).tolist():
-        texts[j] = f"{round_half_up(row[j].item()):.3f}"
+    for i, j in zip(*np.nonzero(~in_range | (np.abs(frac - 0.5) <= 1e-9))):
+        texts[i, j] = f"{round_half_up(block[i, j].item()):.3f}"
     return texts
 
 
-def _label_field(label: str) -> str:
-    """``label`` and the comma after it, as ``csv.writer`` starts a row."""
+def _header_and_row_starts(rel: IFProximityRelation) -> tuple[str, list[str]]:
+    """The header line, and each row's label field up to the opening quote
+    of its first cell, as ``csv.writer`` writes them.  One writer serves
+    them all: CPython's writer holds a 128 KiB record buffer while it lives."""
     line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow((label, ""))
-    return line.getvalue()[:-1]
+    writer = csv.writer(line, lineterminator="\n")
+    writer.writerow([rel.attribute, *rel.objects])
+    header = line.getvalue()
+    starts = []
+    for label in rel.objects:
+        line.seek(0)
+        line.truncate()
+        writer.writerow((label, ""))
+        starts.append(line.getvalue()[:-1] + '"')
+    return header, starts
 
 
 def proximity_to_csv(rel: IFProximityRelation) -> str:
@@ -163,22 +179,31 @@ def proximity_to_csv(rel: IFProximityRelation) -> str:
     to three decimals (cells are quoted since they contain commas).
 
     Rounding is half up on the shortest decimal repr of each degree, as
-    :func:`round_half_up` does it.  Cells are rendered a row at a time: a
-    degree in [0, 1] away from a half-way point takes its text from a
-    1001-entry table, and near-ties (within 1e-9 of one), degrees outside
-    [0, 1] and non-finite degrees fall back to ``Decimal``.
+    :func:`round_half_up` does it: a degree in [0, 1] away from a half-way
+    point takes its text from a 1001-entry table, and near-ties (within 1e-9
+    of one), degrees outside [0, 1] and non-finite degrees fall back to
+    ``Decimal``.  Rows are rendered a block at a time, as many whole rows as
+    fit in ``_BLOCK_CELLS`` cells, which bounds the temporaries of each
+    numpy pass and so keeps the peak memory near twice the output.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([rel.attribute, *rel.objects])
-    # one row's text as pieces: mu "," nu '","' per cell.  A cell holds a
-    # comma and no quote, so csv.writer would wrap it in quotes and no more.
-    pieces = np.empty((rel.size, 4), dtype=object)
-    pieces[:, 1] = ","
-    pieces[:, 3] = '","'
-    if rel.size:
-        pieces[-1, 3] = '"\n'
-    for i, x in enumerate(rel.objects):
-        pieces[:, 0] = _cell_texts(rel.mu[i])
-        pieces[:, 2] = _cell_texts(rel.nu[i])
-        buf.write(_label_field(x) + '"' + "".join(pieces.ravel().tolist()))
-    return buf.getvalue()
+    header, starts = _header_and_row_starts(rel)
+    n = rel.size
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    # a block's text as pieces, per row: the label field and the opening
+    # quote, then mu "," nu '","' per cell, with '"\n' closing the last
+    # cell.  A cell holds a comma and no quote, so csv.writer would wrap it
+    # in quotes and no more.
+    pieces = np.empty((min(rows, n), 1 + 4 * n), dtype=object)
+    pieces[:, 2::4] = ","
+    pieces[:, 4::4] = '","'
+    pieces[:, -1] = '"\n'
+    parts = [header]
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        k = stop - start
+        pieces[:k, 0] = starts[start:stop]
+        pieces[:k, 1::4] = _cell_texts(rel.mu[start:stop])
+        pieces[:k, 3::4] = _cell_texts(rel.nu[start:stop])
+        parts.append("".join(pieces[:k].ravel().tolist()))
+    del pieces  # free the pieces before the join copies the text
+    return "".join(parts)

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from roughfca.approx import SimilarityGraph
-from roughfca.fca import FormalContext, Implication
+from roughfca.fca import FormalContext, FrequencyRow, FrequencyTable, Implication
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
 from roughfca.unionfind import UnionFind
@@ -298,6 +298,22 @@ def canonical_basis_reference(context: FormalContext, include_unsupported: bool 
         ))
     out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
     return out
+
+
+def implication_frequencies_reference(basis):
+    """The library's former frequency table: one scan of the whole basis per
+    conclusion attribute."""
+    attrs = sorted({a for imp in basis for a in imp.conclusion})
+    rows = []
+    for attr in attrs:
+        contributing = [imp for imp in basis if attr in imp.conclusion]
+        freq = sum(imp.support * len(imp.premise) for imp in contributing)
+        rows.append(FrequencyRow(
+            attribute=attr,
+            frequency=freq,
+            contributors=tuple((imp.premise, imp.support) for imp in contributing),
+        ))
+    return FrequencyTable(tuple(rows))
 
 
 def is_valid_partition(blocks, universe) -> bool:

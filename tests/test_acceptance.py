@@ -419,6 +419,16 @@ def test_c8_canonical_basis_matches_reference(kind, data):
                 == oracles.canonical_basis_reference(ctx, include_unsupported))
 
 
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_frequencies_match_reference(kind, data):
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    for include_unsupported in (False, True):
+        basis = canonical_basis(ctx, include_unsupported)
+        assert implication_frequencies(basis) == oracles.implication_frequencies_reference(basis)
+
+
 def test_c8_canonical_basis_matches_reference_past_one_word():
     # the rule index of a basis with more than 64 rules spans several words
     rnd = random.Random(0)

@@ -93,7 +93,19 @@ def test_search_cut_rejects_step_outside_unit_interval(capsys, step):
                    f"--step={step}")
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:") and "(0, 1]" in captured.err
+    assert captured.err.startswith("error [stage:partition]") and "(0, 1]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("doc", [{"attribute": "IC", "blocks": [["nope"]]}, ["nope"]],
+                         ids=["unknown-object", "not-an-object"])
+def test_malformed_search_cut_target_is_a_partition_error(tmp_path, capsys, doc):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([doc]), encoding="utf-8")
+    code = run_cli("search-cut", "--config", CONFIG_PATH, "--targets", targets)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:partition]") and "nope" in captured.err
     assert captured.out == ""
 
 

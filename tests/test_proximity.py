@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from decimal import InvalidOperation
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughfca import proximity
 from roughfca.proximity import (
     IFProximityRelation,
     build_proximity,
@@ -226,3 +228,47 @@ def test_render_and_validate_1000_objects_in_time():
     assert time.perf_counter() - start < 3.0
     assert text.count("\n") == 1001
     assert {v.kind for v in violations} == {"sum"}
+
+
+# --- block rendering: rows are rendered _BLOCK_CELLS cells per numpy pass ---
+
+def _spread_relation(n):
+    """The relation of n objects with values spread over [1, 1000]."""
+    rows = "".join(f"o{i},{i * 7919 % 1000 + 1}\n" for i in range(n))
+    return build_proximity(load_table("object,a\n" + rows, [AttributeSpec("a", range_max=1000)]), "a")
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 7])
+@DIFFERENTIAL
+@given(rel=st.one_of(table_relations(), hand_built_relations()))
+def test_csv_matches_oracle_across_block_boundaries(block_cells, rel):
+    # one-row blocks, several-row blocks and a partial last block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proximity, "_BLOCK_CELLS", block_cells)
+        assert _outcome(proximity_to_csv, rel) == _outcome(oracles.proximity_to_csv_reference, rel)
+
+
+def test_csv_matches_oracle_with_odd_cells_in_first_and_last_block():
+    rel = _spread_relation(97)
+    assert proximity._BLOCK_CELLS // 97 == 10  # nine full blocks, then 7 rows
+    mu, nu = np.array(rel.mu), np.array(rel.nu)
+    for row in (0, 9, 90, 96):
+        mu[row, 3], nu[row, 5], mu[row, 40], nu[row, 96] = 0.0015, -0.0, math.nan, 1.5
+    odd = IFProximityRelation(rel.attribute, rel.objects, mu, nu)
+    text = proximity_to_csv(odd)
+    assert text == oracles.proximity_to_csv_reference(odd)
+    assert text.count('"0.002,') == 4 and text.count(',-0.000"') == 4
+
+
+def test_csv_peak_memory_stays_near_its_text():
+    # whole-matrix passes hold about 6x the text at the peak, one-row or
+    # _BLOCK_CELLS passes about 2x: the rendered rows and their join
+    rel = _spread_relation(200)
+    proximity_to_csv(rel)
+    tracemalloc.start()
+    try:
+        text = proximity_to_csv(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
