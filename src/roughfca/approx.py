@@ -126,7 +126,9 @@ def partition_to_json(partition: Partition, attribute: str,
 
 def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) -> tuple[str, Partition]:
     """Read one {"attribute", "alpha", "beta", "blocks"} document; alpha and
-    beta are informative only.  Returns (attribute name, partition)."""
+    beta are informative only, and blocks must be lists of object names, so
+    a string is never split into objects.  Returns (attribute name,
+    partition)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
@@ -136,4 +138,9 @@ def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) 
         blocks = doc["blocks"]
     except KeyError as exc:
         raise TableError(f"partition document missing key {exc}") from None
+    if not isinstance(attribute, str):
+        raise TableError(f"partition attribute must be a JSON string, got {attribute!r}")
+    if not (isinstance(blocks, list)
+            and all(isinstance(b, list) and all(isinstance(o, str) for o in b) for b in blocks)):
+        raise TableError(f"blocks of {attribute!r} must be a JSON list of lists of object names")
     return attribute, Partition.from_blocks(blocks, universe)

@@ -6,23 +6,39 @@ common objects of an attribute set) form a Galois connection whose fixed
 points are the formal concepts; concepts ordered by extent inclusion form a
 complete lattice.
 
-Concept enumeration and the canonical implication basis both use Ganter's
-Next-Closure iteration.  Rows and columns are kept as integer bitmasks, so
-closures are a handful of machine-word operations at the scale this package
-targets (tens of objects and attributes).
+Concept enumeration and the canonical implication basis both walk a
+Close-by-One tree (Kuznetsov 1993).  Rows and columns are kept as integer
+bitmasks, so closures are a handful of machine-word operations at the scale
+this package targets (tens of objects and attributes), and the walk keeps an
+explicit stack, so a long chain of closed sets never meets the recursion
+limit.  A node is a closed set B whose last added attribute is y - 1.  Child
+i, for each i >= y outside B, is the closure of B + {i}; it is kept only if
+the closure gains no attribute below i that B lacks, so every closed set has
+exactly one parent.  Every set under child i agrees with B below i and holds
+i, so it is lectically smaller than every set under a sibling j < i: visiting
+children in descending attribute order lists the closed sets in lectic
+order, the order of Ganter's Next-Closure.  Concept extents are carried down
+the tree (a child's is its parent's AND the column of i), and each child's
+intent is computed from its extent.
 
-The basis's Next-Closure runs over the logical closure under the rules found
-so far.  A rule index makes that closure bit-parallel: ``uses[a]`` is a
-bitmask over rule indices marking the rules whose premise contains attribute
-``a``, so the rules that fire on a set X are all rules minus the OR of
-``uses[a]`` over the attributes a outside X.  For each candidate of one
-Next-Closure step, that OR is read off a prefix and a suffix computed once
-per step.  A candidate's closure stops as soon as it gains an attribute
-below the one added, since the canonicity test has then failed (Bazhanov &
-Obiedkov 2014, "Optimizations in computing the Duquenne-Guigues basis of
-implications").  The lattice cover finds each concept's upper neighbours as
-the minimal strict supersets of its extent bitmask (after Lindig 2000,
-"Fast Concept Analysis").
+The basis visits, in the same order, the sets closed under the rules found
+so far.  A candidate is closed only after its earlier siblings' subtrees are
+done, so every rule that can fire on it is known, as in Ganter's
+Next-Closure basis; the closure reuse follows LinCbO (Janoštík, Konečný &
+Krajča 2021).  ``uses[a]`` is a bitmask over rule indices marking the rules
+whose premise holds attribute ``a``.  A pseudo-intent B records the rule
+B -> B'' and its children start from B'' (it has none when B'' gains an
+attribute below y), so a rule whose premise lies inside a node's set never
+fires again below it.  Each node makes one pass over its absent attributes
+to build two saturating counters over the rules: ``once`` holds the rules
+missing at least one of them and ``twice`` those missing two or more.  Child
+i fires ``uses[i] & ~twice``, the rules missing only i, at once; later rounds
+fire the rules that no attribute still absent blocks.  A rule found under an
+earlier child is classified into the counters by its own count of missing
+attributes, and a candidate is dropped as soon as its closure gains an
+attribute below i.  The lattice cover finds each concept's upper neighbours as the
+minimal strict supersets of its extent bitmask (after Lindig 2000, "Fast
+Concept Analysis").
 
 The canonical basis returned by default contains the rules whose premise is
 satisfied by at least one object.  Premises satisfied by no object close to
@@ -122,16 +138,20 @@ class FormalContext:
         """Objects possessing every attribute of the mask (all objects for
         the empty mask)."""
         out = (1 << len(self.objects)) - 1
-        for a in _bit_indices(attr_mask):
-            out &= self.cols[a]
+        while attr_mask:
+            low = attr_mask & -attr_mask
+            out &= self.cols[low.bit_length() - 1]
+            attr_mask ^= low
         return out
 
     def intent_of(self, object_mask: int) -> int:
         """Attributes shared by every object of the mask (all attributes for
         the empty mask)."""
         out = (1 << len(self.attributes)) - 1
-        for g in _bit_indices(object_mask):
-            out &= self.rows[g]
+        while object_mask:
+            low = object_mask & -object_mask
+            out &= self.rows[low.bit_length() - 1]
+            object_mask ^= low
         return out
 
     def intent_closure(self, attr_mask: int) -> int:
@@ -216,39 +236,34 @@ class Concept:
     intent: tuple[str, ...]
 
 
-def _next_closure(mask: int, n: int, close) -> int | None:
-    """Lectically smallest closed set after ``mask``, or None past the top.
-
-    A candidate is the attributes of ``mask`` below some i plus i itself, so
-    i is its highest attribute.  ``close(candidate, below)`` returns the
-    candidate's closure, or None once it finds in it an attribute of
-    ``below``, the attributes below i that ``mask`` lacks: such a closure
-    fails the canonicity test, so the rest of it is not needed.
-    """
-    for i in range(n - 1, -1, -1):
-        bit = 1 << i
-        if mask & bit:
-            mask &= ~bit
-        else:
-            closed = close(mask | bit, ~mask & (bit - 1))
-            if closed is not None:
-                return closed
-    return None
-
-
 def enumerate_concepts(context: FormalContext) -> list[Concept]:
     """All formal concepts, each exactly once, in lectic order of intents."""
-    def close(mask: int, below: int) -> int | None:
-        closed = context.intent_closure(mask)
-        return None if closed & below else closed
-
     n = len(context.attributes)
+    top = (1 << n) - 1
+    rows, cols = context.rows, context.cols
     concepts = []
-    intent = context.intent_closure(0)
-    while intent is not None:
-        extent = context.extent_of(intent)
+    extent = (1 << len(context.objects)) - 1
+    # flat (extent, intent, first attribute to try) triples: a stack of tuples
+    # would leave its emptied tuples on the interpreter's free list
+    stack = [extent, context.intent_of(extent), 0]
+    while stack:
+        y = stack.pop()
+        intent = stack.pop()
+        extent = stack.pop()
         concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
-        intent = _next_closure(intent, n, close)
+        for i in range(y, n):  # pushed ascending, so popped descending
+            bit = 1 << i
+            if intent & bit:
+                continue
+            child_extent = extent & cols[i]
+            child = top  # the intent of child_extent, inlined: this is the hot loop
+            rest = child_extent
+            while rest:
+                low = rest & -rest
+                child &= rows[low.bit_length() - 1]
+                rest ^= low
+            if child & ~intent & (bit - 1) == 0:
+                stack += child_extent, child, i + 1
     return concepts
 
 
@@ -304,65 +319,83 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
     full = (1 << n) - 1
     premises: list[int] = []
     closures: list[int] = []  # full closure mask of each rule's premise
+    out: list[Implication] = []
     uses = [0] * n  # per attribute, bitmask over the rules whose premise holds it
-    first = [0] * n  # per attribute i, the rules blocked on the candidate for i
 
-    def blocked_by(mask: int) -> int:
-        """Rules whose premise holds an attribute outside ``mask``."""
-        blocked = 0
+    def expand(extent: int, mask: int, y: int) -> list[int] | None:
+        """Record the rule of ``mask`` if it is a pseudo-intent, and return
+        the stack frame for its children: [base set, extent, attributes still
+        to try, once, twice, rules classified].  None when it has no children:
+        its closure gains an attribute below y, so the closure's own subtree
+        lies elsewhere."""
+        closed = context.intent_of(extent)
+        if closed != mask:
+            rule = 1 << len(premises)
+            for a in _bit_indices(mask):
+                uses[a] |= rule
+            premises.append(mask)
+            closures.append(closed)
+            support = extent.bit_count()
+            if support or include_unsupported:
+                out.append(Implication(
+                    premise=context.attr_names(mask),
+                    conclusion=context.attr_names(closed & ~mask),
+                    support=support,
+                ))
+            if closed & ~mask & ((1 << y) - 1):
+                return None
+            mask = closed
+        once = twice = 0
         absent = full & ~mask
         while absent:
             low = absent & -absent
-            blocked |= uses[low.bit_length() - 1]
+            rules = uses[low.bit_length() - 1]
+            twice |= once & rules
+            once |= rules
             absent ^= low
-        return blocked
+        return [mask, extent, full & ~mask & -(1 << y), once, twice, len(premises)]
 
-    def logical_closure(mask: int, below: int) -> int | None:
-        blocked = first[mask.bit_length() - 1]  # the candidate's top attribute
-        fired = 0
-        while fresh := ((1 << len(closures)) - 1) & ~blocked & ~fired:
-            fired |= fresh
+    stack = [expand((1 << len(context.objects)) - 1, 0, 0)]
+    while stack:
+        frame = stack[-1]
+        base, extent, todo, once, twice, seen = frame
+        if not todo:
+            stack.pop()
+            continue
+        i = todo.bit_length() - 1
+        bit = 1 << i
+        frame[2] = todo ^ bit
+        if len(premises) > seen:  # rules found under earlier children
+            for r in range(seen, len(premises)):
+                rule = 1 << r
+                once |= rule  # its premise holds that child's absent attribute
+                if (premises[r] & ~base).bit_count() > 1:
+                    twice |= rule
+            frame[3:] = once, twice, len(premises)
+        below = ~base & (bit - 1)
+        mask = base | bit
+        fired = fresh = uses[i] & ~twice
+        while fresh:
             while fresh:
                 low = fresh & -fresh
                 mask |= closures[low.bit_length() - 1]
                 fresh ^= low
             if mask & below:
-                return None
-            blocked = blocked_by(mask)
-        return mask
-
-    mask = 0
-    while mask is not None:
-        closed = context.intent_closure(mask)
-        if closed != mask:
-            rule = 1 << len(closures)
-            for a in _bit_indices(mask):
-                uses[a] |= rule
-            premises.append(mask)
-            closures.append(closed)
-        # The candidate for i lacks every attribute above i and those below i
-        # that mask lacks: OR their rule sets once, as a prefix and a suffix.
-        below_i = 0
-        for a in range(n):
-            first[a] = below_i
-            if not mask >> a & 1:
-                below_i |= uses[a]
-        above_i = 0
-        for a in range(n - 1, -1, -1):
-            first[a] |= above_i
-            above_i |= uses[a]
-        mask = _next_closure(mask, n, logical_closure)
-
-    out = []
-    for prem, closed in zip(premises, closures):
-        support = context.extent_of(prem).bit_count()
-        if support == 0 and not include_unsupported:
+                break
+            blocked = 0
+            absent = full & ~mask
+            while absent:
+                low = absent & -absent
+                blocked |= uses[low.bit_length() - 1]
+                absent ^= low
+            fresh = once & ~blocked & ~fired
+            fired |= fresh
+        if mask & below:
             continue
-        out.append(Implication(
-            premise=context.attr_names(prem),
-            conclusion=context.attr_names(closed & ~prem),
-            support=support,
-        ))
+        child = expand(extent & context.extent_of(mask & ~base), mask, i + 1)
+        if child is not None:
+            stack.append(child)
+
     out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
     return out
 

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from roughfca.approx import SimilarityGraph
-from roughfca.fca import FormalContext, FrequencyRow, FrequencyTable, Implication
+from roughfca.fca import Concept, FormalContext, FrequencyRow, FrequencyTable, Implication
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
 from roughfca.unionfind import UnionFind
@@ -259,6 +259,21 @@ def _next_closure_reference(mask: int, n: int, close) -> int | None:
             if (closed & ~mask) & (bit - 1) == 0:
                 return closed
     return None
+
+
+def enumerate_concepts_reference(context: FormalContext):
+    """The library's former concept enumeration: Next-Closure over the
+    intents, closing each candidate from scratch.  Same contract as
+    ``roughfca.fca.enumerate_concepts``: every concept once, in lectic order
+    of intents."""
+    n = len(context.attributes)
+    concepts = []
+    intent = context.intent_closure(0)
+    while intent is not None:
+        extent = context.extent_of(intent)
+        concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
+        intent = _next_closure_reference(intent, n, context.intent_closure)
+    return concepts
 
 
 def canonical_basis_reference(context: FormalContext, include_unsupported: bool = False):

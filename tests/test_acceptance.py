@@ -375,6 +375,15 @@ def test_c8_concepts_equal_bruteforce(ctx):
     assert len(fast) == len(enumerate_concepts(ctx))  # no duplicates
 
 
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_concepts_match_reference_in_order(kind, data):
+    # list equality: concept indices name the lattice's nodes and cover pairs
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    assert enumerate_concepts(ctx) == oracles.enumerate_concepts_reference(ctx)
+
+
 @ACCEPTANCE
 @given(ctx=random_contexts())
 def test_c8_basis_premises_match_definition_oracle(ctx):
@@ -436,6 +445,19 @@ def test_c8_canonical_basis_matches_reference_past_one_word():
     for include_unsupported in (False, True):
         basis = canonical_basis(ctx, include_unsupported)
         assert len(basis) > 64
+        assert basis == oracles.canonical_basis_reference(ctx, include_unsupported)
+
+
+def test_c8_fca_matches_references_at_independent_workload_shape():
+    # 28 objects in 8 one-hot groups of 4 levels: the largest cluster shape
+    # of the benchmark's independent workload, hundreds of concepts and rules
+    ctx = _scaled_context(28, [4] * 8, random.Random(0).randrange)
+    concepts = enumerate_concepts(ctx)
+    assert len(concepts) > 200
+    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    for include_unsupported in (False, True):
+        basis = canonical_basis(ctx, include_unsupported)
+        assert len(basis) > 200
         assert basis == oracles.canonical_basis_reference(ctx, include_unsupported)
 
 

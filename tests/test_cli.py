@@ -109,6 +109,22 @@ def test_malformed_search_cut_target_is_a_partition_error(tmp_path, capsys, doc)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"attribute": "IC", "blocks": "nope"}, "list of lists"),
+    ({"attribute": "IC", "blocks": ["i_1"]}, "list of lists"),
+    ({"attribute": ["IC"], "blocks": [["i_1"]]}, "JSON string"),
+], ids=["string-blocks", "string-block", "list-attribute"])
+def test_search_cut_target_shapes_are_checked(tmp_path, capsys, doc, message):
+    # a string must not be read as a block of one-character object names
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([doc]), encoding="utf-8")
+    code = run_cli("search-cut", "--config", CONFIG_PATH, "--targets", targets)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:partition]") and message in captured.err
+    assert captured.out == ""
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1]

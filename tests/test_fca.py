@@ -1,3 +1,7 @@
+import gc
+import inspect
+import sys
+
 import pytest
 
 from roughfca.fca import (
@@ -350,3 +354,38 @@ def test_frequencies_csv(cluster_contexts):
     assert lines[0] == "superconcept,A13,A14,A24,A34,A52,A65,A66"
     assert lines[2].startswith("frequency,")
     assert "{}*3" in lines[1]
+
+
+# --- kernel guards ------------------------------------------------------------
+
+def _chain_context(size):
+    # object g_k has m_0..m_k: the lattice and the closed-set tree are chains
+    return FormalContext(tuple(f"g{k}" for k in range(size)), tuple(f"m{k}" for k in range(size)),
+                         tuple((1 << (k + 1)) - 1 for k in range(size)))
+
+
+def test_kernels_walk_chains_deeper_than_the_recursion_limit():
+    ctx = _chain_context(100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        concepts = enumerate_concepts(ctx)
+        basis = canonical_basis(ctx, include_unsupported=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    assert len(concepts) == 100
+    assert basis == oracles.canonical_basis_reference(ctx, include_unsupported=True)
+
+
+def test_kernels_leave_no_reference_cycles(cluster_contexts):
+    # cycles would keep every intermediate list alive until the cyclic GC runs
+    ctx = cluster_contexts[3]
+    gc.collect()
+    gc.disable()
+    try:
+        for kernel in (enumerate_concepts, canonical_basis):
+            kernel(ctx)
+            assert gc.collect() == 0, kernel.__name__
+    finally:
+        gc.enable()
