@@ -58,7 +58,10 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     if args.alpha is not None or args.beta is not None:
         alpha = args.alpha if args.alpha is not None else config.cut.alpha
         beta = args.beta if args.beta is not None else config.cut.beta
-        updates["cut"] = CutParams(alpha, beta)
+        try:
+            updates["cut"] = CutParams(alpha, beta)
+        except ValueError as exc:
+            raise StageError("load", str(exc)) from None
     if args.out:
         updates["output_dir"] = Path(args.out)
     if args.force:

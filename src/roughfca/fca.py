@@ -36,9 +36,15 @@ i fires ``uses[i] & ~twice``, the rules missing only i, at once; later rounds
 fire the rules that no attribute still absent blocks.  A rule found under an
 earlier child is classified into the counters by its own count of missing
 attributes, and a candidate is dropped as soon as its closure gains an
-attribute below i.  The lattice cover finds each concept's upper neighbours as the
-minimal strict supersets of its extent bitmask (after Lindig 2000, "Fast
-Concept Analysis").
+attribute below i.
+
+The lattice cover needs only the concept list.  Each object gets a bitmask
+over the concepts whose extent holds it, so the supersets of an extent are
+the AND of its objects' masks: one big-integer operation per object of
+each extent.
+A concept's upper neighbours are then taken smallest first from its strict
+supersets, each one clearing its own supersets from the rest, one step per
+cover edge.
 
 The canonical basis returned by default contains the rules whose premise is
 satisfied by at least one object.  Premises satisfied by no object close to
@@ -53,6 +59,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -272,8 +279,15 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     pairs where the parent's extent covers the child's with nothing between.
 
     The parents of a concept are the minimal strict supersets of its extent.
-    Scanning the strict supersets by ascending size, one is minimal iff it
-    strictly contains none of the parents already kept.
+    Positions hold the concepts by ascending extent size and are visited
+    downward; ``containing[g]`` is a bitmask over the positions visited so
+    far whose extent holds object g.  The AND of ``containing`` over an
+    extent's objects marks the extents above it that contain it; dropping
+    those of equal size, which equal it, gives ``up[p]``, the strict
+    supersets of position p.  The lowest candidate is a smallest one, so it is
+    minimal: it is recorded as a parent and its own strict supersets leave
+    the candidates.  A candidate that is left holds no parent found so far,
+    so every candidate taken is minimal.
     """
     index: dict[str, int] = {}
     masks = []
@@ -282,19 +296,32 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
         for obj in concept.extent:
             mask |= 1 << index.setdefault(obj, len(index))
         masks.append(mask)
-    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+    sizes = [mask.bit_count() for mask in masks]
+    order = sorted(range(len(masks)), key=sizes.__getitem__)
+    sizes.sort()  # now by position
+    containing = [0] * len(index)
+    above = 0  # the positions visited so far
+    up = [0] * len(order)
+    for p in range(len(order) - 1, -1, -1):
+        objects = _bit_indices(masks[order[p]])
+        supersets = above  # an empty extent lies in every extent above it
+        for g in objects:
+            supersets &= containing[g]
+        larger = bisect_right(sizes, sizes[p])  # above p, an equal size is an equal extent
+        up[p] = supersets >> larger << larger
+        bit = 1 << p
+        above |= bit
+        for g in objects:
+            containing[g] |= bit
+    del masks, containing  # only ``up`` stays alive while the edges grow
     edges = []
-    for pos, j in enumerate(by_size):
-        child = masks[j]
-        kept: list[int] = []
-        for i in by_size[pos + 1:]:
-            ext = masks[i]
-            if child & ~ext or ext == child:
-                continue
-            if any(k & ~ext == 0 and k != ext for k in kept):
-                continue
-            kept.append(ext)
-            edges.append((i, j))
+    for p, candidates in enumerate(up):
+        child = order[p]
+        while candidates:
+            low = candidates & -candidates
+            q = low.bit_length() - 1
+            edges.append((order[q], child))
+            candidates &= ~(up[q] | low)
     edges.sort()
     return edges
 

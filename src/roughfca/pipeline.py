@@ -474,12 +474,14 @@ def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> lis
     entries = []
     for name, text in files:
         path = out / name
+        data = text.encode("utf-8")
+        del text
         try:
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(data)  # untranslated newlines: the file is the hashed bytes
         except OSError as exc:
             raise StageError("emit", f"cannot write {path}: {exc}") from None
-        entries.append({"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
-        del text  # hold one rendered file at a time, not two, while the next renders
+        entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
+        del data  # hold one rendered file at a time, not two, while the next renders
     return entries
 
 

@@ -248,6 +248,36 @@ def hasse_edges_bruteforce(extents):
     return edges
 
 
+def lattice_cover_reference(concepts):
+    """The library's former lattice cover.  Same contract as
+    ``roughfca.fca.lattice_cover``: (parent, child) index pairs, sorted.
+    For each concept it scans the strict supersets of its extent by
+    ascending size; one is minimal iff it strictly contains none of the
+    parents already kept.  About C^2/2 pair tests for C concepts."""
+    index: dict[str, int] = {}
+    masks = []
+    for concept in concepts:
+        mask = 0
+        for obj in concept.extent:
+            mask |= 1 << index.setdefault(obj, len(index))
+        masks.append(mask)
+    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+    edges = []
+    for pos, j in enumerate(by_size):
+        child = masks[j]
+        kept: list[int] = []
+        for i in by_size[pos + 1:]:
+            ext = masks[i]
+            if child & ~ext or ext == child:
+                continue
+            if any(k & ~ext == 0 and k != ext for k in kept):
+                continue
+            kept.append(ext)
+            edges.append((i, j))
+    edges.sort()
+    return edges
+
+
 def _next_closure_reference(mask: int, n: int, close) -> int | None:
     """Lectically smallest closed set after ``mask``, or None past the top."""
     for i in range(n - 1, -1, -1):

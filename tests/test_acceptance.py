@@ -459,6 +459,7 @@ def test_c8_fca_matches_references_at_independent_workload_shape():
         basis = canonical_basis(ctx, include_unsupported)
         assert len(basis) > 200
         assert basis == oracles.canonical_basis_reference(ctx, include_unsupported)
+    assert lattice_cover(concepts) == oracles.lattice_cover_reference(concepts)
 
 
 @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
@@ -469,6 +470,31 @@ def test_c8_lattice_cover_matches_bruteforce(kind, data):
     concepts = enumerate_concepts(ctx)
     extents = [frozenset(c.extent) for c in concepts]
     assert lattice_cover(concepts) == sorted(oracles.hasse_edges_bruteforce(extents))
+
+
+@st.composite
+def wide_random_contexts(draw):
+    # uniform rows from a drawn seed, 10-16 objects x 8-12 attributes: tens
+    # to hundreds of concepts, where the cubic Hasse oracle takes seconds
+    n_obj = draw(st.integers(10, 16))
+    n_attr = draw(st.integers(8, 12))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return FormalContext(tuple(f"g{i}" for i in range(n_obj)),
+                         tuple(f"m{j}" for j in range(n_attr)),
+                         tuple(rnd.getrandbits(n_attr) for _ in range(n_obj)))
+
+
+COVER_CONTEXT_KINDS = dict(CONTEXT_KINDS, wide=wide_random_contexts())
+
+
+@pytest.mark.parametrize("kind", sorted(COVER_CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_lattice_cover_matches_reference(kind, data):
+    # list equality: lattice_to_dot and the report digests read the pairs in order
+    ctx = data.draw(COVER_CONTEXT_KINDS[kind])
+    concepts = enumerate_concepts(ctx)
+    assert lattice_cover(concepts) == oracles.lattice_cover_reference(concepts)
 
 
 @ACCEPTANCE

@@ -125,6 +125,21 @@ def test_search_cut_target_shapes_are_checked(tmp_path, capsys, doc, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "2"], "[0, 1]"),
+    (["--alpha", "nan"], "[0, 1]"),
+    (["--beta", "nan"], "[0, 1]"),
+    (["--alpha", "0.8", "--beta", "0.5"], "must not exceed 1"),
+], ids=["alpha-2", "alpha-nan", "beta-nan", "sum-over-1"])
+def test_cut_flags_outside_the_admissible_set_are_a_load_error(tmp_path, capsys, flags, message):
+    code = run_cli("run", "--config", CONFIG_PATH, *flags, "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:load]") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1]

@@ -1,10 +1,12 @@
 import gc
 import inspect
 import sys
+import time
 
 import pytest
 
 from roughfca.fca import (
+    Concept,
     FormalContext,
     Implication,
     basis_to_json,
@@ -178,6 +180,23 @@ def test_lattice_cover_chain():
 def test_lattice_cover_single_concept():
     ctx = FormalContext.from_pairs(["g"], ["m"], [("g", "m")])
     assert lattice_cover(enumerate_concepts(ctx)) == []
+
+
+# hand-built concept lists: the cover reads only the extents, in list order
+@pytest.mark.parametrize("extents, expected", [
+    # two concepts share the extent {a}: both sit under {a, b}, neither
+    # under the other, and both cover the empty extent
+    ([("a", "b"), ("a",), ("a",), ()], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    # the empty extent lies in every extent, listed first
+    ([(), ("b",), ("a", "b"), ("a",)], [(1, 0), (2, 1), (2, 3), (3, 0)]),
+    ([("a", "b")], []),
+    ([()], []),
+    ([], []),
+], ids=["duplicated-extent", "empty-extent", "one-concept", "one-empty-concept", "none"])
+def test_lattice_cover_hand_built_concepts(extents, expected):
+    concepts = [Concept(extent, ()) for extent in extents]
+    assert lattice_cover(concepts) == expected
+    assert oracles.lattice_cover_reference(concepts) == expected
 
 
 def test_galois_laws_on_cluster_contexts(cluster_contexts):
@@ -389,3 +408,22 @@ def test_kernels_leave_no_reference_cycles(cluster_contexts):
             assert gc.collect() == 0, kernel.__name__
     finally:
         gc.enable()
+
+
+def test_lattice_cover_of_contranominal_scale_13_in_bounded_time():
+    # g_i has every attribute but m_i: every object set is an extent, 2^13
+    # concepts whose cover is the hypercube's 13 * 2^12 edges; the former
+    # pairwise superset scan took about 5 s
+    n = 13
+    full = (1 << n) - 1
+    ctx = FormalContext(tuple(f"g{i}" for i in range(n)), tuple(f"m{i}" for i in range(n)),
+                        tuple(full & ~(1 << i) for i in range(n)))
+    concepts = enumerate_concepts(ctx)
+    assert len(concepts) == 1 << n
+    start = time.perf_counter()
+    cover = lattice_cover(concepts)
+    assert time.perf_counter() - start < 2.0
+    assert len(cover) == n << (n - 1)
+    for parent, child in cover:
+        above, below = set(concepts[parent].extent), set(concepts[child].extent)
+        assert below < above and len(above - below) == 1

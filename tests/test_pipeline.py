@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,7 @@ from roughfca.pipeline import (
     emit_reports,
     run_pipeline,
     search_alpha_beta,
+    write_files,
 )
 from roughfca.proximity import build_proximity
 from roughfca.table import AttributeSpec, Partition, load_table
@@ -221,6 +223,20 @@ def test_emit_reports_manifest(report, tmp_path):
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["files"] == manifest
     partitions = json.loads((tmp_path / "out" / "partitions.json").read_text())
     assert len(partitions) == 6
+
+
+def test_manifest_digests_are_of_the_written_bytes(report, tmp_path):
+    out = tmp_path / "out"
+    emit_reports(report, out)
+    manifest = json.loads((out / "manifest.json").read_bytes())["files"]
+    assert {e["path"] for e in manifest} == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for entry in manifest:
+        assert hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+    # newlines reach the file untranslated, on every platform
+    (entry,) = write_files(tmp_path / "raw", [("lines.txt", "a\nb\r\nc\u00e9\n")])
+    data = (tmp_path / "raw" / "lines.txt").read_bytes()
+    assert data == "a\nb\r\nc\u00e9\n".encode("utf-8")
+    assert entry == {"path": "lines.txt", "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def test_emit_reports_deterministic(report, tmp_path):
