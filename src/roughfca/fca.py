@@ -51,7 +51,17 @@ satisfied by at least one object.  Premises satisfied by no object close to
 the full attribute set and add only vacuous rules; they are available via
 ``include_unsupported=True`` for the textbook basis, and the default subset
 remains sound, complete and minimal for all implications whose premise has
-at least one supporting object.
+at least one supporting object.  The default walk never computes them.  A
+subset of a set that some object satisfies is satisfied by that object too,
+and each node's generator B + {i} is a subset of the node, so the path to a
+supported set passes through supported sets only, and every rule that fires
+while closing it has a supported premise.  So a candidate whose extent is
+empty is dropped unexpanded, a node tries only the attributes that some
+object of its extent holds, and its counters leave out the rules that no
+object of its extent satisfies: such a rule could fire only on a set with an
+empty extent.  ``satisfied[g]`` is a bitmask over the rules whose premise
+object g satisfies; their OR over a node's extent gives its live rules.
+With ``include_unsupported`` the walk is the full one described above.
 """
 
 from __future__ import annotations
@@ -340,52 +350,91 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
     """Stem base of the context: one rule per pseudo-intent, conclusion the
     closure minus the premise, listed by support descending then lectic
     premise order.  Rules whose premise no object satisfies are omitted
-    unless ``include_unsupported`` is set.
+    unless ``include_unsupported`` is set, and then never computed.
+
+    A subset of a set that some object satisfies is satisfied by that object
+    too, and every set on the walk's path to a node is a subset of it.  So
+    without ``include_unsupported`` the walk visits supported sets only: it
+    never expands a set with an empty extent, tries only attributes that some
+    object of the node's extent holds, and fires only rules that one of
+    those objects satisfies.  The supported rules it finds, and their order,
+    are those of the full walk.
     """
     n = len(context.attributes)
     full = (1 << n) - 1
+    names, rows, cols = context.attributes, context.rows, context.cols
     premises: list[int] = []
     closures: list[int] = []  # full closure mask of each rule's premise
     out: list[Implication] = []
     uses = [0] * n  # per attribute, bitmask over the rules whose premise holds it
+    satisfied = [0] * len(rows)  # per object, bitmask over the rules it satisfies
 
     def expand(extent: int, mask: int, y: int) -> list[int] | None:
         """Record the rule of ``mask`` if it is a pseudo-intent, and return
         the stack frame for its children: [base set, extent, attributes still
-        to try, once, twice, rules classified].  None when it has no children:
-        its closure gains an attribute below y, so the closure's own subtree
-        lies elsewhere."""
-        closed = context.intent_of(extent)
+        to try, once, twice, rules classified, attributes held].  None when
+        it has no children: its closure gains an attribute below y, so the
+        closure's own subtree lies elsewhere."""
+        closed = full  # the AND of the extent's rows
+        held = full if include_unsupported else 0  # their OR
+        live = 0  # the rules some object of the extent satisfies
+        rest = extent
+        while rest:
+            low = rest & -rest
+            g = low.bit_length() - 1
+            closed &= rows[g]
+            held |= rows[g]
+            live |= satisfied[g]
+            rest ^= low
         if closed != mask:
             rule = 1 << len(premises)
-            for a in _bit_indices(mask):
+            premise = []  # the rule's names, read off as ``uses`` is marked
+            rest = mask
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
                 uses[a] |= rule
+                premise.append(names[a])
+                rest ^= low
             premises.append(mask)
             closures.append(closed)
             support = extent.bit_count()
             if support or include_unsupported:
-                out.append(Implication(
-                    premise=context.attr_names(mask),
-                    conclusion=context.attr_names(closed & ~mask),
-                    support=support,
-                ))
+                conclusion = []
+                rest = closed & ~mask
+                while rest:
+                    low = rest & -rest
+                    conclusion.append(names[low.bit_length() - 1])
+                    rest ^= low
+                out.append(Implication(tuple(premise), tuple(conclusion), support))
+            live |= rule
+            rest = extent
+            while rest:
+                low = rest & -rest
+                satisfied[low.bit_length() - 1] |= rule
+                rest ^= low
             if closed & ~mask & ((1 << y) - 1):
                 return None
             mask = closed
         once = twice = 0
-        absent = full & ~mask
+        absent = held & ~mask
         while absent:
             low = absent & -absent
             rules = uses[low.bit_length() - 1]
             twice |= once & rules
             once |= rules
             absent ^= low
-        return [mask, extent, full & ~mask & -(1 << y), once, twice, len(premises)]
+        if not include_unsupported:
+            # a rule that no object of the extent satisfies could only fire on
+            # an unsupported set: it never fires below this node
+            once &= live
+            twice |= ((1 << len(premises)) - 1) & ~live
+        return [mask, extent, held & ~mask & -(1 << y), once, twice, len(premises), held]
 
     stack = [expand((1 << len(context.objects)) - 1, 0, 0)]
     while stack:
         frame = stack[-1]
-        base, extent, todo, once, twice, seen = frame
+        base, extent, todo, once, twice, seen, held = frame
         if not todo:
             stack.pop()
             continue
@@ -398,7 +447,7 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
                 once |= rule  # its premise holds that child's absent attribute
                 if (premises[r] & ~base).bit_count() > 1:
                     twice |= rule
-            frame[3:] = once, twice, len(premises)
+            frame[3:6] = once, twice, len(premises)
         below = ~base & (bit - 1)
         mask = base | bit
         fired = fresh = uses[i] & ~twice
@@ -410,7 +459,7 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
             if mask & below:
                 break
             blocked = 0
-            absent = full & ~mask
+            absent = held & ~mask
             while absent:
                 low = absent & -absent
                 blocked |= uses[low.bit_length() - 1]
@@ -419,9 +468,16 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
             fired |= fresh
         if mask & below:
             continue
-        child = expand(extent & context.extent_of(mask & ~base), mask, i + 1)
-        if child is not None:
-            stack.append(child)
+        child_extent = extent  # its objects holding every attribute gained
+        gained = mask & ~base
+        while gained and child_extent:
+            low = gained & -gained
+            child_extent &= cols[low.bit_length() - 1]
+            gained ^= low
+        if child_extent or include_unsupported:
+            child = expand(child_extent, mask, i + 1)
+            if child is not None:
+                stack.append(child)
 
     out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
     return out

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 
@@ -24,11 +26,12 @@ class TableError(ValueError):
 class AttributeSpec:
     """Declaration of a single column.
 
-    kind is "numeric" or "nominal".  Numeric columns require range_max >= 1
-    and every cell must lie in [1, range_max].  ladder optionally fixes the
-    category order (best label first) used when the column is categorised or
-    nominally scaled.  drop_if_indiscernible controls whether a column whose
-    similarity partition has a single block is dropped from ordered tables.
+    kind is "numeric" or "nominal".  Numeric columns require a finite
+    range_max >= 1 (a number, not a bool) and every cell must lie in
+    [1, range_max].  ladder optionally fixes the category order (best label
+    first) used when the column is categorised or nominally scaled.
+    drop_if_indiscernible controls whether a column whose similarity
+    partition has a single block is dropped from ordered tables.
     """
 
     name: str
@@ -43,8 +46,13 @@ class AttributeSpec:
         if self.kind == "numeric":
             if self.range_max is None:
                 raise TableError(f"attribute {self.name!r}: numeric column needs range_max")
+            if isinstance(self.range_max, bool) or not isinstance(self.range_max, Real):
+                raise TableError(f"attribute {self.name!r}: range_max must be a number, "
+                                 f"got {self.range_max!r}")
             if not self.range_max >= 1:  # also rejects NaN
                 raise TableError(f"attribute {self.name!r}: range_max must be >= 1")
+            if not math.isfinite(self.range_max):
+                raise TableError(f"attribute {self.name!r}: range_max must be finite")
         if self.ladder is not None:
             object.__setattr__(self, "ladder", tuple(self.ladder))
             if len(set(self.ladder)) != len(self.ladder):

@@ -287,6 +287,17 @@ def scaled_contexts(draw):
                            lambda size: draw(st.integers(0, size - 1)))
 
 
+@st.composite
+def sparse_contexts(draw):
+    # one-hot like scaled_contexts, but few objects over many levels: 1-8
+    # objects x 2-8 groups of 3-8 levels, so most pairs of levels have no
+    # object and most pseudo-intents are unsupported
+    n_obj = draw(st.integers(1, 8))
+    levels = draw(st.lists(st.integers(3, 8), min_size=2, max_size=8))
+    return _scaled_context(n_obj, levels,
+                           lambda size: draw(st.integers(0, size - 1)))
+
+
 def _scaled_context(n_obj, levels, pick):
     attrs = tuple(f"A{g + 1}{k + 1}" for g, size in enumerate(levels) for k in range(size))
     offsets = [sum(levels[:g]) for g in range(len(levels))]
@@ -295,7 +306,8 @@ def _scaled_context(n_obj, levels, pick):
     return FormalContext(tuple(f"g{i}" for i in range(n_obj)), attrs, rows)
 
 
-CONTEXT_KINDS = {"random": random_contexts(), "scaled": scaled_contexts()}
+CONTEXT_KINDS = {"random": random_contexts(), "scaled": scaled_contexts(),
+                 "sparse": sparse_contexts()}
 
 
 @st.composite
@@ -426,6 +438,16 @@ def test_c8_canonical_basis_matches_reference(kind, data):
     for include_unsupported in (False, True):
         assert (canonical_basis(ctx, include_unsupported)
                 == oracles.canonical_basis_reference(ctx, include_unsupported))
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_default_basis_is_the_supported_part_of_the_textbook_basis(kind, data):
+    # the default walk skips unsupported sets; what it returns must be the
+    # full walk's output with the unsupported rules filtered out, in order
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    assert canonical_basis(ctx) == [r for r in canonical_basis(ctx, True) if r.support]
 
 
 @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))

@@ -179,7 +179,9 @@ def _ic_flag(value):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"attributes": _ic_range("250")}, "not supported"),
+    ({"attributes": _ic_range("250")}, "attribute 'IC': range_max must be a number"),
+    ({"attributes": _ic_range(True)}, "attribute 'IC': range_max must be a number"),
+    ({"attributes": _ic_range(float("inf"))}, "attribute 'IC': range_max must be finite"),
     ({"attributes": 5}, "not iterable"),
     ({"attributes": _ic_range(float("nan"))}, "range_max must be >= 1"),
     ({"attributes": [5]}, "not subscriptable"),
@@ -188,8 +190,9 @@ def _ic_flag(value):
     ({"force": "false"}, "force must be true or false"),
     ({"attributes": _ic_flag("false")}, "drop_if_indiscernible must be true or false"),
     ({"rank_ranges": [[1, 3.9], [4, 6], [7, 9]]}, "rank bounds must be integers"),
-], ids=["range-max-string", "attributes-int", "range-max-nan", "attribute-int",
-        "rank-range-word", "overrides-int", "force-string", "drop-string", "rank-bound-float"])
+], ids=["range-max-string", "range-max-true", "range-max-infinity", "attributes-int",
+        "range-max-nan", "attribute-int", "rank-range-word", "overrides-int", "force-string",
+        "drop-string", "rank-bound-float"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     config = _config_with(tmp_path, **changes)
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")

@@ -288,6 +288,46 @@ def test_full_incidence_basis():
     assert basis[0] == Implication((), ("m", "n"), 2)
 
 
+def _nominal_scale(size):
+    # object g_i has only m_i: every pair of attributes has no object
+    return FormalContext(tuple(f"g{i}" for i in range(size)), tuple(f"m{i}" for i in range(size)),
+                         tuple(1 << i for i in range(size)))
+
+
+EDGE_CONTEXTS = {  # context, default basis, textbook basis (None: only the oracle's)
+    "no objects": (FormalContext((), ("m", "n"), ()),
+                   [], [Implication((), ("m", "n"), 0)]),
+    "an attribute no object has": (
+        FormalContext(("g", "h"), ("m", "n", "o"), (0b001, 0b011)),
+        [Implication((), ("m",), 2)],
+        [Implication((), ("m",), 2), Implication(("m", "o"), ("n",), 0)]),
+    "one object with every attribute": (
+        FormalContext(("g",), ("m", "n", "o"), (0b111,)),
+        [Implication((), ("m", "n", "o"), 1)], [Implication((), ("m", "n", "o"), 1)]),
+    "no attributes": (FormalContext(("g", "h"), (), (0, 0)), [], []),
+    "nominal scale of 12": (_nominal_scale(12), [], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CONTEXTS))
+def test_basis_of_edge_contexts(name):
+    ctx, default, textbook = EDGE_CONTEXTS[name]
+    assert canonical_basis(ctx) == default == oracles.canonical_basis_reference(ctx)
+    full = canonical_basis(ctx, include_unsupported=True)
+    assert full == oracles.canonical_basis_reference(ctx, include_unsupported=True)
+    assert textbook is None or full == textbook
+
+
+def test_basis_of_nominal_scale_has_one_unsupported_rule_per_pair():
+    ctx = EDGE_CONTEXTS["nominal scale of 12"][0]
+    textbook = canonical_basis(ctx, include_unsupported=True)
+    assert len(textbook) == 12 * 11 // 2
+    for imp in textbook:
+        assert len(imp.premise) == 2 and imp.support == 0
+        assert set(imp.premise) | set(imp.conclusion) == set(ctx.attributes)
+    assert len({imp.premise for imp in textbook}) == len(textbook)
+
+
 def test_implication_closure(cluster_contexts):
     basis = canonical_basis(cluster_contexts[3])
     assert implication_closure(basis, set()) == {"A24", "A34"}
