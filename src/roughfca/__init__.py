@@ -8,6 +8,8 @@ lattices, a canonical implication basis and the chief attributes behind each
 cluster.
 """
 
+from types import ModuleType as _ModuleType
+
 from .approx import (
     CutParams,
     RoughApproximation,
@@ -69,4 +71,6 @@ from .table import AttributeSpec, InformationTable, Partition, TableError, indis
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names only: importing them also binds the submodules here
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

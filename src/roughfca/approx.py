@@ -113,15 +113,9 @@ def rough_approximation(partition: Partition, target: set[str] | frozenset[str])
     return RoughApproximation(lo, up, boundary, definable=not boundary)
 
 
-def partition_to_json(partition: Partition, attribute: str,
-                      alpha: float | None = None, beta: float | None = None) -> dict:
-    doc: dict = {"attribute": attribute}
-    if alpha is not None:
-        doc["alpha"] = alpha
-    if beta is not None:
-        doc["beta"] = beta
-    doc["blocks"] = [list(b) for b in partition.blocks]
-    return doc
+def partition_to_json(partition: Partition, attribute: str, alpha: float, beta: float) -> dict:
+    return {"attribute": attribute, "alpha": alpha, "beta": beta,
+            "blocks": [list(b) for b in partition.blocks]}
 
 
 def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) -> tuple[str, Partition]:

@@ -6,6 +6,16 @@ common objects of an attribute set) form a Galois connection whose fixed
 points are the formal concepts; concepts ordered by extent inclusion form a
 complete lattice.
 
+A context is kept as one bitmask per object over the attribute indices.
+Nominal scaling gives each category of a column the next bit and ORs it
+into the rows of the objects that carry it, so no name is looked up on the
+way; the columns are then read off the rows' set bits.  One helper,
+``_names``, reads the labels off a mask by clearing one bit per name, and
+concepts and rules are named through it.  The loops that run once per node,
+per candidate or per rule inside the two walks below stay inline: there a
+call per step costs more than the loop it would replace (routing the basis's
+per-rule marks through ``_bit_indices`` made it 4-15% slower).
+
 Concept enumeration and the canonical implication basis both walk a
 Close-by-One tree (Kuznetsov 1993).  Rows and columns are kept as integer
 bitmasks, so closures are a handful of machine-word operations at the scale
@@ -95,6 +105,16 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _names(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The labels at the set bits of the mask, ascending; one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(labels[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class FormalContext:
     """Objects, attributes and their incidence, with bitmask accessors."""
@@ -109,13 +129,13 @@ class FormalContext:
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.objects):
             raise ValueError("one incidence row per object required")
-        cols = []
-        for a in range(len(self.attributes)):
-            mask = 0
-            for g, row in enumerate(self.rows):
-                if row >> a & 1:
-                    mask |= 1 << g
-            cols.append(mask)
+        n = len(self.attributes)
+        cols = [0] * n
+        for g, row in enumerate(self.rows):
+            if row >> n:  # also a negative row
+                raise ValueError(f"row of {self.objects[g]!r} has bits beyond its {n} attributes")
+            for a in _bit_indices(row):
+                cols[a] |= 1 << g
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "_obj_index", {o: i for i, o in enumerate(self.objects)})
         object.__setattr__(self, "_attr_index", {a: i for i, a in enumerate(self.attributes)})
@@ -146,29 +166,25 @@ class FormalContext:
         return mask
 
     def attr_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.attributes[i] for i in _bit_indices(mask))
+        return _names(self.attributes, mask)
 
     def object_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.objects[i] for i in _bit_indices(mask))
+        return _names(self.objects, mask)
 
     def extent_of(self, attr_mask: int) -> int:
         """Objects possessing every attribute of the mask (all objects for
         the empty mask)."""
         out = (1 << len(self.objects)) - 1
-        while attr_mask:
-            low = attr_mask & -attr_mask
-            out &= self.cols[low.bit_length() - 1]
-            attr_mask ^= low
+        for a in _bit_indices(attr_mask):
+            out &= self.cols[a]
         return out
 
     def intent_of(self, object_mask: int) -> int:
         """Attributes shared by every object of the mask (all attributes for
         the empty mask)."""
         out = (1 << len(self.attributes)) - 1
-        while object_mask:
-            low = object_mask & -object_mask
-            out &= self.rows[low.bit_length() - 1]
-            object_mask ^= low
+        for g in _bit_indices(object_mask):
+            out &= self.rows[g]
         return out
 
     def intent_closure(self, attr_mask: int) -> int:
@@ -192,44 +208,35 @@ def build_context(source: OrderedTable | InformationTable,
     Each (attribute, category) pair occurring in the scope becomes one
     binary context attribute; an object is incident with it iff its cell
     carries that category.  Ordered-table categories are coded
-    ``A<position><ladder level>``; plain-table values are coded
-    ``<attribute>=<value>``.
+    ``A<position><ladder level>`` and listed by ascending level; plain-table
+    values are coded ``<attribute>=<value>`` and listed in ladder order, then
+    sorted stray values, or by first appearance without a ladder.
     """
-    if isinstance(source, OrderedTable):
-        universe = source.objects
-    elif isinstance(source, InformationTable):
-        universe = source.objects
-    else:
+    if not isinstance(source, (OrderedTable, InformationTable)):
         raise TypeError(f"cannot scale a {type(source).__name__}")
-    objects = _resolve_scope(universe, scope)
+    objects = _resolve_scope(source.objects, scope)
 
-    names: list[str] = []
-    pairs: list[tuple[str, str]] = []
+    columns = []  # per source column: each object's category, and each category's code
     if isinstance(source, OrderedTable):
         for col in source.columns:
-            levels = sorted({col.ladder.position(col.label(o)) for o in objects})
-            for k in levels:
-                code = attribute_code(col.source_index, k)
-                names.append(code)
-                for o in objects:
-                    if col.ladder.position(col.label(o)) == k:
-                        pairs.append((o, code))
+            levels = [col.ladder.position(col.label(o)) for o in objects]
+            columns.append((levels, {k: attribute_code(col.source_index, k)
+                                     for k in sorted(set(levels))}))
     else:
         for spec in source.attributes:
             tokens = [cell_token(source.value(o, spec.name)) for o in objects]
+            order = dict.fromkeys(tokens)
             if spec.ladder:
-                order = [t for t in spec.ladder if t in set(tokens)]
-                stray = sorted(set(tokens) - set(order))
-                order += stray
-            else:
-                order = list(dict.fromkeys(tokens))
-            for token in order:
-                code = f"{spec.name}={token}"
-                names.append(code)
-                for o, t in zip(objects, tokens):
-                    if t == token:
-                        pairs.append((o, code))
-    return FormalContext.from_pairs(objects, names, pairs)
+                order = [t for t in spec.ladder if t in order] + sorted(order.keys() - spec.ladder)
+            columns.append((tokens, {t: f"{spec.name}={t}" for t in order}))
+    names: list[str] = []
+    rows = [0] * len(objects)
+    for categories, codes in columns:
+        bits = {key: 1 << (len(names) + i) for i, key in enumerate(codes)}
+        names += codes.values()
+        for g, key in enumerate(categories):
+            rows[g] |= bits[key]
+    return FormalContext(objects, tuple(names), tuple(rows))
 
 
 def _resolve_scope(universe: tuple[str, ...], scope: Iterable[str] | None) -> tuple[str, ...]:
@@ -350,15 +357,8 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
     """Stem base of the context: one rule per pseudo-intent, conclusion the
     closure minus the premise, listed by support descending then lectic
     premise order.  Rules whose premise no object satisfies are omitted
-    unless ``include_unsupported`` is set, and then never computed.
-
-    A subset of a set that some object satisfies is satisfied by that object
-    too, and every set on the walk's path to a node is a subset of it.  So
-    without ``include_unsupported`` the walk visits supported sets only: it
-    never expands a set with an empty extent, tries only attributes that some
-    object of the node's extent holds, and fires only rules that one of
-    those objects satisfies.  The supported rules it finds, and their order,
-    are those of the full walk.
+    unless ``include_unsupported`` is set, and then never computed: the
+    module docstring gives the walk and why it may skip unsupported sets.
     """
     n = len(context.attributes)
     full = (1 << n) - 1
@@ -388,25 +388,16 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
             rest ^= low
         if closed != mask:
             rule = 1 << len(premises)
-            premise = []  # the rule's names, read off as ``uses`` is marked
             rest = mask
             while rest:
                 low = rest & -rest
-                a = low.bit_length() - 1
-                uses[a] |= rule
-                premise.append(names[a])
+                uses[low.bit_length() - 1] |= rule
                 rest ^= low
             premises.append(mask)
             closures.append(closed)
             support = extent.bit_count()
             if support or include_unsupported:
-                conclusion = []
-                rest = closed & ~mask
-                while rest:
-                    low = rest & -rest
-                    conclusion.append(names[low.bit_length() - 1])
-                    rest ^= low
-                out.append(Implication(tuple(premise), tuple(conclusion), support))
+                out.append(Implication(_names(names, mask), _names(names, closed & ~mask), support))
             live |= rule
             rest = extent
             while rest:
@@ -554,18 +545,17 @@ def chief_attributes(freqs: FrequencyTable) -> list[tuple[int, tuple[str, ...]]]
 # report renderers
 
 
-def context_to_csv(context: FormalContext, label_column: str = "object") -> str:
+def context_to_csv(context: FormalContext) -> str:
     """Cross table: one row per object, "x" where the incidence holds."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([label_column, *context.attributes])
+    writer.writerow(["object", *context.attributes])
     for obj, row in zip(context.objects, context.rows):
         writer.writerow([obj, *("x" if row >> a & 1 else "" for a in range(len(context.attributes)))])
     return buf.getvalue()
 
 
-def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]],
-                   name: str = "concept_lattice") -> str:
+def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]) -> str:
     """DOT digraph with one node per concept and one edge per cover pair.
     Nodes carry reduced labels: the attributes and objects introduced at the
     concept (attributes not present in any parent, objects in no child)."""
@@ -575,7 +565,7 @@ def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]
         parents.setdefault(c, []).append(p)
         children.setdefault(p, []).append(c)
 
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=record];"]
+    lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
     for idx, concept in enumerate(concepts):
         inherited_attrs = set()
         for p in parents.get(idx, []):

@@ -52,6 +52,8 @@ class LabelLadder:
             raise ValueError("empty ladder")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate ladder labels")
+        if any(isinstance(w, bool) or not isinstance(w, int) for w in self.weights):
+            raise ValueError(f"ladder weights must be integers, got {list(self.weights)}")
         if any(w <= 0 for w in self.weights):
             raise ValueError("ladder weights must be positive")
         if any(a <= b for a, b in zip(self.weights, self.weights[1:])):
@@ -119,12 +121,8 @@ def _ordered_blocks(table: InformationTable, attribute: str,
     if order_by == "appearance":
         return blocks  # canonical partition order is first-appearance order
     values = {obj: float(table.value(obj, attribute)) for obj in table.objects}
-    first = {b: min(table.index_of(o) for o in b) for b in blocks}
-    blocks.sort(key=lambda b: (
-        -sum(values[o] for o in b) / len(b),
-        -max(values[o] for o in b),
-        first[b],
-    ))
+    # list.sort is stable, so blocks tied on both keys keep first-appearance order
+    blocks.sort(key=lambda b: (-sum(values[o] for o in b) / len(b), -max(values[o] for o in b)))
     return blocks
 
 
@@ -288,20 +286,20 @@ def cluster_by_rank(ranks: RankTable, ranges: Sequence[tuple[int, int]]) -> list
             for i in range(len(ranges))]
 
 
-def ordered_table_to_csv(ordered: OrderedTable, label_column: str = "object") -> str:
+def ordered_table_to_csv(ordered: OrderedTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([label_column, *ordered.attribute_names])
+    writer.writerow(["object", *ordered.attribute_names])
     for obj in ordered.objects:
         writer.writerow([obj, *(col.label(obj) for col in ordered.columns)])
     return buf.getvalue()
 
 
-def rank_table_to_csv(ranks: RankTable, label_column: str = "object") -> str:
+def rank_table_to_csv(ranks: RankTable) -> str:
     """Label plus weight per attribute, total sum and rank per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([label_column, *ranks.attributes, "total_sum", "rank"])
+    writer.writerow(["object", *ranks.attributes, "total_sum", "rank"])
     for row in ranks.rows:
         cells = [f"{lbl} ({w})" for lbl, w in zip(row.labels, row.weights)]
         writer.writerow([row.object, *cells, row.total, row.rank])

@@ -24,6 +24,7 @@ import numpy as np
 from . import fca
 from .approx import CutParams, cut_graph, partition_from_cut, partition_from_json, partition_to_json
 from .ordering import (
+    BLOCK_ORDERS,
     LabelLadder,
     OrderedTable,
     RankCluster,
@@ -45,8 +46,6 @@ from .proximity import (
 from .table import AttributeSpec, InformationTable, Partition, load_table
 from .unionfind import UnionFind  # noqa: F401 (unused: perfbench/spans.py patches this name)
 
-STAGES = ("load", "proximity", "validate", "partition", "order", "rank", "cluster", "fca", "emit")
-
 
 class StageError(RuntimeError):
     """A pipeline failure tagged with the stage it occurred in."""
@@ -60,6 +59,18 @@ def _json_bool(value: object, what: str) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def _json_number(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_labels(value: object, what: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,9 @@ class PipelineConfig:
         """Build a config from its JSON document.  A missing key, or a value
         of the wrong type or out of range, raises :class:`StageError`
         tagged ``load``: flags must be JSON booleans and rank bounds JSON
-        integers."""
+        integers, alpha and beta JSON numbers, labels lists of strings and
+        ladder weights integers; ladders must name declared numeric
+        attributes and block_order one of :data:`BLOCK_ORDERS`."""
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
@@ -95,20 +108,27 @@ class PipelineConfig:
                     name=a["name"],
                     kind=a.get("kind", "numeric"),
                     range_max=a.get("range_max"),
-                    ladder=tuple(a["ladder"]) if "ladder" in a else None,
+                    ladder=_json_labels(a["ladder"], "ladder") if "ladder" in a else None,
                     drop_if_indiscernible=_json_bool(a.get("drop_if_indiscernible", True),
                                                      "drop_if_indiscernible"),
                 )
                 for a in doc["attributes"]
             )
-            cut = CutParams(float(doc["alpha"]), float(doc["beta"]))
+            cut = CutParams(_json_number(doc["alpha"], "alpha"), _json_number(doc["beta"], "beta"))
             ranges = tuple((int(lo), int(hi)) for lo, hi in doc["rank_ranges"])
             if any(type(bound) is not int for pair in doc["rank_ranges"] for bound in pair):
                 raise TypeError(f"rank bounds must be integers, got {doc['rank_ranges']!r}")
             ladders = {
-                name: LabelLadder(tuple(spec["labels"]), tuple(spec["weights"]))
+                name: LabelLadder(_json_labels(spec["labels"], f"labels of ladder {name!r}"),
+                                  tuple(spec["weights"]))
                 for name, spec in doc.get("ladders", {}).items()
             }
+            unknown = sorted(set(ladders) - {a.name for a in specs if a.numeric})
+            if unknown:
+                raise ValueError(f"ladders for undeclared or nominal attributes: {unknown}")
+            block_order = doc.get("block_order", "appearance")
+            if block_order not in BLOCK_ORDERS:
+                raise ValueError(f"unknown block_order {block_order!r}, expected {BLOCK_ORDERS}")
             overrides = doc.get("overrides", {})
             return cls(
                 data_path=resolve(doc["data"]),
@@ -116,7 +136,7 @@ class PipelineConfig:
                 cut=cut,
                 rank_ranges=ranges,
                 ladders=ladders,
-                block_order=doc.get("block_order", "appearance"),
+                block_order=block_order,
                 partitions_override=resolve(overrides.get("partitions")),
                 ordered_override=resolve(overrides.get("ordered_table")),
                 output_dir=resolve(doc.get("output_dir")),

@@ -126,10 +126,10 @@ def validate_proximity(rel: IFProximityRelation) -> list[ProximityViolation]:
     return out
 
 
-def round_half_up(x: float, places: int = 3) -> float:
-    """Decimal round-half-up, the convention used in emitted reports."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(x: float) -> float:
+    """Decimal round-half-up to three places, the convention used in emitted
+    reports."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 #: Three-decimal text of k / 1000 for k = 0 .. 1000.

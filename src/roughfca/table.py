@@ -103,12 +103,6 @@ class InformationTable:
         self.spec(attr)
         return [self.values[(obj, attr)] for obj in self.objects]
 
-    def index_of(self, obj: str) -> int:
-        try:
-            return self.objects.index(obj)
-        except ValueError:
-            raise TableError(f"unknown object {obj!r}") from None
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -146,11 +140,6 @@ class Partition:
     @property
     def universe_size(self) -> int:
         return len(self.block_of)
-
-    def block_containing(self, obj: str) -> tuple[str, ...]:
-        if obj not in self.block_of:
-            raise TableError(f"unknown object {obj!r}")
-        return self.blocks[self.block_of[obj]]
 
     def as_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(b) for b in self.blocks)

@@ -12,9 +12,19 @@ from itertools import combinations
 import numpy as np
 
 from roughfca.approx import SimilarityGraph
-from roughfca.fca import Concept, FormalContext, FrequencyRow, FrequencyTable, Implication
+from roughfca.fca import (
+    Concept,
+    FormalContext,
+    FrequencyRow,
+    FrequencyTable,
+    Implication,
+    _resolve_scope,
+    attribute_code,
+)
+from roughfca.ordering import OrderedTable
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
+from roughfca.table import InformationTable, cell_token
 from roughfca.unionfind import UnionFind
 
 
@@ -172,6 +182,48 @@ def closure_partition_bruteforce(objects, edge_pairs):
         key = tuple(reach[i])
         classes.setdefault(key, []).append(objects[i])
     return frozenset(frozenset(c) for c in classes.values())
+
+
+def build_context_reference(source, scope=None) -> FormalContext:
+    """The library's former nominal scaling: every incidence as an (object,
+    code) name pair, each ordered-table category found by re-reading every
+    object's label, and the context built through ``from_pairs``.  Same
+    contract as ``roughfca.fca.build_context``."""
+    if isinstance(source, OrderedTable):
+        universe = source.objects
+    elif isinstance(source, InformationTable):
+        universe = source.objects
+    else:
+        raise TypeError(f"cannot scale a {type(source).__name__}")
+    objects = _resolve_scope(universe, scope)
+
+    names: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    if isinstance(source, OrderedTable):
+        for col in source.columns:
+            levels = sorted({col.ladder.position(col.label(o)) for o in objects})
+            for k in levels:
+                code = attribute_code(col.source_index, k)
+                names.append(code)
+                for o in objects:
+                    if col.ladder.position(col.label(o)) == k:
+                        pairs.append((o, code))
+    else:
+        for spec in source.attributes:
+            tokens = [cell_token(source.value(o, spec.name)) for o in objects]
+            if spec.ladder:
+                order = [t for t in spec.ladder if t in set(tokens)]
+                stray = sorted(set(tokens) - set(order))
+                order += stray
+            else:
+                order = list(dict.fromkeys(tokens))
+            for token in order:
+                code = f"{spec.name}={token}"
+                names.append(code)
+                for o, t in zip(objects, tokens):
+                    if t == token:
+                        pairs.append((o, code))
+    return FormalContext.from_pairs(objects, names, pairs)
 
 
 def concepts_bruteforce(context: FormalContext):

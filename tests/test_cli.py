@@ -152,6 +152,21 @@ def test_readme_command_block_names_every_subcommand():
     assert len(documented) == len(set(documented))
 
 
+def test_readme_library_surface_is_exported():
+    import types
+
+    import roughfca
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    documented = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[2])]
+    assert len(documented) > 30
+    assert not set(documented) - set(roughfca.__all__)
+    assert not [name for name in roughfca.__all__
+                if isinstance(getattr(roughfca, name), types.ModuleType)]
+
+
 def _config_with(tmp_path, **changes):
     """The bundled config without its override, top-level keys replaced,
     reading the bundled data."""
@@ -169,6 +184,18 @@ def _ic_range(value):
     attributes = doc["attributes"]
     attributes[0] = dict(attributes[0], range_max=value)
     return attributes
+
+
+def _ic_ladder(value):
+    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
+    attributes = doc["attributes"]
+    attributes[0] = dict(attributes[0], ladder=value)
+    return attributes
+
+
+def _ss_ladder(name="SS", labels=("Excellent", "Very good", "Good"), weights=(5, 4, 3)):
+    return {name: {"labels": labels if isinstance(labels, str) else list(labels),
+                   "weights": list(weights)}}
 
 
 def _ic_flag(value):
@@ -190,9 +217,21 @@ def _ic_flag(value):
     ({"force": "false"}, "force must be true or false"),
     ({"attributes": _ic_flag("false")}, "drop_if_indiscernible must be true or false"),
     ({"rank_ranges": [[1, 3.9], [4, 6], [7, 9]]}, "rank bounds must be integers"),
+    ({"alpha": "0.9"}, "alpha must be a number"),
+    ({"alpha": True}, "alpha must be a number"),
+    ({"beta": None}, "beta must be a number"),
+    ({"ladders": _ss_ladder(labels="abc")}, "labels of ladder 'SS' must be a list of strings"),
+    ({"ladders": _ss_ladder(labels=("Excellent", 4, "Good"))}, "must be a list of strings"),
+    ({"attributes": _ic_ladder("abc")}, "ladder must be a list of strings"),
+    ({"ladders": _ss_ladder(weights=(6.5, 4, 3))}, "ladder weights must be integers"),
+    ({"ladders": _ss_ladder(weights=(True, False, False))}, "ladder weights must be integers"),
+    ({"ladders": _ss_ladder(name="XX")}, "ladders for undeclared or nominal attributes: ['XX']"),
+    ({"block_order": "bogus", "alpha": 0, "beta": 1}, "unknown block_order 'bogus'"),
 ], ids=["range-max-string", "range-max-true", "range-max-infinity", "attributes-int",
         "range-max-nan", "attribute-int", "rank-range-word", "overrides-int", "force-string",
-        "drop-string", "rank-bound-float"])
+        "drop-string", "rank-bound-float", "alpha-string", "alpha-true", "beta-null",
+        "labels-string", "labels-int", "attribute-ladder-string", "weights-float",
+        "weights-bool", "ladder-undeclared", "block-order-bogus"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     config = _config_with(tmp_path, **changes)
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")

@@ -4,6 +4,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfca.fca import (
     Concept,
@@ -25,10 +27,17 @@ from roughfca.fca import (
     lattice_cover,
     lattice_to_dot,
 )
-from roughfca.ordering import build_ordered_table
+from roughfca.ordering import (
+    BLOCK_ORDERS,
+    LabelLadder,
+    build_ordered_table,
+    ordered_table_override,
+)
+from roughfca.table import AttributeSpec, InformationTable, Partition
 
 import golden
 import oracles
+from relation_strategies import numeric_tables
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,80 @@ def test_scaling_rejects_empty_or_unknown_scope(ordered):
         build_context(ordered, [])
     with pytest.raises(ValueError, match="outside the universe"):
         build_context(ordered, ["nope"])
+
+
+@st.composite
+def ordered_sources(draw):
+    """An ordered table from random partitions of a numeric table: either
+    block order, a ladder with spare labels for some columns, ordered-table
+    overrides for some, and a scope (None, or objects in any order with
+    repeats)."""
+    table = draw(numeric_tables(max_objects=8, max_attributes=4))
+    partitions, ladders = {}, {}
+    for name in table.attribute_names:
+        ids = draw(st.lists(st.integers(0, 3), min_size=len(table.objects),
+                            max_size=len(table.objects)))
+        blocks: dict[int, list[str]] = {}
+        for obj, block in zip(table.objects, ids):
+            blocks.setdefault(block, []).append(obj)
+        partitions[name] = Partition.from_blocks(blocks.values(), table.objects)
+        if draw(st.booleans()):
+            k = len(blocks) + draw(st.integers(0, 2))
+            ladders[name] = LabelLadder(tuple(f"{name}.{i}" for i in range(k)),
+                                        tuple(range(2 * k, 0, -2)))
+    ordered = build_ordered_table(table, partitions, ladders, draw(st.sampled_from(BLOCK_ORDERS)))
+    overrides = {
+        col.attribute: dict(zip(ordered.objects, draw(st.lists(
+            st.sampled_from(col.ladder.labels), min_size=len(ordered.objects),
+            max_size=len(ordered.objects)))))
+        for col in ordered.columns if draw(st.booleans())}
+    if overrides:
+        ordered = ordered_table_override(ordered, overrides)
+    scope = draw(st.none() | st.lists(st.sampled_from(ordered.objects), min_size=1))
+    return ordered, scope
+
+
+TOKENS = ("a", "b", "c", "d")
+
+
+@st.composite
+def plain_sources(draw):
+    """A plain table of nominal and numeric columns, some with a ladder that
+    leaves out some occurring tokens and lists some absent ones, and a scope."""
+    objects = tuple(f"o{i}" for i in range(draw(st.integers(1, 7))))
+    specs, values = [], {}
+    for k in range(draw(st.integers(0, 4))):
+        name = f"x{k}"
+        ladder = draw(st.none() | st.lists(st.sampled_from(TOKENS + ("e",)), unique=True))
+        if draw(st.booleans()):
+            specs.append(AttributeSpec(name, kind="nominal", ladder=ladder))
+            cells = draw(st.lists(st.sampled_from(TOKENS), min_size=len(objects),
+                                  max_size=len(objects)))
+        else:
+            specs.append(AttributeSpec(name, range_max=10, ladder=ladder))
+            cells = [half / 2 for half in draw(st.lists(
+                st.integers(2, 20), min_size=len(objects), max_size=len(objects)))]
+        values.update(((obj, name), cell) for obj, cell in zip(objects, cells))
+    table = InformationTable(objects, tuple(specs), values)
+    return table, draw(st.none() | st.lists(st.sampled_from(objects), min_size=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=ordered_sources() | plain_sources())
+def test_scaling_matches_pair_based_reference(case):
+    source, scope = case
+    got = build_context(source, scope)
+    want = oracles.build_context_reference(source, scope)
+    assert got.objects == want.objects
+    assert got.attributes == want.attributes
+    assert got.rows == want.rows
+    assert got.cols == want.cols
+
+
+@pytest.mark.parametrize("row", [0b10, 0b100, -1], ids=["next-bit", "far-bit", "negative"])
+def test_context_rejects_row_bits_beyond_its_attributes(row):
+    with pytest.raises(ValueError, match="beyond its 1 attributes"):
+        FormalContext(("g",), ("m",), (row,))
 
 
 # --- derivation -------------------------------------------------------------

@@ -71,6 +71,19 @@ def test_categorize_mean_order_differs_on_eca(institutions, reference_partitions
     assert mean.label("i_1") == "Very good"
 
 
+def test_categorize_mean_ties_keep_first_appearance_order():
+    from roughfca.table import AttributeSpec, load_table
+
+    # {x, y, z} and {u, v, w} tie on mean 4 and maximum 6; {t} leads on mean
+    table = load_table("object,a\nx,1\ny,6\nz,5\nu,6\nv,3\nw,3\nt,9\n",
+                       [AttributeSpec("a", range_max=10)])
+    part = Partition.from_blocks([["t"], ["w", "v", "u"], ["z", "y", "x"]], table.objects)
+    col = categorize_partition(table, "a", part, default_ladder(3), order_by="mean")
+    assert {o: col.label(o) for o in table.objects} == {
+        "t": "Excellent", "x": "Very good", "y": "Very good", "z": "Very good",
+        "u": "Good", "v": "Good", "w": "Good"}
+
+
 def test_categorize_ladder_too_short(institutions, cut_partitions):
     with pytest.raises(TableError, match="ladder"):
         categorize_partition(institutions, "IC", cut_partitions["IC"],
