@@ -9,9 +9,11 @@ Subcommands::
     roughfca fca        per-cluster contexts, lattices, bases, frequencies
     roughfca search-cut recover feasible (alpha, beta) regions for target partitions
 
-Every command takes --config (a JSON document); --data, --alpha, --beta,
---out, --force and --override stage=file beat the config values.  Exit
-status is 0 on success, 2 on a stage failure (reported as
+Every command takes --config (a JSON document); --data and --out beat the
+config values.  Every command but search-cut, which reads only the data and
+its attributes, also takes --alpha, --beta and --override stage=file, and
+every one but search-cut and proximity, which always proceeds, takes
+--force.  Exit status is 0 on success, 2 on a stage failure (reported as
 ``error [stage:<name>] ...``).
 """
 
@@ -38,35 +40,38 @@ from .pipeline import (
 _OVERRIDE_STAGES = ("partitions", "ordered_table")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline configuration (JSON)")
     parser.add_argument("--data", help="data CSV, overrides the config value")
+    parser.add_argument("--out", help="output directory, overrides the config value")
+
+
+def _add_cut(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, help="cut membership threshold")
     parser.add_argument("--beta", type=float, help="cut non-membership threshold")
-    parser.add_argument("--out", help="output directory, overrides the config value")
-    parser.add_argument("--force", action="store_true",
-                        help="proceed past proximity validation failures")
     parser.add_argument("--override", action="append", default=[], metavar="STAGE=FILE",
                         help=f"stage override, STAGE one of {', '.join(_OVERRIDE_STAGES)}")
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file's values under the flags the subcommand registers."""
     config = PipelineConfig.from_file(args.config)
     updates: dict = {}
     if args.data:
         updates["data_path"] = Path(args.data)
-    if args.alpha is not None or args.beta is not None:
-        alpha = args.alpha if args.alpha is not None else config.cut.alpha
-        beta = args.beta if args.beta is not None else config.cut.beta
+    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
+    if alpha is not None or beta is not None:
+        alpha = alpha if alpha is not None else config.cut.alpha
+        beta = beta if beta is not None else config.cut.beta
         try:
             updates["cut"] = CutParams(alpha, beta)
         except ValueError as exc:
             raise StageError("load", str(exc)) from None
     if args.out:
         updates["output_dir"] = Path(args.out)
-    if args.force:
+    if getattr(args, "force", False):
         updates["force"] = True
-    for spec in args.override:
+    for spec in getattr(args, "override", ()):
         stage, _, path = spec.partition("=")
         if stage not in _OVERRIDE_STAGES or not path:
             raise StageError("load", f"bad override {spec!r}, expected STAGE=FILE with "
@@ -179,28 +184,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
     p_prox = sub.add_parser("proximity", help="proximity matrices")
-    _add_common(p_prox)
-    p_prox.add_argument("--attribute", action="append", help="restrict to one attribute")
-    p_prox.set_defaults(func=_cmd_proximity)
-
     p_part = sub.add_parser("partition", help="cut partitions")
-    _add_common(p_part)
-    p_part.set_defaults(func=_cmd_partition)
-
     p_rank = sub.add_parser("rank", help="ordered table, ranks and clusters")
-    _add_common(p_rank)
-    p_rank.set_defaults(func=_cmd_rank)
-
     p_fca = sub.add_parser("fca", help="per-cluster concept analysis")
-    _add_common(p_fca)
-    p_fca.set_defaults(func=_cmd_fca)
+    for p_cmd, func in ((p_run, _cmd_run), (p_prox, _cmd_proximity), (p_part, _cmd_partition),
+                        (p_rank, _cmd_rank), (p_fca, _cmd_fca)):
+        _add_config(p_cmd)
+        _add_cut(p_cmd)
+        if p_cmd is not p_prox:  # proximity always proceeds past violations
+            p_cmd.add_argument("--force", action="store_true",
+                               help="proceed past proximity validation failures")
+        p_cmd.set_defaults(func=func)
+    p_prox.add_argument("--attribute", action="append", help="restrict to one attribute")
 
     p_search = sub.add_parser("search-cut", help="recover feasible cut parameters")
-    _add_common(p_search)
+    _add_config(p_search)
     p_search.add_argument("--targets", required=True,
                           help="target partitions (JSON list of partition documents)")
     p_search.add_argument("--step", type=float, default=0.005, help="grid resolution")

@@ -71,7 +71,16 @@ object of its extent holds, and its counters leave out the rules that no
 object of its extent satisfies: such a rule could fire only on a set with an
 empty extent.  ``satisfied[g]`` is a bitmask over the rules whose premise
 object g satisfies; their OR over a node's extent gives its live rules.
-With ``include_unsupported`` the walk is the full one described above.
+
+The textbook basis comes from the same walk by a reduction: add one object
+that holds every attribute.  It changes no closure, since a non-empty
+extent's intent is ANDed with M and an empty extent becomes that object
+alone, whose intent is M as before.  It also satisfies every premise.  So on
+the padded context no set is unsupported: the walk visits every set closed
+under the rules found so far, in the same lectic order, and records every
+pseudo-intent with its support one higher.  ``include_unsupported`` pads the
+rows and columns before the walk and takes the one back from each support
+after it; a uniform shift keeps the stable sort by support.
 """
 
 from __future__ import annotations
@@ -117,7 +126,8 @@ def _names(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FormalContext:
-    """Objects, attributes and their incidence, with bitmask accessors."""
+    """Objects, attributes and their incidence, with bitmask accessors.
+    Object names are unique, and so are attribute names."""
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -137,8 +147,13 @@ class FormalContext:
             for a in _bit_indices(row):
                 cols[a] |= 1 << g
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "_obj_index", {o: i for i, o in enumerate(self.objects)})
-        object.__setattr__(self, "_attr_index", {a: i for i, a in enumerate(self.attributes)})
+        for kind, names, slot in (("object", self.objects, "_obj_index"),
+                                  ("attribute", self.attributes, "_attr_index")):
+            index = {name: i for i, name in enumerate(names)}
+            if len(index) < len(names):  # the index keeps a repeated name's last position
+                duplicate = next(name for i, name in enumerate(names) if index[name] != i)
+                raise ValueError(f"duplicate {kind} name {duplicate!r}")
+            object.__setattr__(self, slot, index)
 
     @classmethod
     def from_pairs(cls, objects: Sequence[str], attributes: Sequence[str],
@@ -357,12 +372,16 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
     """Stem base of the context: one rule per pseudo-intent, conclusion the
     closure minus the premise, listed by support descending then lectic
     premise order.  Rules whose premise no object satisfies are omitted
-    unless ``include_unsupported`` is set, and then never computed: the
-    module docstring gives the walk and why it may skip unsupported sets.
+    unless ``include_unsupported`` is set.  One walk serves both: the module
+    docstring gives it, why it may skip unsupported sets, and the padding
+    object that makes the textbook basis a supported one.
     """
     n = len(context.attributes)
     full = (1 << n) - 1
     names, rows, cols = context.attributes, context.rows, context.cols
+    if include_unsupported:  # one more object holding every attribute
+        pad = 1 << len(rows)
+        rows, cols = (*rows, full), tuple(col | pad for col in cols)
     premises: list[int] = []
     closures: list[int] = []  # full closure mask of each rule's premise
     out: list[Implication] = []
@@ -376,7 +395,7 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
         it has no children: its closure gains an attribute below y, so the
         closure's own subtree lies elsewhere."""
         closed = full  # the AND of the extent's rows
-        held = full if include_unsupported else 0  # their OR
+        held = 0  # their OR
         live = 0  # the rules some object of the extent satisfies
         rest = extent
         while rest:
@@ -395,9 +414,8 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
                 rest ^= low
             premises.append(mask)
             closures.append(closed)
-            support = extent.bit_count()
-            if support or include_unsupported:
-                out.append(Implication(_names(names, mask), _names(names, closed & ~mask), support))
+            out.append(Implication(_names(names, mask), _names(names, closed & ~mask),
+                                   extent.bit_count()))
             live |= rule
             rest = extent
             while rest:
@@ -415,14 +433,14 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
             twice |= once & rules
             once |= rules
             absent ^= low
-        if not include_unsupported:
-            # a rule that no object of the extent satisfies could only fire on
-            # an unsupported set: it never fires below this node
-            once &= live
-            twice |= ((1 << len(premises)) - 1) & ~live
+        # a rule that no object of the extent satisfies could only fire on an
+        # unsupported set: it never fires below this node
+        once &= live
+        twice |= ((1 << len(premises)) - 1) & ~live
         return [mask, extent, held & ~mask & -(1 << y), once, twice, len(premises), held]
 
-    stack = [expand((1 << len(context.objects)) - 1, 0, 0)]
+    extent = (1 << len(rows)) - 1
+    stack = [expand(extent, 0, 0)] if extent else []
     while stack:
         frame = stack[-1]
         base, extent, todo, once, twice, seen, held = frame
@@ -465,12 +483,14 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
             low = gained & -gained
             child_extent &= cols[low.bit_length() - 1]
             gained ^= low
-        if child_extent or include_unsupported:
+        if child_extent:
             child = expand(child_extent, mask, i + 1)
             if child is not None:
                 stack.append(child)
 
     out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
+    if include_unsupported:  # the added object supports every premise once
+        out = [Implication(imp.premise, imp.conclusion, imp.support - 1) for imp in out]
     return out
 
 
@@ -555,28 +575,37 @@ def context_to_csv(context: FormalContext) -> str:
     return buf.getvalue()
 
 
+# record-label metacharacters, each escaped with a backslash
+_DOT_ESCAPES = str.maketrans({c: "\\" + c for c in '\\"{}|<>'})
+
+
 def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]) -> str:
     """DOT digraph with one node per concept and one edge per cover pair.
-    Nodes carry reduced labels: the attributes and objects introduced at the
-    concept (attributes not present in any parent, objects in no child)."""
-    parents: dict[int, list[int]] = {}
-    children: dict[int, list[int]] = {}
-    for p, c in cover:
-        parents.setdefault(c, []).append(p)
-        children.setdefault(p, []).append(c)
+
+    Nodes carry reduced labels: the attributes missing from every parent's
+    intent and the objects missing from every child's extent.  In a lattice
+    an attribute is introduced only at its attribute concept, the largest
+    extent whose intent holds it, and an object only at its object concept,
+    the smallest extent that holds it.  So a visit of the concepts by
+    ascending extent size finds each attribute's last concept and each
+    object's first, and the cover is read only to draw the edges.  Names are
+    backslash-escaped where DOT's record labels give a character a meaning.
+    """
+    attr_concept: dict[str, int] = {}
+    obj_concept: dict[str, int] = {}
+    for idx in sorted(range(len(concepts)), key=lambda i: len(concepts[i].extent)):
+        concept = concepts[idx]
+        for attr in concept.intent:
+            attr_concept[attr] = idx
+        for obj in concept.extent:
+            obj_concept.setdefault(obj, idx)
 
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
     for idx, concept in enumerate(concepts):
-        inherited_attrs = set()
-        for p in parents.get(idx, []):
-            inherited_attrs.update(concepts[p].intent)
-        passed_objs = set()
-        for c in children.get(idx, []):
-            passed_objs.update(concepts[c].extent)
-        own_attrs = [a for a in concept.intent if a not in inherited_attrs]
-        own_objs = [o for o in concept.extent if o not in passed_objs]
-        label = "{%s|%s}" % (" ".join(own_attrs), " ".join(own_objs))
-        lines.append(f'  c{idx} [label="{label}"];')
+        own_attrs = " ".join(a for a in concept.intent if attr_concept[a] == idx)
+        own_objs = " ".join(o for o in concept.extent if obj_concept[o] == idx)
+        lines.append(f'  c{idx} [label="{{{own_attrs.translate(_DOT_ESCAPES)}|'
+                     f'{own_objs.translate(_DOT_ESCAPES)}}}"];')
     for p, c in cover:
         lines.append(f"  c{c} -> c{p};")
     lines.append("}")

@@ -330,6 +330,35 @@ def lattice_cover_reference(concepts):
     return edges
 
 
+def lattice_to_dot_reference(concepts, cover):
+    """The library's former DOT renderer: reduced labels from each concept's
+    parents and children in the cover, the attributes in no parent's intent
+    and the objects in no child's extent.  Same contract as
+    ``roughfca.fca.lattice_to_dot`` for names that need no escaping."""
+    parents: dict[int, list[int]] = {}
+    children: dict[int, list[int]] = {}
+    for p, c in cover:
+        parents.setdefault(c, []).append(p)
+        children.setdefault(p, []).append(c)
+
+    lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
+    for idx, concept in enumerate(concepts):
+        inherited_attrs = set()
+        for p in parents.get(idx, []):
+            inherited_attrs.update(concepts[p].intent)
+        passed_objs = set()
+        for c in children.get(idx, []):
+            passed_objs.update(concepts[c].extent)
+        own_attrs = [a for a in concept.intent if a not in inherited_attrs]
+        own_objs = [o for o in concept.extent if o not in passed_objs]
+        label = "{%s|%s}" % (" ".join(own_attrs), " ".join(own_objs))
+        lines.append(f'  c{idx} [label="{label}"];')
+    for p, c in cover:
+        lines.append(f"  c{c} -> c{p};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _next_closure_reference(mask: int, n: int, close) -> int | None:
     """Lectically smallest closed set after ``mask``, or None past the top."""
     for i in range(n - 1, -1, -1):

@@ -37,6 +37,7 @@ from roughfca.fca import (
     implication_closure,
     implication_frequencies,
     lattice_cover,
+    lattice_to_dot,
 )
 from roughfca.ordering import build_ordered_table, cluster_by_rank, score_and_rank
 from roughfca.pipeline import PipelineConfig, emit_reports, run_pipeline, search_alpha_beta
@@ -517,6 +518,18 @@ def test_c8_lattice_cover_matches_reference(kind, data):
     ctx = data.draw(COVER_CONTEXT_KINDS[kind])
     concepts = enumerate_concepts(ctx)
     assert lattice_cover(concepts) == oracles.lattice_cover_reference(concepts)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+@ACCEPTANCE
+@given(data=st.data())
+def test_c8_lattice_dot_matches_reference(kind, data):
+    # reduced labels from attribute and object concepts equal those found
+    # through each concept's parents and children in the cover
+    ctx = data.draw(CONTEXT_KINDS[kind])
+    concepts = enumerate_concepts(ctx)
+    cover = lattice_cover(concepts)
+    assert lattice_to_dot(concepts, cover) == oracles.lattice_to_dot_reference(concepts, cover)
 
 
 @ACCEPTANCE

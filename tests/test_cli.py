@@ -140,6 +140,20 @@ def test_cut_flags_outside_the_admissible_set_are_a_load_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-cut", "--targets", TARGETS_PATH, "--alpha", "0.5"],
+    ["search-cut", "--targets", TARGETS_PATH, "--force"],
+    ["proximity", "--force"],
+], ids=["search-cut-alpha", "search-cut-force", "proximity-force"])
+def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv):
+    # search-cut reads only the data and its attributes; proximity always forces
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--config", CONFIG_PATH, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_command_block_names_every_subcommand():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1]

@@ -33,7 +33,7 @@ from roughfca.ordering import (
     build_ordered_table,
     ordered_table_override,
 )
-from roughfca.table import AttributeSpec, InformationTable, Partition
+from roughfca.table import AttributeSpec, InformationTable, Partition, cell_token
 
 import golden
 import oracles
@@ -134,7 +134,10 @@ def ordered_sources(draw):
     return ordered, scope
 
 
-TOKENS = ("a", "b", "c", "d")
+# names and tokens with "=", so that two columns can code a category alike:
+# x with a=b and x=a with b are both x=a=b
+NAMES = ("x", "y", "x=a")
+TOKENS = ("a", "b", "c", "a=b")
 
 
 @st.composite
@@ -143,8 +146,7 @@ def plain_sources(draw):
     leaves out some occurring tokens and lists some absent ones, and a scope."""
     objects = tuple(f"o{i}" for i in range(draw(st.integers(1, 7))))
     specs, values = [], {}
-    for k in range(draw(st.integers(0, 4))):
-        name = f"x{k}"
+    for name in draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=4)):
         ladder = draw(st.none() | st.lists(st.sampled_from(TOKENS + ("e",)), unique=True))
         if draw(st.booleans()):
             specs.append(AttributeSpec(name, kind="nominal", ladder=ladder))
@@ -163,12 +165,30 @@ def plain_sources(draw):
 @given(case=ordered_sources() | plain_sources())
 def test_scaling_matches_pair_based_reference(case):
     source, scope = case
+    if isinstance(source, InformationTable):  # ordered-table codes A<i><k>, A<i>.<k> never collide
+        objects = source.objects if scope is None else set(scope)
+        pairs = {(spec.name, cell_token(source.value(o, spec.name)))
+                 for spec in source.attributes for o in objects}
+        if len({f"{name}={token}" for name, token in pairs}) < len(pairs):
+            with pytest.raises(ValueError, match="duplicate attribute name"):
+                build_context(source, scope)
+            return
     got = build_context(source, scope)
     want = oracles.build_context_reference(source, scope)
     assert got.objects == want.objects
     assert got.attributes == want.attributes
     assert got.rows == want.rows
     assert got.cols == want.cols
+
+
+@pytest.mark.parametrize("objects, attributes, duplicate", [
+    (("g", "h", "g"), ("m",), "object name 'g'"),
+    (("g", "h", "i"), ("m", "a=b=c", "n", "a=b=c"), "attribute name 'a=b=c'"),
+], ids=["object", "attribute"])
+def test_context_rejects_duplicate_names(objects, attributes, duplicate):
+    # an index keeping one of two equal names would resolve both to one column
+    with pytest.raises(ValueError, match=f"duplicate {duplicate}"):
+        FormalContext(objects, attributes, (0,) * len(objects))
 
 
 @pytest.mark.parametrize("row", [0b10, 0b100, -1], ids=["next-bit", "far-bit", "negative"])
@@ -488,6 +508,21 @@ def test_lattice_dot(cluster_contexts):
     assert dot.startswith("digraph concept_lattice {")
     assert dot.count("->") == len(cover)
     assert dot.count("label=") == len(concepts)
+
+
+def test_lattice_dot_escapes_record_label_characters():
+    # object names come verbatim from the data CSV's first column
+    ctx = FormalContext(('a"b', "c|d", "e{f}"), ("m<1>",), (1, 0, 1))
+    concepts = enumerate_concepts(ctx)
+    lines = lattice_to_dot(concepts, lattice_cover(concepts)).splitlines()
+    assert lines[3:] == [
+        '  c0 [label="{|c\\|d}"];',
+        '  c1 [label="{m\\<1\\>|a\\"b e\\{f\\}}"];',
+        "  c1 -> c0;",
+        "}",
+    ]
+    ctx = FormalContext(("g\\h",), ("m",), (1,))
+    assert '[label="{m|g\\\\h}"]' in lattice_to_dot(enumerate_concepts(ctx), [])
 
 
 def test_frequencies_csv(cluster_contexts):
