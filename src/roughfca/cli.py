@@ -9,12 +9,13 @@ Subcommands::
     roughfca fca        per-cluster contexts, lattices, bases, frequencies
     roughfca search-cut recover feasible (alpha, beta) regions for target partitions
 
-Every command takes --config (a JSON document); --data and --out beat the
-config values.  Every command but search-cut, which reads only the data and
-its attributes, also takes --alpha, --beta and --override stage=file, and
-every one but search-cut and proximity, which always proceeds, takes
---force.  Exit status is 0 on success, 2 on a stage failure (reported as
-``error [stage:<name>] ...``).
+Every command takes --config (a JSON document) and --data, which beats the
+config value.  --out is the output directory, beating the config value, or
+for search-cut the output file (stdout when omitted).  Every command but
+search-cut, which reads only the data and its attributes, also takes
+--alpha, --beta and --override stage=file, and every one but search-cut
+and proximity, which always proceeds, takes --force.  Exit status is 0 on
+success, 2 on a stage failure (reported as ``error [stage:<name>] ...``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ _OVERRIDE_STAGES = ("partitions", "ordered_table")
 def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline configuration (JSON)")
     parser.add_argument("--data", help="data CSV, overrides the config value")
-    parser.add_argument("--out", help="output directory, overrides the config value")
 
 
 def _add_cut(parser: argparse.ArgumentParser) -> None:
@@ -54,24 +54,22 @@ def _add_cut(parser: argparse.ArgumentParser) -> None:
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config file's values under the flags the subcommand registers."""
     config = PipelineConfig.from_file(args.config)
     updates: dict = {}
     if args.data:
         updates["data_path"] = Path(args.data)
-    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
-    if alpha is not None or beta is not None:
-        alpha = alpha if alpha is not None else config.cut.alpha
-        beta = beta if beta is not None else config.cut.beta
+    if args.alpha is not None or args.beta is not None:
+        alpha = args.alpha if args.alpha is not None else config.cut.alpha
+        beta = args.beta if args.beta is not None else config.cut.beta
         try:
             updates["cut"] = CutParams(alpha, beta)
         except ValueError as exc:
             raise StageError("load", str(exc)) from None
     if args.out:
         updates["output_dir"] = Path(args.out)
-    if getattr(args, "force", False):
+    if args.force:
         updates["force"] = True
-    for spec in getattr(args, "override", ()):
+    for spec in args.override:
         stage, _, path = spec.partition("=")
         if stage not in _OVERRIDE_STAGES or not path:
             raise StageError("load", f"bad override {spec!r}, expected STAGE=FILE with "
@@ -111,7 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_proximity(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    report = run_pipeline(dataclasses.replace(config, force=True))
+    report = run_pipeline(config)
     out = _output_dir(config)
     names = args.attribute or sorted(report.relations)
     for name in names:
@@ -191,19 +189,25 @@ def build_parser() -> argparse.ArgumentParser:
     for p_cmd, func in ((p_run, _cmd_run), (p_prox, _cmd_proximity), (p_part, _cmd_partition),
                         (p_rank, _cmd_rank), (p_fca, _cmd_fca)):
         _add_config(p_cmd)
+        p_cmd.add_argument("--out", help="output directory, overrides the config value")
         _add_cut(p_cmd)
-        if p_cmd is not p_prox:  # proximity always proceeds past violations
-            p_cmd.add_argument("--force", action="store_true",
-                               help="proceed past proximity validation failures")
         p_cmd.set_defaults(func=func)
+    for p_cmd in (p_run, p_part, p_rank, p_fca):
+        p_cmd.add_argument("--force", action="store_true",
+                           help="proceed past proximity validation failures")
+    # proximity always proceeds past violations: it reports them
+    p_prox.set_defaults(force=True)
     p_prox.add_argument("--attribute", action="append", help="restrict to one attribute")
 
     p_search = sub.add_parser("search-cut", help="recover feasible cut parameters")
     _add_config(p_search)
+    p_search.add_argument("--out", help="output file (JSON); stdout when omitted")
     p_search.add_argument("--targets", required=True,
                           help="target partitions (JSON list of partition documents)")
     p_search.add_argument("--step", type=float, default=0.005, help="grid resolution")
-    p_search.set_defaults(func=_cmd_search_cut)
+    # search-cut reads only the data and its attributes: no cut flags, no force
+    p_search.set_defaults(func=_cmd_search_cut, alpha=None, beta=None, override=[],
+                          force=False)
     return parser
 
 

@@ -135,9 +135,9 @@ def ordered_sources(draw):
 
 
 # names and tokens with "=", so that two columns can code a category alike:
-# x with a=b and x=a with b are both x=a=b
-NAMES = ("x", "y", "x=a")
-TOKENS = ("a", "b", "c", "a=b")
+# x with a=b and x=a with b are both x=a=b, and likewise y=a=b
+NAMES = ("x", "y", "x=a", "y=a")
+TOKENS = ("a", "b", "c", "d", "a=b")
 
 
 @st.composite
@@ -165,7 +165,9 @@ def plain_sources(draw):
 @given(case=ordered_sources() | plain_sources())
 def test_scaling_matches_pair_based_reference(case):
     source, scope = case
-    if isinstance(source, InformationTable):  # ordered-table codes A<i><k>, A<i>.<k> never collide
+    # plain-table codes <name>=<token> can collide; ordered-table codes
+    # A<i><k> and A<i>.<k> cannot, so an ordered table always scales
+    if isinstance(source, InformationTable):
         objects = source.objects if scope is None else set(scope)
         pairs = {(spec.name, cell_token(source.value(o, spec.name)))
                  for spec in source.attributes for o in objects}
