@@ -87,10 +87,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ordering import OrderedTable
 from .table import InformationTable, cell_token
@@ -621,10 +621,35 @@ def basis_to_text(basis: Sequence[Implication]) -> str:
     return "\n".join(format_implication(imp) for imp in basis) + "\n"
 
 
+def _json_list(values: Sequence, encode: Callable[[object], str], indent: int) -> str:
+    """A list nested ``indent`` spaces deep, laid out as ``json.dumps`` with
+    ``indent=2`` lays it out, each value written by ``encode``."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return f"[{pad}{(',' + pad).join(map(encode, values))}\n{' ' * indent}]"
+
+
 def basis_to_json(basis: Sequence[Implication]) -> str:
-    docs = [{"premise": list(imp.premise), "conclusion": list(imp.conclusion),
-             "support": imp.support} for imp in basis]
-    return json.dumps(docs, indent=2, sort_keys=True) + "\n"
+    """One object per rule, keys ``conclusion``, ``premise`` and ``support``.
+
+    The text is byte for byte ``json.dumps(docs, indent=2, sort_keys=True)``
+    plus a newline, written as its fixed layout: names through the C escaper
+    that ``json.dumps`` uses, one string per rule and one join.  With an
+    indent ``json.dumps`` runs its pure-Python encoder, which holds every
+    small chunk of the text until its final join.
+    """
+    def rules() -> Iterator[str]:
+        yield "["
+        sep, name = "\n", encode_basestring_ascii
+        for imp in basis:
+            yield (f'{sep}  {{\n    "conclusion": {_json_list(imp.conclusion, name, 4)},\n'
+                   f'    "premise": {_json_list(imp.premise, name, 4)},\n'
+                   f'    "support": {int.__repr__(imp.support)}\n  }}')
+            sep = ",\n"
+        yield "\n]\n" if basis else "]\n"
+
+    return "".join(rules())
 
 
 def _premise_notation(premise: tuple[str, ...], multiplicity: int) -> str:

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -115,9 +116,12 @@ class PipelineConfig:
                 for a in doc["attributes"]
             )
             cut = CutParams(_json_number(doc["alpha"], "alpha"), _json_number(doc["beta"], "beta"))
-            ranges = tuple((int(lo), int(hi)) for lo, hi in doc["rank_ranges"])
-            if any(type(bound) is not int for pair in doc["rank_ranges"] for bound in pair):
-                raise TypeError(f"rank bounds must be integers, got {doc['rank_ranges']!r}")
+            ranges = doc["rank_ranges"]
+            # JSON reads 1e400 as inf and NaN as nan: every bound must be an int
+            if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                       and all(type(bound) is int for bound in pair) for pair in ranges):
+                raise TypeError(f"rank bounds must be integers, two per range, got {ranges!r}")
+            ranges = tuple(map(tuple, ranges))
             ladders = {
                 name: LabelLadder(_json_labels(spec["labels"], f"labels of ladder {name!r}"),
                                   tuple(spec["weights"]))
@@ -344,10 +348,41 @@ class CutSearchResult:
     per_attribute: dict[str, tuple[float, float, float, float] | None]
 
     def to_json(self) -> str:
-        """The document ``roughfca search-cut`` prints or writes."""
-        hulls = {name: list(h) if h else None for name, h in sorted(self.per_attribute.items())}
-        return _json_text({"step": self.step, "feasible_points": [list(p) for p in self.points],
-                           "hull": list(self.hull) if self.hull else None, "per_attribute": hulls})
+        """The document ``roughfca search-cut`` prints or writes: keys
+        ``feasible_points``, ``hull``, ``per_attribute`` and ``step``, a
+        missing hull written as null.
+
+        The text is byte for byte ``json.dumps(doc, indent=2,
+        sort_keys=True)`` plus a newline, written as its fixed layout (see
+        :func:`fca.basis_to_json`) and joined once.
+        Levels are floats; the step may be an int or a float.
+        """
+        level = float.__repr__
+        step = int.__repr__(self.step) if isinstance(self.step, int) else level(self.step)
+        hulls = ",\n".join(f"    {encode_basestring_ascii(name)}: "
+                           f"{fca._json_list(h, level, 4) if h else 'null'}"
+                           for name, h in sorted(self.per_attribute.items()))
+        per_attribute = "{\n" + hulls + "\n  }" if hulls else "{}"
+        hull = fca._json_list(self.hull, level, 2) if self.hull else "null"
+        tail = f',\n  "hull": {hull},\n  "per_attribute": {per_attribute},\n  "step": {step}\n}}\n'
+        if not self.points:
+            return '{\n  "feasible_points": []' + tail
+        # A grid repeats its levels, so each distinct level is written once
+        # and every point that holds it refers to that text.  A zero is
+        # written each time: 0.0 == -0.0, but their texts differ.
+        texts: dict[float, str] = {}
+
+        def text(value: float) -> str:
+            known = texts.get(value)
+            if known is None or not value:
+                known = texts[value] = level(value)
+            return known
+
+        parts = ['{\n  "feasible_points": [\n    [\n      ']
+        for alpha, beta in self.points:
+            parts += (text(alpha), ",\n      ", text(beta), "\n    ],\n    [\n      ")
+        parts[-1] = "\n    ]\n  ]" + tail
+        return "".join(parts)
 
 
 def _hull(feasible: np.ndarray, levels: np.ndarray) -> tuple[float, float, float, float] | None:

@@ -7,6 +7,7 @@ implementations have something honest to be checked against.
 
 import csv
 import io
+import json
 from itertools import combinations
 
 import numpy as np
@@ -357,6 +358,23 @@ def lattice_to_dot_reference(concepts, cover):
         lines.append(f"  c{c} -> c{p};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def basis_to_json_reference(basis):
+    """The library's former basis document: ``json.dumps`` of one dict per
+    rule.  Same contract as ``roughfca.fca.basis_to_json``."""
+    docs = [{"premise": list(imp.premise), "conclusion": list(imp.conclusion),
+             "support": imp.support} for imp in basis]
+    return json.dumps(docs, indent=2, sort_keys=True) + "\n"
+
+
+def search_document_reference(result: CutSearchResult) -> str:
+    """The library's former ``search-cut`` document: ``json.dumps`` of the
+    result's fields.  Same contract as ``CutSearchResult.to_json``."""
+    hulls = {name: list(h) if h else None for name, h in sorted(result.per_attribute.items())}
+    return json.dumps({"step": result.step, "feasible_points": [list(p) for p in result.points],
+                       "hull": list(result.hull) if result.hull else None, "per_attribute": hulls},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def _next_closure_reference(mask: int, n: int, close) -> int | None:

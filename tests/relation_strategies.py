@@ -6,7 +6,8 @@ a few such columns.  ``hand_built_relations`` fills both
 matrices cell by cell with values that are hard to round or to compare:
 exact decimal ties, ties one ulp off, -0.0, values outside [0, 1], NaN and
 infinities.  ``perturbed_relations`` breaks a few cells of a table relation,
-so that most pairs pass validation and a few fail.
+so that most pairs pass validation and a few fail.  ``json_names`` draws
+the attribute and object names that the JSON documents must escape.
 """
 
 import math
@@ -42,6 +43,12 @@ cell_values = st.one_of(
 
 #: Labels that csv.writer must quote or leave alone.
 labels = st.text(alphabet='ab ,"\n\r', max_size=3)
+
+#: Names that a JSON document must escape: quotes, backslashes, control
+#: characters, non-ASCII, lone surrogates; the empty name included.
+json_names = st.text(st.characters(codec=None, exclude_categories=())
+                     | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+                     max_size=5)
 
 
 def _column_tokens(draw, r: int, n: int) -> list[str]:

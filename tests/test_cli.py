@@ -226,11 +226,17 @@ def _ic_flag(value):
     ({"attributes": 5}, "not iterable"),
     ({"attributes": _ic_range(float("nan"))}, "range_max must be >= 1"),
     ({"attributes": [5]}, "not subscriptable"),
-    ({"rank_ranges": [[1, "three"]]}, "invalid literal"),
+    ({"rank_ranges": [[1, "three"]]}, "rank bounds must be integers"),
     ({"overrides": 5}, "has no attribute"),
     ({"force": "false"}, "force must be true or false"),
     ({"attributes": _ic_flag("false")}, "drop_if_indiscernible must be true or false"),
     ({"rank_ranges": [[1, 3.9], [4, 6], [7, 9]]}, "rank bounds must be integers"),
+    ({"rank_ranges": [[float("inf"), 2]]},
+     "rank bounds must be integers, two per range, got [[inf, 2]]"),
+    ({"rank_ranges": [[-float("inf"), 2]]}, "rank bounds must be integers"),
+    ({"rank_ranges": [[1, float("nan")]]}, "rank bounds must be integers"),
+    ({"rank_ranges": [[1.0, 3], [4, 6], [7, 9]]}, "rank bounds must be integers"),
+    ({"rank_ranges": [[1, 3, 5]]}, "rank bounds must be integers, two per range"),
     ({"alpha": "0.9"}, "alpha must be a number"),
     ({"alpha": True}, "alpha must be a number"),
     ({"beta": None}, "beta must be a number"),
@@ -243,7 +249,8 @@ def _ic_flag(value):
     ({"block_order": "bogus", "alpha": 0, "beta": 1}, "unknown block_order 'bogus'"),
 ], ids=["range-max-string", "range-max-true", "range-max-infinity", "attributes-int",
         "range-max-nan", "attribute-int", "rank-range-word", "overrides-int", "force-string",
-        "drop-string", "rank-bound-float", "alpha-string", "alpha-true", "beta-null",
+        "drop-string", "rank-bound-float", "rank-inf", "rank-neg-inf", "rank-nan", "rank-float",
+        "rank-triple", "alpha-string", "alpha-true", "beta-null",
         "labels-string", "labels-int", "attribute-ladder-string", "weights-float",
         "weights-bool", "ladder-undeclared", "block-order-bogus"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):

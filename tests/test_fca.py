@@ -2,15 +2,17 @@ import gc
 import inspect
 import sys
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughfca.fca import (
     Concept,
     FormalContext,
     Implication,
+    attribute_code,
     basis_to_json,
     basis_to_text,
     build_context,
@@ -37,7 +39,7 @@ from roughfca.table import AttributeSpec, InformationTable, Partition, cell_toke
 
 import golden
 import oracles
-from relation_strategies import numeric_tables
+from relation_strategies import json_names, numeric_tables
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +503,36 @@ def test_basis_text_and_json(cluster_contexts):
     docs = json.loads(basis_to_json(basis))
     assert docs[0] == {"premise": [], "conclusion": ["A24", "A34"], "support": 3}
     assert format_implication(basis[1]).startswith("<2>")
+
+
+_name_tuples = st.lists(json_names, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(basis=st.lists(st.builds(Implication, _name_tuples, _name_tuples,
+                                st.integers(0, 2**40)), max_size=6))
+@example(basis=[])
+@example(basis=[Implication((), (), 0)])
+def test_basis_json_matches_json_dumps(basis):
+    assert basis_to_json(basis) == oracles.basis_to_json_reference(basis)
+
+
+def test_basis_json_peak_memory_stays_near_its_text():
+    # json.dumps(indent=2) held about 10x the text at its peak, every small
+    # chunk until its final join; one string per rule holds about 2.5x
+    names = [attribute_code(s, level) for s in range(1, 9) for level in range(1, 6)]
+    basis = [Implication(tuple(names[i % 37:i % 37 + i % 5]),
+                         tuple(names[i % 11 + 20:i % 11 + 21 + i % 3]), 30 - i % 29)
+             for i in range(400)]
+    basis_to_json(basis)
+    tracemalloc.start()
+    try:
+        text = basis_to_json(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == oracles.basis_to_json_reference(basis)
+    assert peak <= 3 * len(text)
 
 
 def test_lattice_dot(cluster_contexts):

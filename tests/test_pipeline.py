@@ -2,18 +2,22 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roughfca.approx import CutParams, cut_graph, partition_from_cut
+from roughfca.approx import CutParams, cut_graph, partition_from_cut, partition_from_json
 from roughfca.cli import main
 from roughfca.pipeline import (
+    CutSearchResult,
     PipelineConfig,
     StageError,
     emit_reports,
+    load_config_table,
     run_pipeline,
     search_alpha_beta,
     write_files,
@@ -24,7 +28,7 @@ from roughfca.table import AttributeSpec, Partition, load_table
 import golden
 import oracles
 from conftest import DATA_DIR
-from relation_strategies import numeric_tables
+from relation_strategies import json_names, numeric_tables
 
 CONFIG_PATH = DATA_DIR / "institutions_config.json"
 
@@ -377,6 +381,43 @@ def test_cli_search_cut_refuses_near_duplicate_values(tmp_path, capsys):
     assert captured.out == ""
 
 
+# --- the search-cut document --------------------------------------------------
+
+_levels = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (5e-324, 1e16, 0.1 + 0.2, 0.0, -0.0, 0.005, 0.95))
+_hulls = st.none() | st.tuples(_levels, _levels, _levels, _levels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(result=st.builds(CutSearchResult, step=st.integers(1, 3) | _levels,
+                        points=st.lists(st.tuples(_levels, _levels), max_size=8),
+                        hull=_hulls, per_attribute=st.dictionaries(json_names, _hulls, max_size=3)))
+@example(result=CutSearchResult(1, [], None, {}))
+@example(result=CutSearchResult(0.005, [(0.0, -0.0), (0.5, 0.0), (-0.0, 0.5), (0.5, -0.0)],
+                                (-0.0, 0.5, -0.0, 0.5), {"IC": ()}))
+def test_search_document_matches_json_dumps(result):
+    assert result.to_json() == oracles.search_document_reference(result)
+
+
+def test_search_document_peak_memory_stays_near_its_text():
+    # json.dumps(indent=2) held about 9x the text at its peak; the fixed
+    # layout holds each distinct level's text once, about 2x
+    levels = (np.arange(201) * 0.005).tolist()  # the default step's grid
+    points = [(a, b) for a in levels[120:] for b in levels[:30] if a + b <= 1.0 + 1e-12]
+    result = CutSearchResult(0.005, points, (0.6, 1.0, 0.0, 0.145),
+                             {"IC": (0.6, 1.0, 0.0, 0.145), "SS": None})
+    result.to_json()
+    tracemalloc.start()
+    try:
+        text = result.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 1995
+    assert text == oracles.search_document_reference(result)
+    assert peak <= 3 * len(text)
+
+
 # --- command line ------------------------------------------------------------
 
 def run_cli(*argv):
@@ -446,6 +487,22 @@ def test_cli_search_cut(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "region.json").read_text())
     assert [0.92, 0.05] in doc["feasible_points"]
+    capsys.readouterr()
+
+
+def test_cli_search_cut_document_matches_json_dumps(tmp_path, capsys):
+    targets_path = DATA_DIR / "target_partitions.json"
+    config = PipelineConfig.from_file(CONFIG_PATH)
+    table = load_config_table(config)
+    targets = dict(partition_from_json(doc, table.objects)
+                   for doc in json.loads(targets_path.read_text(encoding="utf-8")))
+    expected = oracles.search_document_reference(search_alpha_beta(table, targets))
+    assert run_cli("search-cut", "--config", CONFIG_PATH, "--targets", targets_path) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "region.json"
+    assert run_cli("search-cut", "--config", CONFIG_PATH, "--targets", targets_path,
+                   "--out", out) == 0
+    assert out.read_bytes() == expected.encode("ascii")
     capsys.readouterr()
 
 
