@@ -3,13 +3,16 @@
 A cut (alpha, beta) of a proximity relation keeps the pairs with
 mu >= alpha and nu <= beta.  The cut relation is reflexive and symmetric but
 not transitive; its transitive closure is an equivalence relation whose
-classes are exactly the connected components of the cut graph.  Rough
-lower/upper approximations are taken against any partition, whether it came
-from a cut or from exact indiscernibility.
+classes are exactly the connected components of the cut graph.  The graph
+keeps one bitmask row per object, built from whole-matrix masks, and its
+components come from a breadth-first search that ORs in each row once.
+Rough lower/upper approximations are taken against any partition, whether
+it came from a cut or from exact indiscernibility.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from .proximity import IFProximityRelation
 from .table import Partition, TableError
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -38,37 +40,71 @@ class CutParams:
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Undirected graph over the universe; edges are stored as index pairs
-    (i, j) with i <= j, self-loops included for every vertex."""
+    """Undirected graph over the universe as bitmask rows: bit j of
+    ``rows[i]`` is set iff objects i and j are linked.  Rows are symmetric; a
+    self-loop is set only where the diagonal passes the cut."""
 
     objects: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.objects)
 
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The links as index pairs (i, j) with i <= j."""
+        out = []
+        for i, row in enumerate(self.rows):
+            row >>= i
+            while row:
+                low = row & -row
+                out.append((i, i + low.bit_length() - 1))
+                row ^= low
+        return frozenset(out)
+
     def has_edge(self, x: str, y: str) -> bool:
-        i, j = self.objects.index(x), self.objects.index(y)
-        return (min(i, j), max(i, j)) in self.edges
+        return bool(self.rows[self.objects.index(x)] >> self.objects.index(y) & 1)
 
 
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
-    """Pairs passing both threshold tests at full precision.  The diagonal
-    always passes since the relation is reflexive."""
-    iu, ju = np.triu_indices(rel.size)
-    keep = (rel.mu[iu, ju] >= params.alpha) & (rel.nu[iu, ju] <= params.beta)
-    return SimilarityGraph(rel.objects, frozenset(zip(iu[keep].tolist(), ju[keep].tolist())))
+    """Pairs passing both threshold tests at full precision, read from the
+    upper triangle (diagonal included) and mirrored, so an asymmetric
+    relation is cut on its cells i <= j."""
+    keep = np.triu((rel.mu >= params.alpha) & (rel.nu <= params.beta))
+    packed = np.packbits(keep | keep.T, axis=1, bitorder="little")
+    return SimilarityGraph(rel.objects, tuple(int.from_bytes(row, "little") for row in packed))
 
 
 def partition_from_cut(graph: SimilarityGraph) -> Partition:
-    """Equivalence classes of the transitive closure of the cut, computed as
-    connected components via disjoint-set union."""
-    uf = UnionFind(graph.size)
-    for i, j in graph.edges:
-        uf.union(i, j)
-    blocks = [[graph.objects[i] for i in grp] for grp in uf.groups()]
-    return Partition.from_blocks(blocks, graph.objects)
+    """Equivalence classes of the transitive closure of the cut: the
+    connected components, found by a bitmask breadth-first search from the
+    least unvisited object that ORs in each object's row once.  Members come
+    out ascending and blocks in order of their least member, the canonical
+    form of ``Partition``."""
+    objects, rows = graph.objects, graph.rows
+    blocks: list[tuple[str, ...]] = []
+    block_of: dict[str, int] = {}
+    unseen = (1 << graph.size) - 1
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~component
+            component |= frontier
+        unseen &= ~component
+        members = []
+        while component:
+            low = component & -component
+            members.append(objects[low.bit_length() - 1])
+            component ^= low
+        block_of.update(dict.fromkeys(members, len(blocks)))
+        blocks.append(tuple(members))
+    return Partition(blocks=tuple(blocks), block_of=block_of)
 
 
 def _check_subset(partition: Partition, target: set[str] | frozenset[str]) -> None:

@@ -45,7 +45,10 @@ from .proximity import (
     validate_proximity,
 )
 from .table import AttributeSpec, InformationTable, Partition, load_table
-from .unionfind import UnionFind  # noqa: F401 (unused: perfbench/spans.py patches this name)
+# Nothing in the library uses UnionFind any more: cut components come from a
+# bitmask search in approx.py.  The name stays only because
+# perfbench/spans.py subclasses and patches it (ROADMAP item 1).
+from .unionfind import UnionFind  # noqa: F401
 
 
 class StageError(RuntimeError):

@@ -98,31 +98,30 @@ def validate_proximity(rel: IFProximityRelation) -> list[ProximityViolation]:
     """Check reflexivity, symmetry and the constraint mu + nu <= 1 for every
     pair.  Returns an empty list iff all three hold; violations carry the
     offending pair and axiom name.  Order: reflexivity failures along the
-    diagonal, then pairs i < j in row-major order, symmetry before sum.
+    diagonal, then pairs i < j in row-major order, symmetry before sum.  One
+    masked pass over the full matrices finds the failing pairs, and only
+    their values are gathered.
     """
     out: list[ProximityViolation] = []
-    objs = rel.objects
-    mu_d, nu_d = np.diagonal(rel.mu), np.diagonal(rel.nu)
-    for i in np.flatnonzero((mu_d != 1.0) | (nu_d != 0.0)).tolist():
+    objs, mu, nu = rel.objects, rel.mu, rel.nu
+    diag = np.flatnonzero((np.diagonal(mu) != 1.0) | (np.diagonal(nu) != 0.0))
+    for i, m, n in zip(diag.tolist(), mu[diag, diag].tolist(), nu[diag, diag].tolist()):
         out.append(ProximityViolation(
-            "reflexivity", (objs[i], objs[i]),
-            f"diagonal is ({mu_d[i].item():.6g}, {nu_d[i].item():.6g}), expected (1, 0)"))
-    iu, ju = np.triu_indices(rel.size, 1)
-    mu, nu = rel.mu[iu, ju], rel.nu[iu, ju]
-    mu_t, nu_t = rel.mu[ju, iu], rel.nu[ju, iu]
+            "reflexivity", (objs[i], objs[i]), f"diagonal is ({m:.6g}, {n:.6g}), expected (1, 0)"))
+    asym = (mu != mu.T) | (nu != nu.T)
     total = mu + nu
-    asym = (mu != mu_t) | (nu != nu_t)
     over = total > 1.0
-    for k in np.flatnonzero(asym | over).tolist():
-        pair = (objs[iu[k]], objs[ju[k]])
-        if asym[k]:
+    iu, ju = np.nonzero(np.triu(asym | over, 1))
+    for i, j, sym, above, m, n, m_t, n_t, t in zip(
+            iu.tolist(), ju.tolist(), asym[iu, ju].tolist(), over[iu, ju].tolist(),
+            mu[iu, ju].tolist(), nu[iu, ju].tolist(), mu[ju, iu].tolist(), nu[ju, iu].tolist(),
+            total[iu, ju].tolist()):
+        pair = (objs[i], objs[j])
+        if sym:
             out.append(ProximityViolation(
-                "symmetry", pair,
-                f"({mu[k].item():.6g}, {nu[k].item():.6g}) vs "
-                f"({mu_t[k].item():.6g}, {nu_t[k].item():.6g})"))
-        if over[k]:
-            out.append(ProximityViolation(
-                "sum", pair, f"mu + nu = {total[k].item():.6g} > 1"))
+                "symmetry", pair, f"({m:.6g}, {n:.6g}) vs ({m_t:.6g}, {n_t:.6g})"))
+        if above:
+            out.append(ProximityViolation("sum", pair, f"mu + nu = {t:.6g} > 1"))
     return out
 
 

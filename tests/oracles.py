@@ -25,7 +25,7 @@ from roughfca.fca import (
 from roughfca.ordering import OrderedTable
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
-from roughfca.table import InformationTable, cell_token
+from roughfca.table import InformationTable, Partition, cell_token
 from roughfca.unionfind import UnionFind
 
 
@@ -71,14 +71,26 @@ def validate_proximity_reference(rel):
 
 
 def cut_graph_reference(rel, params):
-    """The library's former cut test, pair by pair over i <= j."""
-    edges = set()
+    """The library's former cut test, pair by pair over i <= j, each link
+    set in both objects' rows."""
     n = rel.size
+    rows = [0] * n
     for i in range(n):
         for j in range(i, n):
             if rel.mu[i, j] >= params.alpha and rel.nu[i, j] <= params.beta:
-                edges.add((i, j))
-    return SimilarityGraph(rel.objects, frozenset(edges))
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return SimilarityGraph(rel.objects, tuple(rows))
+
+
+def partition_from_cut_reference(graph):
+    """The library's former component search: a disjoint-set union over the
+    graph's edges, canonicalised by ``Partition.from_blocks``."""
+    uf = UnionFind(graph.size)
+    for i, j in graph.edges:
+        uf.union(i, j)
+    blocks = [[graph.objects[i] for i in grp] for grp in uf.groups()]
+    return Partition.from_blocks(blocks, graph.objects)
 
 
 # --- the cut search's former grid scan ---------------------------------------

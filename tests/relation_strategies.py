@@ -8,6 +8,7 @@ exact decimal ties, ties one ulp off, -0.0, values outside [0, 1], NaN and
 infinities.  ``perturbed_relations`` breaks a few cells of a table relation,
 so that most pairs pass validation and a few fail.  ``json_names`` draws
 the attribute and object names that the JSON documents must escape.
+``spread_relation`` is the fixed relation of the scale guards.
 """
 
 import math
@@ -103,3 +104,10 @@ def perturbed_relations(draw) -> IFProximityRelation:
         i, j = draw(st.integers(0, rel.size - 1)), draw(st.integers(0, rel.size - 1))
         matrix[i, j] = draw(cell_values)
     return IFProximityRelation(rel.attribute, rel.objects, mu, nu)
+
+
+def spread_relation(n: int) -> IFProximityRelation:
+    """The relation of n objects with values spread over [1, 1000], R = 1000:
+    at n = 1000 the values are a permutation of 1-1000."""
+    rows = "".join(f"o{i},{i * 7919 % 1000 + 1}\n" for i in range(n))
+    return build_proximity(load_table("object,a\n" + rows, [AttributeSpec("a", range_max=1000)]), "a")

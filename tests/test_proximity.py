@@ -19,7 +19,6 @@ from roughfca.proximity import (
     round_half_up,
     validate_proximity,
 )
-from roughfca.table import AttributeSpec, load_table
 
 import golden
 import oracles
@@ -27,6 +26,7 @@ from relation_strategies import (
     hand_built_relations,
     near_tie,
     perturbed_relations,
+    spread_relation,
     table_relations,
 )
 
@@ -219,9 +219,7 @@ def test_csv_infinite_cell_raises_as_decimal_does():
 
 def test_render_and_validate_1000_objects_in_time():
     # 10^6 cells: rounding each through Decimal takes about 7 s
-    rows = "".join(f"o{i},{i * 7919 % 1000 + 1}\n" for i in range(1000))
-    table = load_table("object,a\n" + rows, [AttributeSpec("a", range_max=1000)])
-    rel = build_proximity(table, "a")
+    rel = spread_relation(1000)
     start = time.perf_counter()
     text = proximity_to_csv(rel)
     violations = validate_proximity(rel)
@@ -230,12 +228,20 @@ def test_render_and_validate_1000_objects_in_time():
     assert {v.kind for v in violations} == {"sum"}
 
 
-# --- block rendering: rows are rendered _BLOCK_CELLS cells per numpy pass ---
+def test_validate_1000_objects_in_one_masked_pass():
+    # the values are a permutation of 1-1000: every pair x != y with
+    # x + y < 500 fails mu + nu <= 1.  The masks take about 0.02 s; building
+    # and formatting the 62,001 records takes the rest (0.15-0.25 s in all on
+    # a 2-vCPU host), and the pair-by-pair scan of tests/oracles.py about 1 s.
+    rel = spread_relation(1000)
+    start = time.perf_counter()
+    violations = validate_proximity(rel)
+    assert time.perf_counter() - start < 0.75
+    assert len(violations) == 62_001
+    assert {v.kind for v in violations} == {"sum"}
 
-def _spread_relation(n):
-    """The relation of n objects with values spread over [1, 1000]."""
-    rows = "".join(f"o{i},{i * 7919 % 1000 + 1}\n" for i in range(n))
-    return build_proximity(load_table("object,a\n" + rows, [AttributeSpec("a", range_max=1000)]), "a")
+
+# --- block rendering: rows are rendered _BLOCK_CELLS cells per numpy pass ---
 
 
 @pytest.mark.parametrize("block_cells", [1, 5, 7])
@@ -249,7 +255,7 @@ def test_csv_matches_oracle_across_block_boundaries(block_cells, rel):
 
 
 def test_csv_matches_oracle_with_odd_cells_in_first_and_last_block():
-    rel = _spread_relation(97)
+    rel = spread_relation(97)
     assert proximity._BLOCK_CELLS // 97 == 10  # nine full blocks, then 7 rows
     mu, nu = np.array(rel.mu), np.array(rel.nu)
     for row in (0, 9, 90, 96):
@@ -263,7 +269,7 @@ def test_csv_matches_oracle_with_odd_cells_in_first_and_last_block():
 def test_csv_peak_memory_stays_near_its_text():
     # whole-matrix passes hold about 6x the text at the peak, one-row or
     # _BLOCK_CELLS passes about 2x: the rendered rows and their join
-    rel = _spread_relation(200)
+    rel = spread_relation(200)
     proximity_to_csv(rel)
     tracemalloc.start()
     try:
