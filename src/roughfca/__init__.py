@@ -19,6 +19,7 @@ from .approx import (
     partition_from_cut,
     partition_from_json,
     partition_to_json,
+    partitions_from_json,
     rough_approximation,
     upper_approx,
 )
@@ -33,7 +34,6 @@ from .fca import (
     derive_attributes,
     derive_objects,
     enumerate_concepts,
-    implication_closure,
     implication_frequencies,
     lattice_cover,
 )

@@ -63,9 +63,6 @@ class SimilarityGraph:
                 row ^= low
         return frozenset(out)
 
-    def has_edge(self, x: str, y: str) -> bool:
-        return bool(self.rows[self.objects.index(x)] >> self.objects.index(y) & 1)
-
 
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
     """Pairs passing both threshold tests at full precision, read from the
@@ -174,3 +171,17 @@ def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) 
             and all(isinstance(b, list) and all(isinstance(o, str) for o in b) for b in blocks)):
         raise TableError(f"blocks of {attribute!r} must be a JSON list of lists of object names")
     return attribute, Partition.from_blocks(blocks, universe)
+
+
+def partitions_from_json(doc: dict | list, universe: list[str] | tuple[str, ...]) -> dict[str, Partition]:
+    """Read one partition document or a list of them, each as
+    :func:`partition_from_json` does, into {attribute: partition} in document
+    order.  An attribute named twice is refused rather than one of its
+    partitions dropped."""
+    out: dict[str, Partition] = {}
+    for entry in doc if isinstance(doc, list) else [doc]:
+        attribute, partition = partition_from_json(entry, universe)
+        if attribute in out:
+            raise TableError(f"attribute {attribute!r} has more than one partition document")
+        out[attribute] = partition
+    return out

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .approx import CutParams, partition_from_json
+from .approx import CutParams, partitions_from_json
 from .pipeline import (
     PipelineConfig,
     StageError,
@@ -160,9 +160,8 @@ def _cmd_search_cut(args: argparse.Namespace) -> int:
         docs = json.loads(Path(args.targets).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise StageError("partition", f"cannot read targets {args.targets}: {exc}") from None
-    docs = docs if isinstance(docs, list) else [docs]
     try:
-        targets = dict(partition_from_json(doc, table.objects) for doc in docs)
+        targets = partitions_from_json(docs, table.objects)
         result = search_alpha_beta(table, targets, step=args.step)
     except ValueError as exc:
         raise StageError("partition", str(exc)) from None

@@ -56,31 +56,20 @@ A concept's upper neighbours are then taken smallest first from its strict
 supersets, each one clearing its own supersets from the rest, one step per
 cover edge.
 
-The canonical basis returned by default contains the rules whose premise is
-satisfied by at least one object.  Premises satisfied by no object close to
-the full attribute set and add only vacuous rules; they are available via
-``include_unsupported=True`` for the textbook basis, and the default subset
-remains sound, complete and minimal for all implications whose premise has
-at least one supporting object.  The default walk never computes them.  A
-subset of a set that some object satisfies is satisfied by that object too,
-and each node's generator B + {i} is a subset of the node, so the path to a
-supported set passes through supported sets only, and every rule that fires
-while closing it has a supported premise.  So a candidate whose extent is
-empty is dropped unexpanded, a node tries only the attributes that some
-object of its extent holds, and its counters leave out the rules that no
-object of its extent satisfies: such a rule could fire only on a set with an
-empty extent.  ``satisfied[g]`` is a bitmask over the rules whose premise
-object g satisfies; their OR over a node's extent gives its live rules.
-
-The textbook basis comes from the same walk by a reduction: add one object
-that holds every attribute.  It changes no closure, since a non-empty
-extent's intent is ANDed with M and an empty extent becomes that object
-alone, whose intent is M as before.  It also satisfies every premise.  So on
-the padded context no set is unsupported: the walk visits every set closed
-under the rules found so far, in the same lectic order, and records every
-pseudo-intent with its support one higher.  ``include_unsupported`` pads the
-rows and columns before the walk and takes the one back from each support
-after it; a uniform shift keeps the stable sort by support.
+The canonical basis keeps the rules whose premise some object satisfies.  A
+premise that no object satisfies closes to the full attribute set, so its
+rule is vacuous, and the supported rules remain sound, complete and minimal
+for all implications whose premise has a supporting object.  The walk never
+computes an unsupported set.  A subset of a set that some object satisfies
+is satisfied by that object too, and each node's generator B + {i} is a
+subset of the node, so the path to a supported set passes through supported
+sets only, and every rule that fires while closing it has a supported
+premise.  So a candidate whose extent is empty is dropped unexpanded, a node
+tries only the attributes that some object of its extent holds, and its
+counters leave out the rules that no object of its extent satisfies: such a
+rule could fire only on a set with an empty extent.  ``satisfied[g]`` is a
+bitmask over the rules whose premise object g satisfies; their OR over a
+node's extent gives its live rules.
 """
 
 from __future__ import annotations
@@ -154,19 +143,6 @@ class FormalContext:
                 duplicate = next(name for i, name in enumerate(names) if index[name] != i)
                 raise ValueError(f"duplicate {kind} name {duplicate!r}")
             object.__setattr__(self, slot, index)
-
-    @classmethod
-    def from_pairs(cls, objects: Sequence[str], attributes: Sequence[str],
-                   pairs: Iterable[tuple[str, str]]) -> "FormalContext":
-        attr_index = {a: i for i, a in enumerate(attributes)}
-        obj_index = {o: i for i, o in enumerate(objects)}
-        rows = [0] * len(objects)
-        for obj, attr in pairs:
-            rows[obj_index[obj]] |= 1 << attr_index[attr]
-        return cls(tuple(objects), tuple(attributes), tuple(rows))
-
-    def incidence(self, obj: str, attr: str) -> bool:
-        return bool(self.rows[self._obj_index[obj]] >> self._attr_index[attr] & 1)
 
     def attr_mask(self, names: Iterable[str]) -> int:
         mask = 0
@@ -368,20 +344,17 @@ class Implication:
     support: int
 
 
-def canonical_basis(context: FormalContext, include_unsupported: bool = False) -> list[Implication]:
-    """Stem base of the context: one rule per pseudo-intent, conclusion the
+def canonical_basis(context: FormalContext) -> list[Implication]:
+    """Duquenne-Guigues basis of the implications with a supporting object:
+    one rule per pseudo-intent that some object satisfies, conclusion the
     closure minus the premise, listed by support descending then lectic
-    premise order.  Rules whose premise no object satisfies are omitted
-    unless ``include_unsupported`` is set.  One walk serves both: the module
-    docstring gives it, why it may skip unsupported sets, and the padding
-    object that makes the textbook basis a supported one.
+    premise order.  The module docstring gives the walk and why it may skip
+    unsupported sets; the test oracle ``canonical_basis_reference`` in
+    ``tests/oracles.py`` gives the textbook stem base, vacuous rules and all.
     """
     n = len(context.attributes)
     full = (1 << n) - 1
     names, rows, cols = context.attributes, context.rows, context.cols
-    if include_unsupported:  # one more object holding every attribute
-        pad = 1 << len(rows)
-        rows, cols = (*rows, full), tuple(col | pad for col in cols)
     premises: list[int] = []
     closures: list[int] = []  # full closure mask of each rule's premise
     out: list[Implication] = []
@@ -489,23 +462,7 @@ def canonical_basis(context: FormalContext, include_unsupported: bool = False) -
                 stack.append(child)
 
     out.sort(key=lambda imp: -imp.support)  # stable: keeps lectic order within ties
-    if include_unsupported:  # the added object supports every premise once
-        out = [Implication(imp.premise, imp.conclusion, imp.support - 1) for imp in out]
     return out
-
-
-def implication_closure(basis: Iterable[Implication], attrs: Iterable[str]) -> frozenset[str]:
-    """Syntactic closure of an attribute set under a rule list."""
-    closed = set(attrs)
-    rules = [(set(imp.premise), set(imp.conclusion)) for imp in basis]
-    changed = True
-    while changed:
-        changed = False
-        for premise, conclusion in rules:
-            if premise <= closed and not conclusion <= closed:
-                closed |= conclusion
-                changed = True
-    return frozenset(closed)
 
 
 @dataclass(frozen=True)
@@ -522,12 +479,6 @@ class FrequencyRow:
 @dataclass(frozen=True)
 class FrequencyTable:
     rows: tuple[FrequencyRow, ...]
-
-    def frequency(self, attr: str) -> int:
-        for row in self.rows:
-            if row.attribute == attr:
-                return row.frequency
-        raise KeyError(f"attribute {attr!r} occurs in no conclusion")
 
     def as_dict(self) -> dict[str, int]:
         return {row.attribute: row.frequency for row in self.rows}

@@ -25,7 +25,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .table import InformationTable, Partition, TableError, cell_token
+from .table import InformationTable, Partition, TableError
 
 BLOCK_ORDERS = ("appearance", "mean")
 
@@ -174,21 +174,6 @@ def build_ordered_table(table: InformationTable, partitions: Mapping[str, Partit
     return OrderedTable(table.objects, tuple(columns), tuple(dropped))
 
 
-def column_from_raw(table: InformationTable, attribute: str,
-                    ladder_values: Sequence[str]) -> OrderedColumn:
-    """Ordered column whose labels are the raw cell tokens, using an explicit
-    value order (best first).  Numeric cells are rendered without a trailing
-    .0 so integer data reads naturally."""
-    ladder = LabelLadder(tuple(ladder_values), tuple(range(len(ladder_values), 0, -1)))
-    labels = {}
-    for obj in table.objects:
-        labels[obj] = cell_token(table.value(obj, attribute))
-        if labels[obj] not in ladder.labels:
-            raise TableError(f"value {labels[obj]!r} of {obj!r} missing from the value order")
-    src = table.attribute_names.index(attribute) + 1
-    return OrderedColumn(attribute, src, ladder, labels)
-
-
 def induced_order(column: OrderedColumn, x: str, y: str) -> str:
     """"ahead" iff x's label strictly precedes y's in the ladder, "behind"
     for the converse, "tied" on equal labels."""
@@ -318,12 +303,14 @@ def ordered_table_override(ordered: OrderedTable,
         if col.attribute not in overrides:
             columns.append(col)
             continue
-        new_labels = dict(overrides[col.attribute])
+        new_labels = overrides[col.attribute]
+        if not isinstance(new_labels, Mapping):
+            raise TableError(f"override for {col.attribute!r} must map objects to labels")
         if set(new_labels) != set(ordered.objects):
             raise TableError(f"override for {col.attribute!r} must label every object")
         for obj, lbl in new_labels.items():
             if lbl not in col.ladder.labels:
                 raise TableError(
                     f"override label {lbl!r} for {obj!r} not in the {col.attribute!r} ladder")
-        columns.append(OrderedColumn(col.attribute, col.source_index, col.ladder, new_labels))
+        columns.append(OrderedColumn(col.attribute, col.source_index, col.ladder, dict(new_labels)))
     return OrderedTable(ordered.objects, tuple(columns), ordered.dropped)

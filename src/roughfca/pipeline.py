@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import fca
-from .approx import CutParams, cut_graph, partition_from_cut, partition_from_json, partition_to_json
+from .approx import CutParams, cut_graph, partition_from_cut, partition_to_json, partitions_from_json
 from .ordering import (
     BLOCK_ORDERS,
     LabelLadder,
@@ -266,15 +266,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     override_parts: dict[str, Partition] = {}
     if config.partitions_override is not None:
         doc = _load_override_doc(config.partitions_override, "partition")
-        docs = doc if isinstance(doc, list) else [doc]
-        for entry in docs:
-            try:
-                name, part = partition_from_json(entry, table.objects)
-            except ValueError as exc:
-                raise StageError("partition", f"bad partition override: {exc}") from None
+        try:
+            override_parts = partitions_from_json(doc, table.objects)
+        except ValueError as exc:
+            raise StageError("partition", f"bad partition override: {exc}") from None
+        for name in override_parts:
             if name not in relations:
                 raise StageError("partition", f"override names unknown attribute {name!r}")
-            override_parts[name] = part
     partitions = {}
     for name in numeric:
         if name in override_parts:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -54,7 +54,6 @@ class IFProximityRelation:
     objects: tuple[str, ...]
     mu: np.ndarray
     nu: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.objects)
@@ -62,15 +61,10 @@ class IFProximityRelation:
             raise ValueError("degree matrices must be |U| x |U|")
         self.mu.setflags(write=False)
         self.nu.setflags(write=False)
-        object.__setattr__(self, "_index", {o: i for i, o in enumerate(self.objects)})
 
     @property
     def size(self) -> int:
         return len(self.objects)
-
-    def degree(self, x: str, y: str) -> tuple[float, float]:
-        i, j = self._index[x], self._index[y]
-        return float(self.mu[i, j]), float(self.nu[i, j])
 
 
 def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelation:

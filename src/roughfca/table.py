@@ -144,9 +144,6 @@ class Partition:
     def as_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(b) for b in self.blocks)
 
-    def same_block(self, x: str, y: str) -> bool:
-        return self.block_of[x] == self.block_of[y]
-
 
 def cell_token(value: float | str) -> str:
     """Text of one table cell: integral numbers without a trailing .0, so

@@ -197,11 +197,21 @@ def closure_partition_bruteforce(objects, edge_pairs):
     return frozenset(frozenset(c) for c in classes.values())
 
 
+def _context_from_pairs(objects, attributes, pairs) -> FormalContext:
+    """Context from its incidences given as (object, attribute) name pairs."""
+    attr_index = {a: i for i, a in enumerate(attributes)}
+    obj_index = {o: i for i, o in enumerate(objects)}
+    rows = [0] * len(objects)
+    for obj, attr in pairs:
+        rows[obj_index[obj]] |= 1 << attr_index[attr]
+    return FormalContext(tuple(objects), tuple(attributes), tuple(rows))
+
+
 def build_context_reference(source, scope=None) -> FormalContext:
     """The library's former nominal scaling: every incidence as an (object,
     code) name pair, each ordered-table category found by re-reading every
-    object's label, and the context built through ``from_pairs``.  Same
-    contract as ``roughfca.fca.build_context``."""
+    object's label, and the context built from those pairs.  Same contract
+    as ``roughfca.fca.build_context``."""
     if isinstance(source, OrderedTable):
         universe = source.objects
     elif isinstance(source, InformationTable):
@@ -236,7 +246,7 @@ def build_context_reference(source, scope=None) -> FormalContext:
                 for o, t in zip(objects, tokens):
                     if t == token:
                         pairs.append((o, code))
-    return FormalContext.from_pairs(objects, names, pairs)
+    return _context_from_pairs(objects, names, pairs)
 
 
 def concepts_bruteforce(context: FormalContext):

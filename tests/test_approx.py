@@ -44,11 +44,12 @@ def test_cut_params_admissible_set():
 
 def test_cut_graph_reference_edges(relations):
     graph = cut_graph(relations["IC"], CutParams(0.92, 0.05))
-    assert graph.has_edge("i_1", "i_2")   # mu 0.992, nu ~0.002
-    assert not graph.has_edge("i_3", "i_4")  # mu 0.86 below alpha
-    assert graph.has_edge("i_6", "i_7")   # mu 0.932 at the bracket edge
-    for x in graph.objects:
-        assert graph.has_edge(x, x)
+    pos = {x: k for k, x in enumerate(graph.objects)}
+    assert graph.rows[pos["i_1"]] >> pos["i_2"] & 1   # mu 0.992, nu ~0.002
+    assert not graph.rows[pos["i_3"]] >> pos["i_4"] & 1  # mu 0.86 below alpha
+    assert graph.rows[pos["i_6"]] >> pos["i_7"] & 1   # mu 0.932 at the bracket edge
+    for k in range(graph.size):
+        assert graph.rows[k] >> k & 1
 
 
 def test_cut_graph_beta_half_connects_everything(relations):
@@ -79,7 +80,8 @@ def test_rs_universe_indiscernible(cut_partitions):
 def test_eca_recomputes_to_seven_blocks(cut_partitions, relations):
     expected = frozenset(frozenset(b) for b in golden.ECA_RECOMPUTED_BLOCKS)
     assert cut_partitions["ECA"].as_sets() == expected
-    mu, _ = relations["ECA"].degree("i_9", "i_10")
+    eca = relations["ECA"]
+    mu = eca.mu[eca.objects.index("i_9"), eca.objects.index("i_10")]
     assert mu == pytest.approx(0.60, abs=1e-12)
 
 
@@ -149,10 +151,9 @@ def test_cut_graph_rows_are_symmetric(case):
     edges = oracles.cut_graph_reference(rel, params).edges
     n = graph.size
     assert len(graph.rows) == n and all(0 <= row < 1 << n for row in graph.rows)
-    for i, x in enumerate(graph.objects):
-        for j, y in enumerate(graph.objects):
-            assert graph.rows[i] >> j & 1 == graph.rows[j] >> i & 1
-            assert graph.has_edge(x, y) == graph.has_edge(y, x) == ((min(i, j), max(i, j)) in edges)
+    for i in range(n):
+        for j in range(n):
+            assert graph.rows[i] >> j & 1 == graph.rows[j] >> i & 1 == ((min(i, j), max(i, j)) in edges)
 
 
 @BOUNDARY

@@ -125,6 +125,39 @@ def test_search_cut_target_shapes_are_checked(tmp_path, capsys, doc, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, option", [
+    ("search-cut", "--targets"),
+    ("run", "--override=partitions"),
+], ids=["search-cut-targets", "partitions-override"])
+def test_partition_documents_naming_an_attribute_twice_are_refused(tmp_path, capsys, command,
+                                                                   option):
+    # either IC document would otherwise be dropped without a word
+    docs = json.loads(TARGETS_PATH.read_text(encoding="utf-8"))
+    docs.append({"attribute": "IC", "blocks": [[f"i_{k}" for k in range(1, 11)]]})
+    path = tmp_path / "parts.json"
+    path.write_text(json.dumps(docs), encoding="utf-8")
+    code = run_cli(command, "--config", CONFIG_PATH, f"{option}={path}", "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:partition]") and "'IC'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("labels", [[1, 2], 5], ids=["list", "number"])
+def test_ordered_table_override_that_is_not_a_label_map_is_an_order_error(tmp_path, capsys,
+                                                                           labels):
+    path = tmp_path / "ordered.json"
+    path.write_text(json.dumps({"IC": labels}), encoding="utf-8")
+    code = run_cli("rank", "--config", CONFIG_PATH, "--override", f"ordered_table={path}",
+                   "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error [stage:order]") and "'IC'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--alpha", "2"], "[0, 1]"),
     (["--alpha", "nan"], "[0, 1]"),
@@ -167,6 +200,7 @@ def test_readme_command_block_names_every_subcommand():
 
 
 def test_readme_library_surface_is_exported():
+    import inspect
     import types
 
     import roughfca
@@ -177,6 +211,8 @@ def test_readme_library_surface_is_exported():
     documented = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[2])]
     assert len(documented) > 30
     assert not set(documented) - set(roughfca.__all__)
+    functions = [name for name in roughfca.__all__ if inspect.isfunction(getattr(roughfca, name))]
+    assert not set(functions) - set(documented)
     assert not [name for name in roughfca.__all__
                 if isinstance(getattr(roughfca, name), types.ModuleType)]
 

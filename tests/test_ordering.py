@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from roughfca.ordering import (
     LabelLadder,
+    OrderedColumn,
     build_ordered_table,
     categorize_partition,
     cluster_by_rank,
-    column_from_raw,
     default_ladder,
     induced_order,
     joint_order,
@@ -19,7 +19,7 @@ from roughfca.ordering import (
     rank_table_to_csv,
     score_and_rank,
 )
-from roughfca.table import Partition, TableError
+from roughfca.table import Partition, TableError, cell_token
 
 import golden
 
@@ -148,7 +148,8 @@ def test_induced_order_labels(institutions, case_partitions):
 
 
 def test_induced_order_raw_values(rnd_table):
-    col = column_from_raw(rnd_table, "profit", ("300", "250", "200"))
+    labels = {o: cell_token(rnd_table.value(o, "profit")) for o in rnd_table.objects}
+    col = OrderedColumn("profit", 4, LabelLadder(("300", "250", "200"), (3, 2, 1)), labels)
     assert induced_order(col, "o_2", "o_1") == "ahead"      # 300 ahead of 200
     assert induced_order(col, "o_4", "o_6") == "tied"
 

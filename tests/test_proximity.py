@@ -71,13 +71,16 @@ def test_monotonicity():
 
 def test_build_proximity_diagonal_and_symmetry(relations):
     rel = relations["IC"]
-    for x in rel.objects:
-        assert rel.degree(x, x) == (1.0, 0.0)
-    assert rel.degree("i_1", "i_4") == rel.degree("i_4", "i_1")
+    for i in range(rel.size):
+        assert (rel.mu[i, i], rel.nu[i, i]) == (1.0, 0.0)
+    i, j = rel.objects.index("i_1"), rel.objects.index("i_4")
+    assert (rel.mu[i, j], rel.nu[i, j]) == (rel.mu[j, i], rel.nu[j, i])
 
 
 def test_build_proximity_spot_values(relations):
-    mu, nu = relations["SS"].degree("i_4", "i_9")
+    rel = relations["SS"]
+    i, j = rel.objects.index("i_4"), rel.objects.index("i_9")
+    mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
     assert round_half_up(mu) == 0.983
     assert nu == pytest.approx(1 / 162, abs=1e-15)
 
@@ -88,7 +91,7 @@ def test_build_proximity_single_object():
     table = load_table("object,a\nx,5\n", [AttributeSpec("a", range_max=10)])
     rel = build_proximity(table, "a")
     assert rel.size == 1
-    assert rel.degree("x", "x") == (1.0, 0.0)
+    assert (rel.mu[0, 0], rel.nu[0, 0]) == (1.0, 0.0)
 
 
 def test_build_proximity_rejects_nominal(rnd_table):
@@ -130,7 +133,7 @@ def test_validation_sum_violation_example():
 
     table = load_table("object,a\nx,1\ny,3\n", [AttributeSpec("a", range_max=250)])
     rel = build_proximity(table, "a")
-    mu, nu = rel.degree("x", "y")
+    mu, nu = float(rel.mu[0, 1]), float(rel.nu[0, 1])  # objects x, y
     assert round_half_up(mu) == 0.992
     assert nu == 0.25
     violations = validate_proximity(rel)
@@ -157,7 +160,8 @@ def test_reference_table_cells_within_tolerance(relations):
     for attr, cells in golden.REFERENCE_PROXIMITY.items():
         rel = relations[attr]
         for (x, y), (mu_ref, nu_ref) in cells.items():
-            mu, nu = rel.degree(x, y)
+            i, j = rel.objects.index(x), rel.objects.index(y)
+            mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
             assert abs(mu - mu_ref) <= golden.PROXIMITY_TOL, (attr, x, y)
             assert abs(nu - nu_ref) <= golden.PROXIMITY_TOL, (attr, x, y)
             total += 1
