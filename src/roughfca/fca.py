@@ -74,15 +74,13 @@ node's extent gives its live rules.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ordering import OrderedTable
-from .table import InformationTable, cell_token
+from .table import InformationTable, cell_token, csv_field
 
 
 def attribute_code(source_index: int, level: int) -> str:
@@ -518,12 +516,14 @@ def chief_attributes(freqs: FrequencyTable) -> list[tuple[int, tuple[str, ...]]]
 
 def context_to_csv(context: FormalContext) -> str:
     """Cross table: one row per object, "x" where the incidence holds."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["object", *context.attributes])
+    n = len(context.attributes)
+    lines = [",".join(["object", *map(csv_field, context.attributes)])]
     for obj, row in zip(context.objects, context.rows):
-        writer.writerow([obj, *("x" if row >> a & 1 else "" for a in range(len(context.attributes)))])
-    return buf.getvalue()
+        # the row's bits, the first attribute's (the lowest) first
+        bits = format(row, f"0{n}b")[::-1] if n else ""
+        lines.append(csv_field(obj, not n) + bits.replace("0", ",").replace("1", ",x"))
+    lines.append("")
+    return "\n".join(lines)
 
 
 # record-label metacharacters, each escaped with a backslash
@@ -611,12 +611,13 @@ def _premise_notation(premise: tuple[str, ...], multiplicity: int) -> str:
 def frequencies_to_csv(freqs: FrequencyTable) -> str:
     """Cross table with one column per scored attribute: the contributing
     premises (with multiplicities) and the frequency row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    attrs = [row.attribute for row in freqs.rows]
-    writer.writerow(["superconcept", *attrs])
-    writer.writerow(["subconcepts",
-                     *("; ".join(_premise_notation(p, m) for p, m in row.contributors)
-                       for row in freqs.rows)])
-    writer.writerow(["frequency", *(row.frequency for row in freqs.rows)])
-    return buf.getvalue()
+    rows = freqs.rows
+    lines = [
+        ",".join(["superconcept", *(csv_field(row.attribute) for row in rows)]),
+        ",".join(["subconcepts",
+                  *(csv_field("; ".join(_premise_notation(p, m) for p, m in row.contributors))
+                    for row in rows)]),
+        ",".join(["frequency", *(str(row.frequency) for row in rows)]),
+        "",
+    ]
+    return "\n".join(lines)

@@ -20,12 +20,10 @@ Two block-ordering strategies are provided:
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .table import InformationTable, Partition, TableError
+from .table import InformationTable, Partition, TableError, csv_field
 
 BLOCK_ORDERS = ("appearance", "mean")
 
@@ -272,23 +270,23 @@ def cluster_by_rank(ranks: RankTable, ranges: Sequence[tuple[int, int]]) -> list
 
 
 def ordered_table_to_csv(ordered: OrderedTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["object", *ordered.attribute_names])
+    columns = ordered.columns
+    lines = [",".join(["object", *map(csv_field, ordered.attribute_names)])]
     for obj in ordered.objects:
-        writer.writerow([obj, *(col.label(obj) for col in ordered.columns)])
-    return buf.getvalue()
+        lines.append(",".join([csv_field(obj, not columns),
+                               *(csv_field(col.label(obj)) for col in columns)]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def rank_table_to_csv(ranks: RankTable) -> str:
     """Label plus weight per attribute, total sum and rank per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["object", *ranks.attributes, "total_sum", "rank"])
+    lines = [",".join(["object", *map(csv_field, ranks.attributes), "total_sum", "rank"])]
     for row in ranks.rows:
-        cells = [f"{lbl} ({w})" for lbl, w in zip(row.labels, row.weights)]
-        writer.writerow([row.object, *cells, row.total, row.rank])
-    return buf.getvalue()
+        cells = [csv_field(f"{lbl} ({w})") for lbl, w in zip(row.labels, row.weights)]
+        lines.append(",".join([csv_field(row.object), *cells, str(row.total), str(row.rank)]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def ordered_table_override(ordered: OrderedTable,

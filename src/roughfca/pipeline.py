@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class PipelineReport:
     config: PipelineConfig
     table: InformationTable
     relations: dict[str, IFProximityRelation]
-    violations: dict[str, list[ProximityViolation]]
+    violations: dict[str, Sequence[ProximityViolation]]
     partitions: dict[str, Partition]
     ordered: OrderedTable
     ranks: RankTable

@@ -10,7 +10,11 @@ Both are symmetric, the diagonal is (1, 0), and nu < 1/2 whenever x != y.
 The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
-downstream consumers decide whether to proceed.
+downstream consumers decide whether to proceed.  Its result is a sequence
+whose records are built when they are read, from the relation's matrices;
+that relies on the matrices being read-only, as the relation marks them.
+A consumer that reads only the count and the first example, as the
+pipeline does, builds one record however many pairs fail.
 
 Reports print each degree rounded half up to three decimals, taken on the
 shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
@@ -26,14 +30,14 @@ temporaries, so blocks keep the peak memory near the size of the text.
 
 from __future__ import annotations
 
-import csv
-import io
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .table import InformationTable
+from .table import InformationTable, csv_field
 
 
 def membership_degree(x: float, y: float, range_max: float) -> float:
@@ -88,35 +92,83 @@ class ProximityViolation:
     detail: str
 
 
-def validate_proximity(rel: IFProximityRelation) -> list[ProximityViolation]:
+#: Violation kinds by code, in the order of a pair's records.
+_KINDS = ("reflexivity", "symmetry", "sum")
+
+
+class ProximityViolations(Sequence[ProximityViolation]):
+    """The violations of one relation, as :func:`validate_proximity` finds
+    them: each record's kind code and object indices, with the record itself
+    built only when an item or slice is read.  The details are formatted
+    from the relation's matrices at that point, which is sound because the
+    matrices are read-only.  Compares equal to a list, or to another such
+    sequence, that holds the same records in the same order."""
+
+    __slots__ = ("_rel", "_kinds", "_rows", "_cols")
+
+    def __init__(self, rel: IFProximityRelation, kinds: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray) -> None:
+        self._rel, self._kinds, self._rows, self._cols = rel, kinds, rows, cols
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __getitem__(self, index: int | slice) -> ProximityViolation | list[ProximityViolation]:
+        n = len(self._kinds)
+        if isinstance(index, slice):
+            return [self._record(k) for k in range(*index.indices(n))]
+        k = operator.index(index)
+        if not -n <= k < n:
+            raise IndexError("violation index out of range")
+        return self._record(k % n)
+
+    def __iter__(self) -> Iterator[ProximityViolation]:
+        return map(self._record, range(len(self._kinds)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ProximityViolations)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _record(self, k: int) -> ProximityViolation:
+        kind, i, j = _KINDS[self._kinds.item(k)], self._rows.item(k), self._cols.item(k)
+        mu, nu = self._rel.mu.item, self._rel.nu.item
+        if kind == "reflexivity":
+            detail = f"diagonal is ({mu(i, i):.6g}, {nu(i, i):.6g}), expected (1, 0)"
+        elif kind == "symmetry":
+            detail = f"({mu(i, j):.6g}, {nu(i, j):.6g}) vs ({mu(j, i):.6g}, {nu(j, i):.6g})"
+        else:
+            detail = f"mu + nu = {mu(i, j) + nu(i, j):.6g} > 1"
+        objs = self._rel.objects
+        return ProximityViolation(kind, (objs[i], objs[j]), detail)
+
+
+def validate_proximity(rel: IFProximityRelation) -> ProximityViolations:
     """Check reflexivity, symmetry and the constraint mu + nu <= 1 for every
-    pair.  Returns an empty list iff all three hold; violations carry the
-    offending pair and axiom name.  Order: reflexivity failures along the
-    diagonal, then pairs i < j in row-major order, symmetry before sum.  One
-    masked pass over the full matrices finds the failing pairs, and only
-    their values are gathered.
+    pair.  Returns a read-only sequence of :class:`ProximityViolation`
+    records, empty iff all three hold; each carries the offending pair and
+    axiom name.  Order: reflexivity failures along the diagonal, then pairs
+    i < j in row-major order, symmetry before sum.
+
+    One masked pass over the full matrices finds the failing pairs, and the
+    records' kinds and indices are kept as arrays.  A record is built and
+    formatted only when it is read, so a caller that reads the count and the
+    first example pays for one record, however many pairs fail.
     """
-    out: list[ProximityViolation] = []
-    objs, mu, nu = rel.objects, rel.mu, rel.nu
+    mu, nu = rel.mu, rel.nu
     diag = np.flatnonzero((np.diagonal(mu) != 1.0) | (np.diagonal(nu) != 0.0))
-    for i, m, n in zip(diag.tolist(), mu[diag, diag].tolist(), nu[diag, diag].tolist()):
-        out.append(ProximityViolation(
-            "reflexivity", (objs[i], objs[i]), f"diagonal is ({m:.6g}, {n:.6g}), expected (1, 0)"))
     asym = (mu != mu.T) | (nu != nu.T)
-    total = mu + nu
-    over = total > 1.0
-    iu, ju = np.nonzero(np.triu(asym | over, 1))
-    for i, j, sym, above, m, n, m_t, n_t, t in zip(
-            iu.tolist(), ju.tolist(), asym[iu, ju].tolist(), over[iu, ju].tolist(),
-            mu[iu, ju].tolist(), nu[iu, ju].tolist(), mu[ju, iu].tolist(), nu[ju, iu].tolist(),
-            total[iu, ju].tolist()):
-        pair = (objs[i], objs[j])
-        if sym:
-            out.append(ProximityViolation(
-                "symmetry", pair, f"({m:.6g}, {n:.6g}) vs ({m_t:.6g}, {n_t:.6g})"))
-        if above:
-            out.append(ProximityViolation("sum", pair, f"mu + nu = {t:.6g} > 1"))
-    return out
+    over = mu + nu > 1.0
+    iu, ju = np.nonzero(asym | over)
+    upper = iu < ju
+    iu, ju = iu[upper], ju[upper]
+    # two slots per failing pair, symmetry then sum, kept where that axiom fails
+    found = np.stack((asym[iu, ju], over[iu, ju]), axis=1).ravel()
+    kinds = np.concatenate((np.zeros(len(diag), np.int8),
+                            np.tile(np.array((1, 2), np.int8), len(iu))[found]))
+    rows = np.concatenate((diag, np.repeat(iu, 2)[found]))
+    cols = np.concatenate((diag, np.repeat(ju, 2)[found]))
+    return ProximityViolations(rel, kinds, rows, cols)
 
 
 def round_half_up(x: float) -> float:
@@ -150,23 +202,6 @@ def _cell_texts(block: np.ndarray) -> np.ndarray:
     return texts
 
 
-def _header_and_row_starts(rel: IFProximityRelation) -> tuple[str, list[str]]:
-    """The header line, and each row's label field up to the opening quote
-    of its first cell, as ``csv.writer`` writes them.  One writer serves
-    them all: CPython's writer holds a 128 KiB record buffer while it lives."""
-    line = io.StringIO()
-    writer = csv.writer(line, lineterminator="\n")
-    writer.writerow([rel.attribute, *rel.objects])
-    header = line.getvalue()
-    starts = []
-    for label in rel.objects:
-        line.seek(0)
-        line.truncate()
-        writer.writerow((label, ""))
-        starts.append(line.getvalue()[:-1] + '"')
-    return header, starts
-
-
 def proximity_to_csv(rel: IFProximityRelation) -> str:
     """Render the relation as a CSV cross table with "mu,nu" cells rounded
     to three decimals (cells are quoted since they contain commas).
@@ -179,13 +214,14 @@ def proximity_to_csv(rel: IFProximityRelation) -> str:
     fit in ``_BLOCK_CELLS`` cells, which bounds the temporaries of each
     numpy pass and so keeps the peak memory near twice the output.
     """
-    header, starts = _header_and_row_starts(rel)
     n = rel.size
+    header = ",".join([csv_field(rel.attribute, not n), *map(csv_field, rel.objects)]) + "\n"
+    # each row's label field up to the opening quote of its first cell
+    starts = [csv_field(label) + ',"' for label in rel.objects]
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     # a block's text as pieces, per row: the label field and the opening
     # quote, then mu "," nu '","' per cell, with '"\n' closing the last
-    # cell.  A cell holds a comma and no quote, so csv.writer would wrap it
-    # in quotes and no more.
+    # cell.  A cell holds a comma and no quote, so it is quoted and no more.
     pieces = np.empty((min(rows, n), 1 + 4 * n), dtype=object)
     pieces[:, 2::4] = ","
     pieces[:, 4::4] = '","'

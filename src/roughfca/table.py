@@ -153,6 +153,22 @@ def cell_token(value: float | str) -> str:
     return str(value)
 
 
+def csv_field(text: str, alone: bool = False) -> str:
+    """``text`` as one field of a record, quoted exactly where the standard
+    library's CSV writer with ``lineterminator="\\n"`` quotes it: around a
+    field holding a comma, a quote (doubled inside) or a newline.  On Python
+    3.11 that writer leaves a lone carriage return bare, and so does this.
+    An empty field is quoted only when it is the record's one field
+    (``alone``), which would otherwise be a blank line.  The report renderers
+    write their fixed layouts with it, since the writer holds a 128 KiB
+    record buffer however short its text."""
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or (alone and not text):
+        return '"' + text + '"'
+    return text
+
+
 def _position(order: Mapping[str, int], obj: str) -> int:
     if obj not in order:
         raise TableError(f"object {obj!r} not in the universe")

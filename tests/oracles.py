@@ -19,10 +19,11 @@ from roughfca.fca import (
     FrequencyRow,
     FrequencyTable,
     Implication,
+    _premise_notation,
     _resolve_scope,
     attribute_code,
 )
-from roughfca.ordering import OrderedTable
+from roughfca.ordering import OrderedTable, RankTable
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
 from roughfca.table import InformationTable, Partition, cell_token
@@ -91,6 +92,48 @@ def partition_from_cut_reference(graph):
         uf.union(i, j)
     blocks = [[graph.objects[i] for i in grp] for grp in uf.groups()]
     return Partition.from_blocks(blocks, graph.objects)
+
+
+# --- the report renderers' former csv.writer forms ----------------------------
+
+def context_to_csv_reference(context: FormalContext) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["object", *context.attributes])
+    for obj, row in zip(context.objects, context.rows):
+        writer.writerow([obj, *("x" if row >> a & 1 else "" for a in range(len(context.attributes)))])
+    return buf.getvalue()
+
+
+def frequencies_to_csv_reference(freqs: FrequencyTable) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    attrs = [row.attribute for row in freqs.rows]
+    writer.writerow(["superconcept", *attrs])
+    writer.writerow(["subconcepts",
+                     *("; ".join(_premise_notation(p, m) for p, m in row.contributors)
+                       for row in freqs.rows)])
+    writer.writerow(["frequency", *(row.frequency for row in freqs.rows)])
+    return buf.getvalue()
+
+
+def ordered_table_to_csv_reference(ordered: OrderedTable) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["object", *ordered.attribute_names])
+    for obj in ordered.objects:
+        writer.writerow([obj, *(col.label(obj) for col in ordered.columns)])
+    return buf.getvalue()
+
+
+def rank_table_to_csv_reference(ranks: RankTable) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["object", *ranks.attributes, "total_sum", "rank"])
+    for row in ranks.rows:
+        cells = [f"{lbl} ({w})" for lbl, w in zip(row.labels, row.weights)]
+        writer.writerow([row.object, *cells, row.total, row.rank])
+    return buf.getvalue()
 
 
 # --- the cut search's former grid scan ---------------------------------------

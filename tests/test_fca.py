@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from roughfca.fca import (
     Concept,
     FormalContext,
+    FrequencyRow,
+    FrequencyTable,
     Implication,
     attribute_code,
     basis_to_json,
@@ -38,7 +40,7 @@ from roughfca.table import AttributeSpec, InformationTable, Partition, cell_toke
 
 import golden
 import oracles
-from relation_strategies import json_names, numeric_tables
+from relation_strategies import json_names, labels, numeric_tables
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +562,29 @@ def test_frequencies_csv(cluster_contexts):
     assert lines[0] == "superconcept,A13,A14,A24,A34,A52,A65,A66"
     assert lines[2].startswith("frequency,")
     assert "{}*3" in lines[1]
+
+
+@st.composite
+def _named_tables(draw):
+    """A context and a frequency table over names that need quoting or not;
+    with no attributes every object row is one field."""
+    attrs = tuple(draw(st.lists(labels, max_size=3, unique=True)))
+    objects = tuple(draw(st.lists(labels, max_size=3, unique=True)))
+    rows = draw(st.lists(st.integers(0, (1 << len(attrs)) - 1),
+                         min_size=len(objects), max_size=len(objects)))
+    premises = st.tuples(st.lists(labels, max_size=2).map(tuple), st.integers(1, 3))
+    freqs = FrequencyTable(tuple(
+        FrequencyRow(a, draw(st.integers(0, 20)), tuple(draw(st.lists(premises, max_size=2))))
+        for a in attrs))
+    return FormalContext(objects, attrs, tuple(rows)), freqs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables=_named_tables())
+def test_csv_renderers_match_the_csv_writer_forms(tables):
+    context, freqs = tables
+    assert context_to_csv(context) == oracles.context_to_csv_reference(context)
+    assert frequencies_to_csv(freqs) == oracles.frequencies_to_csv_reference(freqs)
 
 
 # --- kernel guards ------------------------------------------------------------

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from roughfca.ordering import (
     LabelLadder,
     OrderedColumn,
+    OrderedTable,
+    RankRow,
+    RankTable,
     build_ordered_table,
     categorize_partition,
     cluster_by_rank,
@@ -22,6 +25,8 @@ from roughfca.ordering import (
 from roughfca.table import Partition, TableError, cell_token
 
 import golden
+import oracles
+from relation_strategies import labels
 
 
 def test_ladder_validation():
@@ -321,3 +326,28 @@ def test_csv_renderers(institutions, case_partitions):
     rank_csv = rank_table_to_csv(score_and_rank(ordered))
     assert "i_1,Very high (4),Very high (4),Very high (4),Excellent (5),Outstanding (6),23,1" \
         in rank_csv
+
+
+@st.composite
+def _labelled_tables(draw):
+    """An ordered and a rank table over names and labels that need quoting or
+    not; with no columns every object row is one field."""
+    attrs = draw(st.lists(labels, max_size=3, unique=True))
+    objects = tuple(draw(st.lists(labels, max_size=3, unique=True)))
+    columns = tuple(
+        OrderedColumn(a, k + 1, default_ladder(2), {o: draw(labels) for o in objects})
+        for k, a in enumerate(attrs))
+    rows = tuple(
+        RankRow(o, tuple(draw(st.lists(labels, min_size=len(attrs), max_size=len(attrs)))),
+                tuple(draw(st.lists(st.integers(1, 6), min_size=len(attrs), max_size=len(attrs)))),
+                draw(st.integers(0, 40)), draw(st.integers(1, 5)))
+        for o in objects)
+    return OrderedTable(objects, columns), RankTable(tuple(attrs), rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables=_labelled_tables())
+def test_csv_renderers_match_the_csv_writer_forms(tables):
+    ordered, ranks = tables
+    assert ordered_table_to_csv(ordered) == oracles.ordered_table_to_csv_reference(ordered)
+    assert rank_table_to_csv(ranks) == oracles.rank_table_to_csv_reference(ranks)

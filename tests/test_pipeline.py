@@ -72,8 +72,11 @@ def test_provenance_records_override_and_force(report):
 
 def test_run_without_force_refuses(config):
     bare = dataclasses.replace(config, force=False)
-    with pytest.raises(StageError, match=r"\[stage:validate\].*force"):
+    with pytest.raises(StageError, match=r"\[stage:validate\].*force") as refusal:
         run_pipeline(bare)
+    assert str(refusal.value) == (
+        "[stage:validate] 6 proximity axiom violation(s), e.g. sum at ('i_6', 'i_8'): "
+        "mu + nu = 1.025 > 1; pass force to proceed")
 
 
 def test_run_without_override_splits_eca(config):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from roughfca import proximity
 from roughfca.proximity import (
     IFProximityRelation,
+    ProximityViolation,
     build_proximity,
     membership_degree,
     nonmembership_degree,
@@ -198,6 +199,36 @@ def test_validation_matches_oracle_on_broken_axioms(rel):
         assert validate_proximity(rel) == oracles.validate_proximity_reference(rel)
 
 
+@DIFFERENTIAL
+@given(rel=st.one_of(table_relations(), hand_built_relations()), data=st.data())
+def test_violations_read_as_the_oracle_list(rel, data):
+    with np.errstate(invalid="ignore"):  # mu + nu of inf and -inf
+        got, want = validate_proximity(rel), oracles.validate_proximity_reference(rel)
+    assert len(got) == len(want) and bool(got) == bool(want)
+    assert (got == []) == (want == []) and ([] == got) == ([] == want)
+    assert got == want and want == got and not got != want
+    assert [got[k] for k in range(-len(want), len(want))] == want + want
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
+    bound = st.none() | st.integers(-len(want) - 2, len(want) + 2)
+    part = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.sampled_from((-3, -1, 2))))
+    assert got[part] == want[part]
+
+
+def test_violation_order_diagonal_first_then_symmetry_before_sum():
+    # z's diagonal is broken; the pair (x, y) fails symmetry and the sum
+    mu = np.array([[1.0, 0.9, 0.5], [0.8, 1.0, 0.5], [0.5, 0.5, 0.9]])
+    nu = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    rel = IFProximityRelation("a", ("x", "y", "z"), mu, nu)
+    expected = [
+        ProximityViolation("reflexivity", ("z", "z"), "diagonal is (0.9, 0), expected (1, 0)"),
+        ProximityViolation("symmetry", ("x", "y"), "(0.9, 0.2) vs (0.8, 0.2)"),
+        ProximityViolation("sum", ("x", "y"), "mu + nu = 1.1 > 1"),
+    ]
+    assert validate_proximity(rel) == expected == oracles.validate_proximity_reference(rel)
+
+
 def _one_cell(value):
     return IFProximityRelation("a", ("x",), np.array([[value]]), np.array([[0.5]]))
 
@@ -234,15 +265,35 @@ def test_render_and_validate_1000_objects_in_time():
 
 def test_validate_1000_objects_in_one_masked_pass():
     # the values are a permutation of 1-1000: every pair x != y with
-    # x + y < 500 fails mu + nu <= 1.  The masks take about 0.02 s; building
-    # and formatting the 62,001 records takes the rest (0.15-0.25 s in all on
-    # a 2-vCPU host), and the pair-by-pair scan of tests/oracles.py about 1 s.
+    # x + y < 500 fails mu + nu <= 1.  The masks take nearly all of the
+    # call, about 0.02 s on a 2-vCPU host, since no record is built until it
+    # is read; reading all 62,001 below takes about 0.25 s more, and the
+    # pair-by-pair scan of tests/oracles.py about 1 s.
     rel = spread_relation(1000)
     start = time.perf_counter()
     violations = validate_proximity(rel)
     assert time.perf_counter() - start < 0.75
     assert len(violations) == 62_001
     assert {v.kind for v in violations} == {"sum"}
+
+
+def test_violation_count_and_first_example_of_1000_objects_cost_one_record():
+    # what the pipeline reads: the count and the first example
+    rel = spread_relation(1000)
+    start = time.perf_counter()
+    violations = validate_proximity(rel)
+    count, first = len(violations), violations[0]
+    assert time.perf_counter() - start < 0.1
+    assert count == 62_001
+    assert first == ProximityViolation("sum", ("o0", "o7"), "mu + nu = 1.0647 > 1")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        violations = validate_proximity(rel)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
 
 
 # --- block rendering: rows are rendered _BLOCK_CELLS cells per numpy pass ---

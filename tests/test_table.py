@@ -2,7 +2,14 @@ import time
 
 import pytest
 
-from roughfca.table import AttributeSpec, Partition, TableError, indiscernibility, load_table
+from roughfca.table import (
+    AttributeSpec,
+    Partition,
+    TableError,
+    csv_field,
+    indiscernibility,
+    load_table,
+)
 
 
 def test_load_institutions(institutions):
@@ -153,3 +160,13 @@ def test_attribute_spec_validation():
         AttributeSpec("a", kind="numeric")
     with pytest.raises(TableError):
         AttributeSpec("a", kind="nominal", ladder=("x", "x"))
+
+
+@pytest.mark.parametrize("text, alone, field", [
+    ("a", False, "a"), (" a ", False, " a "), ("", False, ""), ("", True, '""'),
+    ("a,b", False, '"a,b"'), ('a"b', False, '"a""b"'), ("a\nb", False, '"a\nb"'),
+    ("\r\n", False, '"\r\n"'),
+    ("a\rb", False, "a\rb"), ("\r", True, "\r"),  # the 3.11 writer leaves a lone \r bare
+])
+def test_csv_field_quotes_where_the_csv_writer_does(text, alone, field):
+    assert csv_field(text, alone) == field
