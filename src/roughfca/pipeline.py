@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -386,52 +386,147 @@ class CutSearchResult:
         return "".join(parts)
 
 
-def _hull(feasible: np.ndarray, levels: np.ndarray) -> tuple[float, float, float, float] | None:
-    """(alpha min, alpha max, beta min, beta max) of a mask over alpha x beta levels."""
-    alphas = levels[feasible.any(axis=1)].tolist()
-    betas = levels[feasible.any(axis=0)].tolist()
-    return (alphas[0], alphas[-1], betas[0], betas[-1]) if alphas else None
+def _hull(lo: np.ndarray, hi: np.ndarray,
+          levels: list[float]) -> tuple[float, float, float, float] | None:
+    """(alpha min, alpha max, beta min, beta max) of a region held as one
+    half-open interval [lo[i], hi[i]) of beta levels per alpha level i."""
+    rows = np.flatnonzero(lo < hi)
+    if not rows.size:
+        return None
+    return (levels[rows[0]], levels[rows[-1]], levels[lo[rows].min()], levels[hi[rows].max() - 1])
 
 
-def _cut_region(table: InformationTable, name: str, target: Partition,
-                levels: np.ndarray) -> np.ndarray:
-    """Mask over alpha x beta levels of the cuts of ``name`` that give ``target``.
+def _admissible_prefix(levels: np.ndarray) -> np.ndarray:
+    """For each alpha level, the number of beta levels in the admissible
+    triangle, where ``alpha + beta <= 1.0 + 1e-12`` as :class:`CutParams`
+    tests it.  Float addition is monotone, so they are a prefix of the
+    levels.  ``searchsorted`` on the rounded ``1 + 1e-12 - alpha`` can miss
+    its end by one level (levels lie at least 0.001 apart, the rounding is
+    some 1e-16), and one exact test on each side of it mends that."""
+    bound, last = 1.0 + 1e-12, len(levels) - 1
+    top = levels.searchsorted(bound - levels, "right")
+    top += (top <= last) & (levels + levels[np.minimum(top, last)] <= bound)
+    top -= (top > 0) & (levels + levels[top - 1] > bound)
+    return top
 
-    Along sorted values a pair's mu falls and its nu rises as it widens, so
-    a cut's blocks are runs joined by the adjacent pairs that pass it, and
-    each target block must be one run of the order by (value, target
-    block).  An adjacent pair inside a run needs alpha <= mu and beta >= nu;
-    one at a boundary needs beta < nu wherever alpha <= mu.  In floats mu
-    keeps the order, and nu does for integer data, but near-duplicate
-    doubles can put a wide pair's nu an ulp below an adjacent nu inside it:
-    such an attribute raises ValueError."""
-    rel = build_proximity(table, name)
-    values = np.array(table.column(name), dtype=float)
-    blocks = np.array([target.block_of[o] for o in table.objects])
-    order = np.lexsort((blocks, values))
-    nu = rel.nu[np.ix_(order, order)]
-    mu_adj, nu_adj = rel.mu[order[:-1], order[1:]], np.diagonal(nu, 1)
-    inside = np.where(np.arange(len(order) - 1) >= np.arange(len(order))[:, None], nu_adj, -np.inf)
+
+#: The O(n) order test asks each two-step pair's nu to clear the larger
+#: adjacent nu inside it by this factor, 1 + 8 machine epsilons.
+_ORDER_MARGIN = 1.0 + 2.0 ** -49
+
+
+def _order_test(values: np.ndarray) -> bool:
+    """True if no pair of the sorted ``values`` has a float nu below that
+    of an adjacent pair inside it; False if this O(n) test cannot tell.
+
+    It looks at the distinct values u_0 < u_1 < ... in [1, 2**500] and asks
+    that each two-step pair (u_k-1, u_k+1) have a nu at least
+    :data:`_ORDER_MARGIN` times the larger adjacent nu inside it.  Why that
+    suffices for every pair:
+
+    - A pair of equal values has nu 0.  A pair of neighbouring distinct
+      values has the same nu wherever its ends sit among repeats.  So the
+      only pairs that can break the order are (u_p, u_q) with q >= p + 2,
+      against an adjacent (u_k, u_k+1) with p <= k < q.
+    - Exactly, nu(x, y) = (y - x) / (2 (x + y)) rises with y and falls with
+      x for 0 < x < y, so a pair's nu is at least that of any pair nested
+      in it.
+    - The float nu is the exact one times (1 + d1)(1 + d3) / (1 + d2), each
+      |d| <= r = 2**-53 (subtraction, addition, division; doubling is
+      exact).  Values in [1, 2**500] keep every step clear of overflow and
+      underflow, so that bound holds.
+    - Some two-step pair (u_m-1, u_m+1) lies inside (u_p, u_q) and holds
+      (u_k, u_k+1).  By the last two facts fl nu(u_p, u_q) >=
+      fl nu(u_m-1, u_m+1) (1 - r)**3 / (1 + r)**3, and the test, whose
+      product rounds once, gives fl nu(u_m-1, u_m+1) >= (1 + 16 r)(1 - r)
+      fl nu(u_k, u_k+1).  (1 + 16 r)(1 - r)**4 / (1 + r)**3 > 1.
+
+    The test must skip repeats: with v[k-1] == v[k] < v[k+1] the two-step
+    nu equals the adjacent one exactly and never clears the margin.
+    """
+    if len(values) < 3:
+        return True  # no pair has an adjacent pair inside it
+    u = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
+        return False
+    nu = (u[1:] - u[:-1]) / (2.0 * (u[:-1] + u[1:]))
+    wide = (u[2:] - u[:-2]) / (2.0 * (u[:-2] + u[2:]))
+    return bool(np.all(wide >= _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:])))
+
+
+def _check_order(name: str, values: np.ndarray) -> None:
+    """Raise ValueError if a pair of the sorted ``values`` has a float nu
+    below that of an adjacent pair inside it.  The O(n)
+    :func:`_order_test` decides almost every attribute; where it cannot,
+    every pair is checked against the largest adjacent nu inside it, on
+    n x n arrays."""
+    if _order_test(values):
+        return
+    n = len(values)
+    nu = np.abs(values[:, None] - values) / (2.0 * (values[:, None] + values))
+    inside = np.where(np.arange(n - 1) >= np.arange(n)[:, None], np.diagonal(nu, 1), -np.inf)
     bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1] for i < j
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted values "
-                         f"{values[order][i:j + 2].tolist()}; near-duplicates break it by an ulp")
-    inner = blocks[order[:-1]] == blocks[order[1:]]
-    beta_below = np.where(mu_adj[~inner] >= levels[:, None], nu_adj[~inner], np.inf)
-    return ((np.count_nonzero(~inner) < len(target.blocks))  # each target block is one run
-            & (levels[:, None] <= mu_adj[inner].min(initial=np.inf))
-            & (levels >= nu_adj[inner].max(initial=-np.inf))
-            & (levels < beta_below.min(axis=1, initial=np.inf)[:, None]))
+                         f"{values[i:j + 2].tolist()}; near-duplicates break it by an ulp")
+
+
+def _beta_intervals(table: InformationTable, name: str, target: Partition,
+                    levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts of ``name`` that give ``target``, as one half-open interval
+    [lo[i], hi[i]) of beta level indices per alpha level i (empty where
+    lo[i] >= hi[i]).
+
+    Along sorted values a pair's mu falls and its nu rises as it widens (in
+    floats too: each step of mu rounds monotonically, and
+    :func:`_check_order` makes sure of nu), so a cut's blocks are runs
+    joined by the adjacent pairs that pass it, and each target block must
+    be one run of the order by (value, target block).  An adjacent pair
+    inside a run needs alpha <= mu and beta >= nu; one at a boundary needs
+    beta < nu wherever alpha <= mu, so beta stays below a staircase: the
+    least nu among the boundary pairs with mu >= alpha.  Adjacent degrees
+    use :func:`build_proximity`'s float expressions, so they equal its
+    cells bit for bit, and each bound is found with ``searchsorted`` under
+    the comparison a mask over the levels would make."""
+    spec = table.spec(name)
+    if not spec.numeric:
+        raise ValueError(f"attribute {name!r} is nominal, proximity needs numeric values")
+    values = np.array(table.column(name), dtype=float)
+    blocks = np.array([target.block_of[o] for o in table.objects])
+    order = np.lexsort((blocks, values))
+    values, blocks = values[order], blocks[order]
+    _check_order(name, values)
+    diff = values[1:] - values[:-1]
+    mu = 1.0 - diff / spec.range_max
+    nu = diff / (2.0 * (values[:-1] + values[1:]))
+    inner = blocks[:-1] == blocks[1:]
+    if np.count_nonzero(~inner) >= len(target.blocks):  # a target block is not one run
+        none = np.zeros(len(levels), int)
+        return none, none
+    lo = np.full(len(levels), levels.searchsorted(nu[inner].max(initial=-np.inf)))
+    cross_mu, cross_nu = mu[~inner], nu[~inner]
+    by_mu = np.argsort(cross_mu)
+    # the least nu among the boundary pairs from each one up in mu order
+    stair = np.concatenate((np.minimum.accumulate(cross_nu[by_mu][::-1])[::-1], [np.inf]))
+    hi = levels.searchsorted(stair[cross_mu[by_mu].searchsorted(levels)])  # mu >= alpha, beta < nu
+    hi[levels.searchsorted(mu[inner].min(initial=np.inf), "right"):] = 0  # alpha <= mu
+    return lo, hi
 
 
 def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
                       step: float = 0.005) -> CutSearchResult:
     """The points of the (alpha, beta) grid over the admissible set whose cut
-    partitions reproduce every target (maybe none), each attribute's region
-    derived from its sorted values by :func:`_cut_region`, which raises
-    ValueError on near-duplicate values that break the derivation.  ``step``
-    must lie in (0, 1] and be at least 0.001: reports print three decimals."""
+    partitions reproduce every target (maybe none).  ``step`` must lie in
+    (0, 1] and be at least 0.001: reports print three decimals.
+
+    Each target attribute is sorted once, and its region is read from its
+    adjacent degrees as one interval of beta levels per alpha level
+    (:func:`_beta_intervals`), cut to the admissible prefix of that level.
+    The joint region takes, per alpha level, the largest low end and the
+    smallest high end over the targets.  No n x n matrix is built unless an
+    attribute's near-duplicate values leave the O(n) order test undecided;
+    the pairwise check then raises ValueError if they break the order."""
     if not 0.001 <= step <= 1:  # also rejects NaN
         raise ValueError(f"grid step must lie in (0, 1] and be at least 0.001, got {step}")
     if not targets:
@@ -442,17 +537,20 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
             raise ValueError(f"target partition for {name!r} does not cover the universe")
 
     levels = np.arange(round(1.0 / step) + 1) * step
-    admissible = levels[:, None] + levels <= 1.0 + 1e-12
-    regions = {name: admissible & _cut_region(table, name, part, levels)
-               for name, part in targets.items()}
-    feasible = np.logical_and.reduce(list(regions.values()))
-    alphas, betas = np.nonzero(feasible)
-    return CutSearchResult(
-        step=step,
-        points=list(zip(levels[alphas].tolist(), levels[betas].tolist())),
-        hull=_hull(feasible, levels),
-        per_attribute={name: _hull(region, levels) for name, region in regions.items()},
-    )
+    top = _admissible_prefix(levels)
+    level_list = levels.tolist()
+    lo_all, hi_all = np.zeros_like(top), top
+    per_attribute = {}
+    for name, part in targets.items():
+        lo, hi = _beta_intervals(table, name, part, levels)
+        hi = np.minimum(hi, top)
+        per_attribute[name] = _hull(lo, hi, level_list)
+        lo_all, hi_all = np.maximum(lo_all, lo), np.minimum(hi_all, hi)
+    points: list[tuple[float, float]] = []
+    for alpha, low, high in zip(level_list, lo_all.tolist(), hi_all.tolist()):
+        points += zip(repeat(alpha), level_list[low:high])  # nothing where low >= high
+    return CutSearchResult(step=step, points=points, hull=_hull(lo_all, hi_all, level_list),
+                           per_attribute=per_attribute)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
 downstream consumers decide whether to proceed.  Its result is a sequence
 whose records are built when they are read, from the relation's matrices;
-that relies on the matrices being read-only, as the relation marks them.
+that relies on the matrices being read-only, as the relation marks them
+(copying a matrix that is a view of another array first).
 A consumer that reads only the count and the first example, as the
 pipeline does, builds one record however many pairs fail.
 
@@ -52,7 +53,9 @@ def nonmembership_degree(x: float, y: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IFProximityRelation:
-    """Dense symmetric matrix of (mu, nu) degrees for one attribute."""
+    """Dense symmetric matrix of (mu, nu) degrees for one attribute.  Both
+    matrices are made read-only; one that does not own its data is copied
+    first, so that writing the array it views cannot change the relation."""
 
     attribute: str
     objects: tuple[str, ...]
@@ -63,8 +66,12 @@ class IFProximityRelation:
         n = len(self.objects)
         if self.mu.shape != (n, n) or self.nu.shape != (n, n):
             raise ValueError("degree matrices must be |U| x |U|")
-        self.mu.setflags(write=False)
-        self.nu.setflags(write=False)
+        for field in ("mu", "nu"):
+            matrix = getattr(self, field)
+            if not matrix.flags.owndata:  # a view: its base could still be written
+                matrix = matrix.copy()
+                object.__setattr__(self, field, matrix)
+            matrix.setflags(write=False)
 
     @property
     def size(self) -> int:

@@ -8,6 +8,7 @@ implementations have something honest to be checked against.
 import csv
 import io
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -214,6 +215,26 @@ def search_alpha_beta_grid_reference(table, targets, step=0.005):
         hull=_points_hull(feasible),
         per_attribute={name: _points_hull(pts) for name, pts in attr_points.items()},
     )
+
+
+def first_nu_break(values):
+    """The cut search's pairwise order check, as the library ran it on every
+    attribute: the first pair (i, j), i < j, of the sorted ``values`` in
+    row-major order whose nu, computed as :func:`build_proximity` computes
+    a cell, lies below the largest adjacent nu between them; None if no
+    pair does."""
+    values = [float(v) for v in values]
+
+    def nu(x, y):
+        return abs(x - y) / (2.0 * (x + y))
+
+    for i in range(len(values)):
+        largest = -math.inf
+        for j in range(i + 1, len(values)):
+            largest = max(largest, nu(values[j - 1], values[j]))
+            if nu(values[i], values[j]) < largest:
+                return i, j
+    return None
 
 
 def closure_partition_bruteforce(objects, edge_pairs):

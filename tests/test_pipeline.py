@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from roughfca.pipeline import (
     CutSearchResult,
     PipelineConfig,
     StageError,
+    _admissible_prefix,
+    _order_test,
     emit_reports,
     load_config_table,
     run_pipeline,
@@ -23,7 +26,7 @@ from roughfca.pipeline import (
     write_files,
 )
 from roughfca.proximity import build_proximity
-from roughfca.table import AttributeSpec, Partition, load_table
+from roughfca.table import AttributeSpec, InformationTable, Partition, load_table
 
 import golden
 import oracles
@@ -382,6 +385,105 @@ def test_cli_search_cut_refuses_near_duplicate_values(tmp_path, capsys):
     assert captured.err.startswith("error [stage:partition]") and "'a'" in captured.err
     assert "56.64749629608074" in captured.err
     assert captured.out == ""
+
+
+def test_search_refuses_a_nominal_target(tmp_path, capsys):
+    table = load_table("object,a,c\no0,1,x\no1,2,y\n",
+                       [AttributeSpec("a", range_max=10), AttributeSpec("c", kind="nominal")])
+    targets = {"c": Partition.from_blocks([table.objects], table.objects)}
+    with pytest.raises(ValueError, match="^attribute 'c' is nominal, proximity needs numeric "
+                                         "values$"):
+        search_alpha_beta(table, targets)
+    (tmp_path / "table.csv").write_text("object,a,c\no0,1,x\no1,2,y\n", encoding="utf-8")
+    config = {"data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 2]],
+              "attributes": [{"name": "a", "range_max": 10}, {"name": "c", "kind": "nominal"}]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "targets.json").write_text(
+        json.dumps([{"attribute": "c", "blocks": [["o0", "o1"]]}]), encoding="utf-8")
+    code = run_cli("search-cut", "--config", tmp_path / "config.json",
+                   "--targets", tmp_path / "targets.json")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error [stage:partition] attribute 'c' is nominal")
+
+
+#: 98 and the next double up: the two-step nu beats the adjacent ones by
+#: less than the O(n) test's margin, so the pairwise check decides, and
+#: finds no break.
+FALLBACK_ACCEPTED = (2.0, 98.0, math.nextafter(98.0, math.inf))
+
+
+@st.composite
+def sorted_values(draw):
+    """Sorted attribute values with repeats, neighbours a few doubles apart
+    and the near-duplicate triple."""
+    start = st.one_of(st.integers(1, 1000).map(float), st.floats(1, 1000),
+                      st.sampled_from([float(v) for v in NEAR_DUPLICATES]))
+    values = []
+    for value in draw(st.lists(start, min_size=1, max_size=8)):
+        values += [value] * draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(0, 3))):
+            value = math.nextafter(value, draw(st.sampled_from((0.0, math.inf))))
+            values.append(value)
+    return np.sort(values)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=sorted_values())
+@example(values=np.array(FALLBACK_ACCEPTED))
+@example(values=np.array([float(v) for v in NEAR_DUPLICATES]))
+@example(values=np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]))
+def test_order_test_accepts_no_values_that_break_the_order(values):
+    if _order_test(values):
+        assert oracles.first_nu_break(values) is None
+
+
+def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
+    values = np.array(FALLBACK_ACCEPTED)
+    assert not _order_test(values) and oracles.first_nu_break(values) is None
+    table = load_table("object,a\n" + "".join(f"o{i},{v!r}\n"
+                                               for i, v in enumerate(FALLBACK_ACCEPTED)),
+                       [AttributeSpec("a", range_max=1000)])
+    targets = {"a": Partition.from_blocks([["o0"], ["o1", "o2"]], table.objects)}
+    result = search_alpha_beta(table, targets, step=0.01)
+    expected = oracles.search_alpha_beta_grid_reference(table, targets, step=0.01)
+    assert result.points and result.points == expected.points
+    assert (result.hull, result.per_attribute) == (expected.hull, expected.per_attribute)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(step=st.floats(0.001, 1) | st.sampled_from((0.001, 0.005, 0.01, 0.3, 0.6,
+                                                     NEAR_DUPLICATE_STEP)))
+def test_admissible_prefix_is_the_triangle_mask(step):
+    levels = np.arange(round(1.0 / step) + 1) * step
+    mask = levels[:, None] + levels <= 1.0 + 1e-12
+    assert np.array_equal(_admissible_prefix(levels), mask.sum(axis=1))
+
+
+def test_search_100k_objects_in_linear_time_and_memory():
+    # two tiers of repeated integers: the dense region needed two n x n
+    # matrices (80 GB each), and an order test on raw sorted values, which
+    # repeats defeat, would fall back to the pairwise check on them
+    n = 100_000
+    values = np.random.default_rng(0).integers((1, 900), (101, 1001), (n // 2, 2)).ravel()
+    objects = tuple(f"o{i}" for i in range(n))
+    table = InformationTable(objects, (AttributeSpec("a", range_max=1000),),
+                             {(o, "a"): v for o, v in zip(objects, values.tolist())})
+    targets = {"a": Partition.from_blocks([objects[0::2], objects[1::2]], objects)}
+    start = time.perf_counter()
+    search_alpha_beta(table, targets)
+    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        result = search_alpha_beta(table, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # beta >= nu(1, 2) = 1/6 inside the low tier; beta < nu(100, 900) = 0.4
+    # wherever alpha <= mu(100, 900), which rounds just below 0.2
+    levels = (np.arange(201) * 0.005).tolist()
+    assert result.hull == (levels[0], levels[166], levels[34], levels[160])
 
 
 # --- the search-cut document --------------------------------------------------

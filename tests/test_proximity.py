@@ -229,6 +229,25 @@ def test_violation_order_diagonal_first_then_symmetry_before_sum():
     assert validate_proximity(rel) == expected == oracles.validate_proximity_reference(rel)
 
 
+def test_relation_on_views_ignores_later_writes():
+    # marking a view read-only leaves its base writeable, so the relation
+    # would read a write to the base, and records built later would too
+    mu = np.array([[1.0, 0.9], [0.9, 1.0]])
+    nu = np.array([[0.0, 0.1], [0.1, 0.0]])
+    rel = IFProximityRelation("a", ("x", "y"), mu[:], nu[:])
+    before = validate_proximity(rel)
+    mu[0, 1] = 0.95
+    nu[1, 0] = 0.3
+    assert rel.mu[0, 1] == 0.9 and rel.nu[1, 0] == 0.1
+    assert len(before) == len(validate_proximity(rel)) == 0
+    assert not rel.mu.flags.writeable and not rel.nu.flags.writeable
+
+
+def test_relation_keeps_matrices_that_own_their_data(relations):
+    rel = relations["IC"]
+    assert IFProximityRelation(rel.attribute, rel.objects, rel.mu, rel.nu).mu is rel.mu
+
+
 def _one_cell(value):
     return IFProximityRelation("a", ("x",), np.array([[value]]), np.array([[0.5]]))
 
