@@ -29,12 +29,13 @@ class CutParams:
 
     alpha: float
     beta: float
+    #: Bound on alpha + beta, with slack so that pairs like (0.35, 0.65) survive float addition.
+    SUM_BOUND = 1.0 + 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError(f"cut parameters must lie in [0, 1], got {self}")
-        # tiny slack so boundary pairs like (0.35, 0.65) survive float addition
-        if self.alpha + self.beta > 1.0 + 1e-12:
+        if self.alpha + self.beta > self.SUM_BOUND:
             raise ValueError(f"alpha + beta must not exceed 1, got {self}")
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .pipeline import (
     emit_group,
     emit_reports,
     load_config_table,
+    read_input,
     run_pipeline,
     search_alpha_beta,
     write_files,
@@ -156,10 +156,7 @@ def _cmd_fca(args: argparse.Namespace) -> int:
 def _cmd_search_cut(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     table = load_config_table(config)
-    try:
-        docs = json.loads(Path(args.targets).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StageError("partition", f"cannot read targets {args.targets}: {exc}") from None
+    docs = read_input(args.targets, "targets", "partition")
     try:
         targets = partitions_from_json(docs, table.objects)
         result = search_alpha_beta(table, targets, step=args.step)

@@ -41,6 +41,9 @@ from .proximity import (
     IFProximityRelation,
     ProximityViolation,
     build_proximity,
+    membership_degree,
+    nonmembership_degree,
+    numeric_values,
     proximity_to_csv,
     validate_proximity,
 )
@@ -57,6 +60,15 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[stage:{stage}] {message}")
         self.stage = stage
+
+
+def read_input(path: str | Path, what: str, stage: str, parse: Callable = json.loads) -> object:
+    """Parse an input file's UTF-8 text, JSON by default: the input twin of
+    :func:`write_files`.  Failing to read, decode or parse it is a StageError."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise StageError(stage, f"cannot read {what} {path}: {exc}") from None
 
 
 def _json_bool(value: object, what: str) -> bool:
@@ -101,10 +113,7 @@ class PipelineConfig:
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
-            if p is None:
-                return None
-            path = Path(p)
-            return path if path.is_absolute() else base / path
+            return None if p is None else base / Path(p)  # an absolute p replaces base
 
         try:
             specs = tuple(
@@ -156,12 +165,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StageError("load", f"cannot read config {path}: {exc}") from None
-        return cls.from_dict(doc, base_dir=path.parent)
+        return cls.from_dict(read_input(path, "config", "load"), base_dir=Path(path).parent)
 
     def echo(self) -> dict:
         """Stable JSON-serialisable image of the configuration."""
@@ -218,19 +222,9 @@ class PipelineReport:
     provenance: dict
 
 
-def _load_override_doc(path: Path, stage: str) -> object:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StageError(stage, f"cannot read override {path}: {exc}") from None
-
-
 def load_config_table(config: PipelineConfig) -> InformationTable:
     """Read and validate the configured data table (the load stage)."""
-    try:
-        csv_text = config.data_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StageError("load", f"cannot read data {config.data_path}: {exc}") from None
+    csv_text = read_input(config.data_path, "data", "load", parse=str)
     try:
         return load_table(csv_text, config.attributes)
     except ValueError as exc:
@@ -265,7 +259,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     override_parts: dict[str, Partition] = {}
     if config.partitions_override is not None:
-        doc = _load_override_doc(config.partitions_override, "partition")
+        doc = read_input(config.partitions_override, "override", "partition")
         try:
             override_parts = partitions_from_json(doc, table.objects)
         except ValueError as exc:
@@ -288,7 +282,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     except ValueError as exc:
         raise StageError("order", str(exc)) from None
     if config.ordered_override is not None:
-        doc = _load_override_doc(config.ordered_override, "order")
+        doc = read_input(config.ordered_override, "override", "order")
         if not isinstance(doc, dict):
             raise StageError("order", "ordered-table override must map attributes to label maps")
         try:
@@ -398,12 +392,12 @@ def _hull(lo: np.ndarray, hi: np.ndarray,
 
 def _admissible_prefix(levels: np.ndarray) -> np.ndarray:
     """For each alpha level, the number of beta levels in the admissible
-    triangle, where ``alpha + beta <= 1.0 + 1e-12`` as :class:`CutParams`
+    triangle, where ``alpha + beta <= SUM_BOUND`` as :class:`CutParams`
     tests it.  Float addition is monotone, so they are a prefix of the
-    levels.  ``searchsorted`` on the rounded ``1 + 1e-12 - alpha`` can miss
-    its end by one level (levels lie at least 0.001 apart, the rounding is
-    some 1e-16), and one exact test on each side of it mends that."""
-    bound, last = 1.0 + 1e-12, len(levels) - 1
+    levels.  ``searchsorted`` on the rounded ``SUM_BOUND - alpha`` can
+    miss its end by one level (levels lie at least 0.001 apart, the rounding
+    is some 1e-16), and one exact test on each side of it mends that."""
+    bound, last = CutParams.SUM_BOUND, len(levels) - 1
     top = levels.searchsorted(bound - levels, "right")
     top += (top <= last) & (levels + levels[np.minimum(top, last)] <= bound)
     top -= (top > 0) & (levels + levels[top - 1] > bound)
@@ -449,8 +443,8 @@ def _order_test(values: np.ndarray) -> bool:
     u = values[np.concatenate(([True], values[1:] != values[:-1]))]
     if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
         return False
-    nu = (u[1:] - u[:-1]) / (2.0 * (u[:-1] + u[1:]))
-    wide = (u[2:] - u[:-2]) / (2.0 * (u[:-2] + u[2:]))
+    nu = nonmembership_degree(u[:-1], u[1:])
+    wide = nonmembership_degree(u[:-2], u[2:])
     return bool(np.all(wide >= _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:])))
 
 
@@ -458,12 +452,13 @@ def _check_order(name: str, values: np.ndarray) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
     below that of an adjacent pair inside it.  The O(n)
     :func:`_order_test` decides almost every attribute; where it cannot,
-    every pair is checked against the largest adjacent nu inside it, on
-    n x n arrays."""
+    every pair of the distinct values (a repeat adds no nu of its own) is
+    checked against the largest adjacent nu inside it, on n x n arrays."""
     if _order_test(values):
         return
+    values = np.unique(values)
     n = len(values)
-    nu = np.abs(values[:, None] - values) / (2.0 * (values[:, None] + values))
+    nu = nonmembership_degree(values[:, None], values)
     inside = np.where(np.arange(n - 1) >= np.arange(n)[:, None], np.diagonal(nu, 1), -np.inf)
     bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1] for i < j
     if bad.size:
@@ -486,20 +481,16 @@ def _beta_intervals(table: InformationTable, name: str, target: Partition,
     inside a run needs alpha <= mu and beta >= nu; one at a boundary needs
     beta < nu wherever alpha <= mu, so beta stays below a staircase: the
     least nu among the boundary pairs with mu >= alpha.  Adjacent degrees
-    use :func:`build_proximity`'s float expressions, so they equal its
-    cells bit for bit, and each bound is found with ``searchsorted`` under
-    the comparison a mask over the levels would make."""
-    spec = table.spec(name)
-    if not spec.numeric:
-        raise ValueError(f"attribute {name!r} is nominal, proximity needs numeric values")
-    values = np.array(table.column(name), dtype=float)
+    come from the degree functions, as :func:`build_proximity`'s cells do,
+    and each bound is found with ``searchsorted`` under the comparison a
+    mask over the levels would make."""
+    values, range_max = numeric_values(table, name)
     blocks = np.array([target.block_of[o] for o in table.objects])
     order = np.lexsort((blocks, values))
     values, blocks = values[order], blocks[order]
     _check_order(name, values)
-    diff = values[1:] - values[:-1]
-    mu = 1.0 - diff / spec.range_max
-    nu = diff / (2.0 * (values[:-1] + values[1:]))
+    mu = membership_degree(values[:-1], values[1:], range_max)
+    nu = nonmembership_degree(values[:-1], values[1:])
     inner = blocks[:-1] == blocks[1:]
     if np.count_nonzero(~inner) >= len(target.blocks):  # a target block is not one run
         none = np.zeros(len(levels), int)

@@ -7,26 +7,23 @@ between two values x, y is the pair (mu, nu) with
     nu(x, y) = |x - y| / (2 (x + y))    (non-membership)
 
 Both are symmetric, the diagonal is (1, 0), and nu < 1/2 whenever x != y.
+:func:`membership_degree` and :func:`nonmembership_degree`, elementwise on
+numpy arrays, are their only definition: the dense matrices and the cut
+search's sorted passes share their float expressions bit for bit.
 The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
-downstream consumers decide whether to proceed.  Its result is a sequence
-whose records are built when they are read, from the relation's matrices;
-that relies on the matrices being read-only, as the relation marks them
-(copying a matrix that is a view of another array first).
-A consumer that reads only the count and the first example, as the
-pipeline does, builds one record however many pairs fail.
+downstream consumers decide whether to proceed.  Its records are built
+only when read (:class:`ProximityViolations`), from the relation's matrices,
+which are the relation's own read-only copies.
 
 Reports print each degree rounded half up to three decimals, taken on the
 shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
 0.005 although its double lies just below the tie, where ``round(x, 3)``
 gives 0.004.
-:func:`proximity_to_csv` reads most cells from a table of the 1001 texts of
-[0, 1] and sends only near-ties, values outside [0, 1] and non-finite values
-through the exact ``Decimal`` path.  It renders a block of whole rows per
-numpy pass: one pass per row pays numpy's fixed cost per call on every row,
-and one pass over the whole matrix holds several times the output text in
-temporaries, so blocks keep the peak memory near the size of the text.
+:func:`proximity_to_csv` renders a block of whole rows per numpy pass: one
+pass per row pays numpy's fixed cost per call on every row, and one pass
+over the whole matrix holds several times the output text in temporaries.
 """
 
 from __future__ import annotations
@@ -37,25 +34,35 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .table import InformationTable, csv_field
 
 
-def membership_degree(x: float, y: float, range_max: float) -> float:
-    """1 - |x-y|/range_max.  Values are expected in [1, range_max]."""
+def membership_degree(x: ArrayLike, y: ArrayLike, range_max: float) -> ArrayLike:
+    """The only definition of mu, 1 - |x-y|/range_max for values in [1,
+    range_max], on numbers or elementwise on numpy arrays."""
     return 1.0 - abs(x - y) / range_max
 
 
-def nonmembership_degree(x: float, y: float) -> float:
-    """|x-y| / (2(x+y)).  Zero on the diagonal, strictly below 1/2 otherwise."""
+def nonmembership_degree(x: ArrayLike, y: ArrayLike) -> ArrayLike:
+    """The only definition of nu, |x-y| / (2(x+y)), on numbers or elementwise
+    on numpy arrays.  Zero on the diagonal, strictly below 1/2 otherwise."""
     return abs(x - y) / (2.0 * (x + y))
+
+
+def numeric_values(table: InformationTable, attribute: str) -> tuple[np.ndarray, float]:
+    """The attribute's float values in object order, and its range_max."""
+    spec = table.spec(attribute)
+    if not spec.numeric:
+        raise ValueError(f"attribute {attribute!r} is nominal, proximity needs numeric values")
+    return np.array(table.column(attribute), dtype=float), spec.range_max
 
 
 @dataclass(frozen=True, eq=False)
 class IFProximityRelation:
-    """Dense symmetric matrix of (mu, nu) degrees for one attribute.  Both
-    matrices are made read-only; one that does not own its data is copied
-    first, so that writing the array it views cannot change the relation."""
+    """Dense symmetric matrix of (mu, nu) degrees for one attribute, held as
+    read-only copies that no array or view the caller keeps can change."""
 
     attribute: str
     objects: tuple[str, ...]
@@ -67,11 +74,9 @@ class IFProximityRelation:
         if self.mu.shape != (n, n) or self.nu.shape != (n, n):
             raise ValueError("degree matrices must be |U| x |U|")
         for field in ("mu", "nu"):
-            matrix = getattr(self, field)
-            if not matrix.flags.owndata:  # a view: its base could still be written
-                matrix = matrix.copy()
-                object.__setattr__(self, field, matrix)
+            matrix = getattr(self, field).copy()
             matrix.setflags(write=False)
+            object.__setattr__(self, field, matrix)
 
     @property
     def size(self) -> int:
@@ -80,14 +85,10 @@ class IFProximityRelation:
 
 def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelation:
     """Full-precision proximity matrix for one numeric attribute."""
-    spec = table.spec(attribute)
-    if not spec.numeric:
-        raise ValueError(f"attribute {attribute!r} is nominal, proximity needs numeric values")
-    vals = np.array(table.column(attribute), dtype=float)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    mu = 1.0 - diff / spec.range_max
-    nu = diff / (2.0 * (vals[:, None] + vals[None, :]))
-    return IFProximityRelation(attribute, table.objects, mu, nu)
+    vals, range_max = numeric_values(table, attribute)
+    x, y = vals[:, None], vals
+    return IFProximityRelation(attribute, table.objects, membership_degree(x, y, range_max),
+                               nonmembership_degree(x, y))
 
 
 @dataclass(frozen=True)

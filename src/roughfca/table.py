@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class TableError(ValueError):
@@ -175,18 +175,25 @@ def _position(order: Mapping[str, int], obj: str) -> int:
     return order[obj]
 
 
+def _records(reader: Iterator[list[str]]) -> Iterator[list[str]]:
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TableError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) -> InformationTable:
     """Read a comma-separated table: header row, one row per object, first
     column the object label.  Column names after the label column must match
     the declared attribute names in order.  Numeric cells are validated
-    against [1, range_max]; errors name the offending row and column.
+    against [1, range_max]; errors name the offending row and column, or the
+    line of a record the CSV reader refuses, such as an oversized cell.
     """
     stream = io.StringIO(csv_text) if isinstance(csv_text, str) else csv_text
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TableError("empty input") from None
+    reader = _records(csv.reader(stream))
+    header = next(reader, None)
+    if header is None:
+        raise TableError("empty input")
     names = [s.name for s in specs]
     if [h.strip() for h in header[1:]] != names:
         raise TableError(f"header {header[1:]} does not match declared attributes {names}")

@@ -451,6 +451,39 @@ def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
     assert (result.hull, result.per_attribute) == (expected.hull, expected.per_attribute)
 
 
+def _one_attribute_table(values):
+    objects = tuple(f"o{i}" for i in range(len(values)))
+    return InformationTable(objects, (AttributeSpec("a", range_max=1000),),
+                            {(o, "a"): v for o, v in zip(objects, values)})
+
+
+def test_pairwise_check_is_sized_by_the_distinct_values():
+    # the order test cannot decide FALLBACK_ACCEPTED; on all 2003 values
+    # the pairwise check held three n x n float arrays, about 96 MiB
+    values = [*FALLBACK_ACCEPTED, *[100.0] * 2000]
+    assert not _order_test(np.sort(values))
+    table = _one_attribute_table(values)
+    objects = table.objects
+    targets = {"a": Partition.from_blocks([objects[:1], objects[1:3], objects[3:]], objects)}
+    tracemalloc.start()
+    try:
+        result = search_alpha_beta(table, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # repeats of 100 inside one block move no bound of the region
+    distinct = _one_attribute_table(values[:4])
+    assert result == search_alpha_beta(distinct, {"a": Partition.from_blocks(
+        [distinct.objects[:1], distinct.objects[1:3], distinct.objects[3:]], distinct.objects)})
+    assert result.points
+    # a break among repeated values is still found and named
+    repeated = _one_attribute_table([float(v) for v in NEAR_DUPLICATES for _ in range(50)])
+    with pytest.raises(ValueError, match=r"13\.885933829828321.*56\.64749629608074"):
+        search_alpha_beta(repeated, {"a": Partition.from_blocks([repeated.objects],
+                                                                 repeated.objects)})
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(step=st.floats(0.001, 1) | st.sampled_from((0.001, 0.005, 0.01, 0.3, 0.6,
                                                      NEAR_DUPLICATE_STEP)))

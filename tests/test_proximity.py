@@ -243,9 +243,18 @@ def test_relation_on_views_ignores_later_writes():
     assert not rel.mu.flags.writeable and not rel.nu.flags.writeable
 
 
-def test_relation_keeps_matrices_that_own_their_data(relations):
-    rel = relations["IC"]
-    assert IFProximityRelation(rel.attribute, rel.objects, rel.mu, rel.nu).mu is rel.mu
+def test_relation_copies_matrices_that_own_their_data():
+    # marking an owner read-only leaves the views already taken of it
+    # writeable, so the relation keeps copies of the matrices it is given
+    mu = np.array([[1.0, 0.9], [0.9, 1.0]])
+    nu = np.array([[0.0, 0.1], [0.1, 0.0]])
+    mu_view, nu_view = mu[:], nu[:]
+    rel = IFProximityRelation("a", ("x", "y"), mu, nu)
+    mu_view[0, 1] = 0.95
+    nu_view[1, 0] = 0.3
+    assert rel.mu[0, 1] == 0.9 and rel.nu[1, 0] == 0.1
+    assert len(validate_proximity(rel)) == 0
+    assert not rel.mu.flags.writeable and not rel.nu.flags.writeable
 
 
 def _one_cell(value):
