@@ -13,7 +13,6 @@ it came from a cut or from exact indiscernibility.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,13 +152,11 @@ def partition_to_json(partition: Partition, attribute: str, alpha: float, beta: 
             "blocks": [list(b) for b in partition.blocks]}
 
 
-def partition_from_json(doc: dict | str, universe: list[str] | tuple[str, ...]) -> tuple[str, Partition]:
-    """Read one {"attribute", "alpha", "beta", "blocks"} document; alpha and
-    beta are informative only, and blocks must be lists of object names, so
-    a string is never split into objects.  Returns (attribute name,
-    partition)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def partition_from_json(doc: dict, universe: list[str] | tuple[str, ...]) -> tuple[str, Partition]:
+    """Read one parsed {"attribute", "alpha", "beta", "blocks"} document, as
+    ``json.loads`` returns it; alpha and beta are informative only, and
+    blocks must be lists of object names, so a string is never split into
+    objects.  Returns (attribute name, partition)."""
     if not isinstance(doc, dict):
         raise TableError(f"partition document must be a JSON object, got {doc!r}")
     try:

@@ -176,9 +176,6 @@ class FormalContext:
             out &= self.rows[g]
         return out
 
-    def intent_closure(self, attr_mask: int) -> int:
-        return self.intent_of(self.extent_of(attr_mask))
-
 
 def derive_attributes(context: FormalContext, objects: Iterable[str]) -> tuple[str, ...]:
     """Attributes shared by every object of the set; all of M for the empty set."""
@@ -477,9 +474,6 @@ class FrequencyRow:
 @dataclass(frozen=True)
 class FrequencyTable:
     rows: tuple[FrequencyRow, ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return {row.attribute: row.frequency for row in self.rows}
 
 
 def implication_frequencies(basis: Sequence[Implication]) -> FrequencyTable:

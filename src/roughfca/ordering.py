@@ -100,12 +100,6 @@ class OrderedTable:
     columns: tuple[OrderedColumn, ...]
     dropped: tuple[str, ...] = ()
 
-    def column(self, attribute: str) -> OrderedColumn:
-        for col in self.columns:
-            if col.attribute == attribute:
-                return col
-        raise TableError(f"no ordered column for attribute {attribute!r}")
-
     @property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(c.attribute for c in self.columns)
@@ -131,7 +125,7 @@ def categorize_partition(table: InformationTable, attribute: str, partition: Par
     spec = table.spec(attribute)
     if not spec.numeric:
         raise TableError(f"attribute {attribute!r} is nominal and cannot be categorised")
-    if partition.universe_size != len(table.objects):
+    if len(partition.block_of) != len(table.objects):
         raise TableError(f"partition for {attribute!r} does not match the universe")
     blocks = _ordered_blocks(table, attribute, partition, order_by)
     if len(ladder.labels) < len(blocks):
@@ -204,16 +198,6 @@ class RankRow:
 class RankTable:
     attributes: tuple[str, ...]
     rows: tuple[RankRow, ...]
-
-    def row(self, obj: str) -> RankRow:
-        for r in self.rows:
-            if r.object == obj:
-                return r
-        raise TableError(f"unknown object {obj!r}")
-
-    @property
-    def ranks(self) -> dict[str, int]:
-        return {r.object: r.rank for r in self.rows}
 
 
 def score_and_rank(ordered: OrderedTable) -> RankTable:

@@ -48,10 +48,13 @@ from .proximity import (
     validate_proximity,
 )
 from .table import AttributeSpec, InformationTable, Partition, load_table
-# Nothing in the library uses UnionFind any more: cut components come from a
-# bitmask search in approx.py.  The name stays only because
-# perfbench/spans.py subclasses and patches it (ROADMAP item 1).
-from .unionfind import UnionFind  # noqa: F401
+
+
+class UnionFind:
+    """Empty placeholder that nothing instantiates: cut components come from
+    a bitmask search in approx.py.  perfbench/spans.py still subclasses and
+    patches this name to count instances, so it stays until the benchmark
+    reads in-library stage stats (ROADMAP item 1), which deletes it."""
 
 
 class StageError(RuntimeError):
@@ -80,7 +83,10 @@ def _json_bool(value: object, what: str) -> bool:
 def _json_number(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{what} must be a number, got an integer too large for a float") from None
 
 
 def _json_labels(value: object, what: str) -> tuple[str, ...]:
@@ -448,23 +454,65 @@ def _order_test(values: np.ndarray) -> bool:
     return bool(np.all(wide >= _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:])))
 
 
+def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
+    """Disjoint index ranges [start, stop) of the distinct sorted values
+    ``u`` that hold every pair the two-step test of :func:`_order_test`
+    leaves undecided; the whole of ``u`` outside [1, 2**500].
+
+    An adjacent pair (u_k, u_k+1) whose two windows (u_k-1, u_k+1) and
+    (u_k, u_k+2) both pass is safe inside any wider pair, which holds one
+    of them.  For each other k, the left end lo < k is moved down until
+    (u_lo, u_k+1) has a nu of at least :data:`_ORDER_MARGIN` nu_k, and the
+    right end hi > k + 1 up until (u_k, u_hi) does.  A pair holding
+    (u_k, u_k+1) that reaches lo or hi holds one of those two, so by the
+    nesting argument of :func:`_order_test` its float nu is at least
+    (1 + 16 r)(1 - r)**4 / (1 + r)**3 nu_k > nu_k.  Every other pair
+    holding it lies in u_lo+1 .. u_hi-1, and overlapping ranges are merged."""
+    if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
+        return [(0, len(u))]
+    nu = nonmembership_degree(u[:-1], u[1:])
+    wide = nonmembership_degree(u[:-2], u[2:])
+    failing = np.flatnonzero(wide < _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:]))
+    spans = []
+    for k in np.union1d(failing, failing + 1).tolist():  # window f holds pairs f and f + 1
+        bound = _ORDER_MARGIN * nu[k]
+        lo, hi = k - 1, k + 2
+        while lo >= 0 and nonmembership_degree(u[lo], u[k + 1]) < bound:
+            lo -= 1
+        while hi < len(u) and nonmembership_degree(u[k], u[hi]) < bound:
+            hi += 1
+        spans.append((lo + 1, hi))
+    merged: list[tuple[int, int]] = []
+    for start, stop in sorted(spans):
+        if merged and start < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return merged
+
+
 def _check_order(name: str, values: np.ndarray) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
     below that of an adjacent pair inside it.  The O(n)
     :func:`_order_test` decides almost every attribute; where it cannot,
-    every pair of the distinct values (a repeat adds no nu of its own) is
-    checked against the largest adjacent nu inside it, on n x n arrays."""
+    every pair of the distinct values (a repeat adds no nu of its own)
+    within each of :func:`_undecided_spans` is checked against the largest
+    adjacent nu inside it, on arrays the square of the span's length.  The
+    spans are disjoint and ascending, so the first break named is the first
+    that a check of every pair would find."""
     if _order_test(values):
         return
     values = np.unique(values)
-    n = len(values)
-    nu = nonmembership_degree(values[:, None], values)
-    inside = np.where(np.arange(n - 1) >= np.arange(n)[:, None], np.diagonal(nu, 1), -np.inf)
-    bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1] for i < j
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted values "
-                         f"{values[i:j + 2].tolist()}; near-duplicates break it by an ulp")
+    for start, stop in _undecided_spans(values):
+        span = values[start:stop]
+        n = len(span)
+        nu = nonmembership_degree(span[:, None], span)
+        inside = np.where(np.arange(n - 1) >= np.arange(n)[:, None], np.diagonal(nu, 1), -np.inf)
+        bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1], i < j
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted values "
+                             f"{span[i:j + 2].tolist()}; near-duplicates break it by an ulp")
 
 
 def _beta_intervals(table: InformationTable, name: str, target: Partition,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,7 +51,7 @@ class AttributeSpec:
                                  f"got {self.range_max!r}")
             if not self.range_max >= 1:  # also rejects NaN
                 raise TableError(f"attribute {self.name!r}: range_max must be >= 1")
-            if not math.isfinite(self.range_max):
+            if not self.range_max <= sys.float_info.max:  # inf, or an int past every float
                 raise TableError(f"attribute {self.name!r}: range_max must be finite")
         if self.ladder is not None:
             object.__setattr__(self, "ladder", tuple(self.ladder))
@@ -137,10 +137,6 @@ class Partition:
             raise TableError(f"partition does not cover the universe, missing {missing}")
         return cls(blocks=tuple(norm), block_of=seen)
 
-    @property
-    def universe_size(self) -> int:
-        return len(self.block_of)
-
     def as_sets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(b) for b in self.blocks)
 
@@ -175,9 +171,13 @@ def _position(order: Mapping[str, int], obj: str) -> int:
     return order[obj]
 
 
-def _records(reader: Iterator[list[str]]) -> Iterator[list[str]]:
+def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
+    """Each record with the line it starts on: a quoted cell can span lines."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise TableError(f"line {reader.line_num}: {exc}") from None
 
@@ -186,12 +186,13 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
     """Read a comma-separated table: header row, one row per object, first
     column the object label.  Column names after the label column must match
     the declared attribute names in order.  Numeric cells are validated
-    against [1, range_max]; errors name the offending row and column, or the
-    line of a record the CSV reader refuses, such as an oversized cell.
+    against [1, range_max]; errors name the offending row and column, the
+    line a record starts on, or the line of a record the CSV reader refuses,
+    such as an oversized cell.
     """
     stream = io.StringIO(csv_text) if isinstance(csv_text, str) else csv_text
     reader = _records(csv.reader(stream))
-    header = next(reader, None)
+    _, header = next(reader, (1, None))
     if header is None:
         raise TableError("empty input")
     names = [s.name for s in specs]
@@ -201,7 +202,7 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
     objects: list[str] = []
     seen: set[str] = set()
     values: dict[tuple[str, str], float | str] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or all(not c.strip() for c in row):
             continue
         label = row[0].strip()

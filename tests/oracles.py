@@ -28,7 +28,27 @@ from roughfca.ordering import OrderedTable, RankTable
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
 from roughfca.table import InformationTable, Partition, cell_token
-from roughfca.unionfind import UnionFind
+
+
+# --- lookups the library leaves to its callers --------------------------------
+
+def intent_closure(context: FormalContext, mask: int) -> int:
+    """The closure of an attribute mask: the intent of its extent."""
+    return context.intent_of(context.extent_of(mask))
+
+
+def frequencies_by_attribute(freqs: FrequencyTable) -> dict[str, int]:
+    return {row.attribute: row.frequency for row in freqs.rows}
+
+
+def ordered_column(ordered: OrderedTable, attribute: str):
+    """The ordered table's column for ``attribute``."""
+    (column,) = (col for col in ordered.columns if col.attribute == attribute)
+    return column
+
+
+def ranks_by_object(ranks: RankTable) -> dict[str, int]:
+    return {row.object: row.rank for row in ranks.rows}
 
 
 # --- the proximity layer's former pair-by-pair loops --------------------------
@@ -83,6 +103,39 @@ def cut_graph_reference(rel, params):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return SimilarityGraph(rel.objects, tuple(rows))
+
+
+class UnionFind:
+    """Disjoint-set union with path compression and union by rank, the
+    library's former component search."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        if self.rank[rx] < self.rank[ry]:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        if self.rank[rx] == self.rank[ry]:
+            self.rank[rx] += 1
+
+    def groups(self) -> list[list[int]]:
+        by_root: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            by_root.setdefault(self.find(x), []).append(x)
+        return list(by_root.values())
 
 
 def partition_from_cut_reference(graph):
@@ -483,11 +536,11 @@ def enumerate_concepts_reference(context: FormalContext):
     of intents."""
     n = len(context.attributes)
     concepts = []
-    intent = context.intent_closure(0)
+    intent = intent_closure(context, 0)
     while intent is not None:
         extent = context.extent_of(intent)
         concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
-        intent = _next_closure_reference(intent, n, context.intent_closure)
+        intent = _next_closure_reference(intent, n, lambda mask: intent_closure(context, mask))
     return concepts
 
 
@@ -511,7 +564,7 @@ def canonical_basis_reference(context: FormalContext, include_unsupported: bool 
 
     mask = 0
     while mask is not None:
-        closed = context.intent_closure(mask)
+        closed = intent_closure(context, mask)
         if closed != mask:
             rules.append((mask, closed))
         mask = _next_closure_reference(mask, n, logical_closure)
@@ -603,9 +656,9 @@ def pseudo_intents_bruteforce(context: FormalContext):
     m = len(context.attributes)
     pseudo: list[int] = []
     for mask in sorted(range(1 << m), key=lambda x: (x.bit_count(), x)):
-        if context.intent_closure(mask) == mask:
+        if intent_closure(context, mask) == mask:
             continue
-        if all(q & ~mask or context.intent_closure(q) & ~mask == 0
+        if all(q & ~mask or intent_closure(context, q) & ~mask == 0
                for q in pseudo if q != mask):
             pseudo.append(mask)
     return pseudo

@@ -227,7 +227,7 @@ def test_unknown_target_label_is_an_error(toy_partition):
 def test_partition_json_roundtrip(cut_partitions, institutions):
     doc = partition_to_json(cut_partitions["IC"], "IC", 0.92, 0.05)
     assert doc["attribute"] == "IC" and doc["alpha"] == 0.92
-    name, back = partition_from_json(json.dumps(doc), institutions.objects)
+    name, back = partition_from_json(json.loads(json.dumps(doc)), institutions.objects)
     assert name == "IC"
     assert back == cut_partitions["IC"]
 

@@ -259,6 +259,7 @@ def _ic_flag(value):
     ({"attributes": _ic_range("250")}, "attribute 'IC': range_max must be a number"),
     ({"attributes": _ic_range(True)}, "attribute 'IC': range_max must be a number"),
     ({"attributes": _ic_range(float("inf"))}, "attribute 'IC': range_max must be finite"),
+    ({"attributes": _ic_range(10**400)}, "attribute 'IC': range_max must be finite"),
     ({"attributes": 5}, "not iterable"),
     ({"attributes": _ic_range(float("nan"))}, "range_max must be >= 1"),
     ({"attributes": [5]}, "not subscriptable"),
@@ -276,6 +277,8 @@ def _ic_flag(value):
     ({"alpha": "0.9"}, "alpha must be a number"),
     ({"alpha": True}, "alpha must be a number"),
     ({"beta": None}, "beta must be a number"),
+    ({"alpha": 10**400}, "alpha must be a number, got an integer too large for a float"),
+    ({"beta": 10**400}, "beta must be a number, got an integer too large for a float"),
     ({"ladders": _ss_ladder(labels="abc")}, "labels of ladder 'SS' must be a list of strings"),
     ({"ladders": _ss_ladder(labels=("Excellent", 4, "Good"))}, "must be a list of strings"),
     ({"attributes": _ic_ladder("abc")}, "ladder must be a list of strings"),
@@ -283,10 +286,11 @@ def _ic_flag(value):
     ({"ladders": _ss_ladder(weights=(True, False, False))}, "ladder weights must be integers"),
     ({"ladders": _ss_ladder(name="XX")}, "ladders for undeclared or nominal attributes: ['XX']"),
     ({"block_order": "bogus", "alpha": 0, "beta": 1}, "unknown block_order 'bogus'"),
-], ids=["range-max-string", "range-max-true", "range-max-infinity", "attributes-int",
-        "range-max-nan", "attribute-int", "rank-range-word", "overrides-int", "force-string",
-        "drop-string", "rank-bound-float", "rank-inf", "rank-neg-inf", "rank-nan", "rank-float",
-        "rank-triple", "alpha-string", "alpha-true", "beta-null",
+], ids=["range-max-string", "range-max-true", "range-max-infinity", "range-max-huge-int",
+        "attributes-int", "range-max-nan", "attribute-int", "rank-range-word", "overrides-int",
+        "force-string", "drop-string", "rank-bound-float", "rank-inf", "rank-neg-inf", "rank-nan",
+        "rank-float", "rank-triple", "alpha-string", "alpha-true", "beta-null", "alpha-huge-int",
+        "beta-huge-int",
         "labels-string", "labels-int", "attribute-ladder-string", "weights-float",
         "weights-bool", "ladder-undeclared", "block-order-bogus"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
@@ -297,3 +301,14 @@ def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     assert captured.err.startswith("error [stage:load]") and message in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"alpha": 10**400}, {"beta": 10**400}, {"attributes": _ic_range(10**400)},
+], ids=["alpha", "beta", "range-max"])
+def test_config_number_too_large_for_a_float_stops_search_cut_at_load(tmp_path, capsys, changes):
+    config = _config_with(tmp_path, **changes)
+    code = run_cli("search-cut", "--config", config, "--targets", TARGETS_PATH)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error [stage:load] bad config: ")

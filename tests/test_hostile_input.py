@@ -39,7 +39,8 @@ DEEP = b"[" * 200_000
 OVERSIZED = "9" * 200_000
 
 HOSTILE = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 12), st.sampled_from((10**30, 2**63, -(10**9))),
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.sampled_from((10**30, 2**63, 10**400, -(10**9))),
     st.floats(), st.text(max_size=3),
     st.lists(st.integers(0, 3) | st.text("i_1x", max_size=3), max_size=3),
     st.dictionaries(st.text("ab", max_size=2), st.integers(0, 3), max_size=2),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -18,6 +19,7 @@ from roughfca.pipeline import (
     PipelineConfig,
     StageError,
     _admissible_prefix,
+    _check_order,
     _order_test,
     emit_reports,
     load_config_table,
@@ -87,7 +89,7 @@ def test_run_without_override_splits_eca(config):
     report = run_pipeline(no_override)
     expected = frozenset(frozenset(b) for b in golden.ECA_RECOMPUTED_BLOCKS)
     assert report.partitions["ECA"].as_sets() == expected
-    assert len(report.ordered.column("ECA").ladder.labels) == 7
+    assert len(oracles.ordered_column(report.ordered, "ECA").ladder.labels) == 7
 
 
 def test_override_transparency(config, report):
@@ -121,7 +123,7 @@ def test_ordered_table_override_path(config, tmp_path):
     path = tmp_path / "ordered.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report = run_pipeline(dataclasses.replace(config, ordered_override=path))
-    assert report.ordered.column("ECA").label("i_2") == "Poor"
+    assert oracles.ordered_column(report.ordered, "ECA").label("i_2") == "Poor"
     assert report.provenance["stages"]["order"]["override"] == ["ECA"]
 
 
@@ -438,6 +440,22 @@ def test_order_test_accepts_no_values_that_break_the_order(values):
         assert oracles.first_nu_break(values) is None
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=sorted_values())
+@example(values=np.array(FALLBACK_ACCEPTED))
+@example(values=np.array([float(v) for v in NEAR_DUPLICATES]))
+@example(values=np.array([0.5, 0.5, 2.0, 3.0]))  # below 1: every pair is checked
+def test_order_check_refuses_exactly_the_values_that_break_the_order(values):
+    distinct = np.unique(values)
+    found = oracles.first_nu_break(distinct)
+    if found is None:
+        _check_order("a", values)
+    else:
+        i, j = found
+        with pytest.raises(ValueError, match=re.escape(str(distinct[i:j + 1].tolist()))):
+            _check_order("a", values)
+
+
 def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
     values = np.array(FALLBACK_ACCEPTED)
     assert not _order_test(values) and oracles.first_nu_break(values) is None
@@ -451,9 +469,9 @@ def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
     assert (result.hull, result.per_attribute) == (expected.hull, expected.per_attribute)
 
 
-def _one_attribute_table(values):
+def _one_attribute_table(values, range_max=1000):
     objects = tuple(f"o{i}" for i in range(len(values)))
-    return InformationTable(objects, (AttributeSpec("a", range_max=1000),),
+    return InformationTable(objects, (AttributeSpec("a", range_max=range_max),),
                             {(o, "a"): v for o, v in zip(objects, values)})
 
 
@@ -482,6 +500,25 @@ def test_pairwise_check_is_sized_by_the_distinct_values():
     with pytest.raises(ValueError, match=r"13\.885933829828321.*56\.64749629608074"):
         search_alpha_beta(repeated, {"a": Partition.from_blocks([repeated.objects],
                                                                  repeated.objects)})
+
+
+def test_pairwise_check_stays_near_the_undecided_values():
+    # 2, 98 and the next double up defeat the order test among 2,000
+    # distinct values; a pairwise check over all of them held three n x n
+    # float arrays, about 95 MiB
+    n = 2000
+    values = [*FALLBACK_ACCEPTED, *map(float, range(100, n + 97))]
+    assert not _order_test(np.array(values))
+    table = _one_attribute_table(values, range_max=n + 96)
+    targets = {"a": Partition.from_blocks([table.objects], table.objects)}
+    tracemalloc.start()
+    try:
+        result = search_alpha_beta(table, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert result.points
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -57,6 +57,15 @@ def test_load_duplicate_label_names_its_line():
         load_table("object,a\nx,1\ny,2\nx,3\n", [AttributeSpec("a", range_max=10)])
 
 
+def test_load_names_a_record_by_the_line_it_starts_on():
+    # a quoted cell spans lines 2 and 3, so the unlabelled record is on line 4
+    specs = [AttributeSpec("a", range_max=10), AttributeSpec("c", kind="nominal")]
+    with pytest.raises(TableError, match=r"^line 4: missing object label$"):
+        load_table('object,a,c\no1,3,"x\ny"\n,4,z\n', specs)
+    with pytest.raises(TableError, match=r"^line 5: duplicate object label 'o1'$"):
+        load_table('object,a,c\n\no1,3,"x\ny"\no1,4,z\n', specs)
+
+
 def test_load_40k_rows_in_linear_time():
     # a duplicate-label scan over a list made this take about 15 s
     rows = "".join(f"o{i},{i % 9 + 1}\n" for i in range(40_000))
@@ -87,6 +96,13 @@ def test_nominal_columns_skip_range_validation(rnd_table):
 def test_spec_rejects_range_max_below_one_or_nan(range_max):
     # NaN fails every comparison, so a NaN bound would reject every cell
     with pytest.raises(TableError, match="range_max must be >= 1"):
+        AttributeSpec("a", range_max=range_max)
+
+
+@pytest.mark.parametrize("range_max", [float("inf"), 10**400],
+                         ids=["inf", "int-past-every-float"])
+def test_spec_rejects_range_max_with_no_finite_float(range_max):
+    with pytest.raises(TableError, match="range_max must be finite"):
         AttributeSpec("a", range_max=range_max)
 
 
