@@ -112,10 +112,11 @@ class PipelineConfig:
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "PipelineConfig":
         """Build a config from its JSON document.  A missing key, or a value
         of the wrong type or out of range, raises :class:`StageError`
-        tagged ``load``: flags must be JSON booleans and rank bounds JSON
-        integers, alpha and beta JSON numbers, labels lists of strings and
-        ladder weights integers; ladders must name declared numeric
-        attributes and block_order one of :data:`BLOCK_ORDERS`."""
+        tagged ``load``: the data path must be a string, flags JSON booleans
+        and rank bounds JSON integers, alpha and beta JSON numbers, labels
+        lists of strings and ladder weights integers; ladders must name
+        declared numeric attributes and block_order one of
+        :data:`BLOCK_ORDERS`."""
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
@@ -152,6 +153,8 @@ class PipelineConfig:
             if block_order not in BLOCK_ORDERS:
                 raise ValueError(f"unknown block_order {block_order!r}, expected {BLOCK_ORDERS}")
             overrides = doc.get("overrides", {})
+            if not isinstance(doc["data"], str):  # resolve would read null as no path
+                raise TypeError(f"data must be a path string, got {doc['data']!r}")
             return cls(
                 data_path=resolve(doc["data"]),
                 attributes=specs,
@@ -305,6 +308,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         clusters = cluster_by_rank(ranks, config.rank_ranges)
     except ValueError as exc:
         raise StageError("cluster", str(exc)) from None
+    for cluster in clusters:
+        if not cluster.members:
+            lo, hi = cluster.rank_range
+            raise StageError("cluster", f"rank range [{lo}, {hi}] holds no object")
 
     analyses = []
     for cluster in clusters:
@@ -410,24 +417,29 @@ def _admissible_prefix(levels: np.ndarray) -> np.ndarray:
     return top
 
 
-#: The O(n) order test asks each two-step pair's nu to clear the larger
-#: adjacent nu inside it by this factor, 1 + 8 machine epsilons.
+#: A two-step pair's nu must clear the larger adjacent nu inside it by this
+#: factor, 1 + 8 machine epsilons.
 _ORDER_MARGIN = 1.0 + 2.0 ** -49
 
 
-def _order_test(values: np.ndarray) -> bool:
-    """True if no pair of the sorted ``values`` has a float nu below that
-    of an adjacent pair inside it; False if this O(n) test cannot tell.
+def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
+    """Disjoint ascending index ranges [start, stop) of the distinct sorted
+    values ``u`` such that any pair whose float nu falls below that of an
+    adjacent pair inside it lies within one of them: [] when an O(n) test
+    settles every pair, the whole of ``u`` when it does not lie in
+    [1, 2**500].
 
-    It looks at the distinct values u_0 < u_1 < ... in [1, 2**500] and asks
-    that each two-step pair (u_k-1, u_k+1) have a nu at least
-    :data:`_ORDER_MARGIN` times the larger adjacent nu inside it.  Why that
-    suffices for every pair:
+    The test asks each two-step pair (u_k-1, u_k+1) for a nu of at least
+    :data:`_ORDER_MARGIN` times the larger adjacent nu inside it.  Why a
+    pair that clears the margin against an adjacent pair is safe in every
+    wider pair:
 
     - A pair of equal values has nu 0.  A pair of neighbouring distinct
       values has the same nu wherever its ends sit among repeats.  So the
       only pairs that can break the order are (u_p, u_q) with q >= p + 2,
-      against an adjacent (u_k, u_k+1) with p <= k < q.
+      against an adjacent (u_k, u_k+1) with p <= k < q.  Repeats must be
+      skipped: with v[k-1] == v[k] < v[k+1] the two-step nu equals the
+      adjacent one exactly and never clears the margin.
     - Exactly, nu(x, y) = (y - x) / (2 (x + y)) rises with y and falls with
       x for 0 < x < y, so a pair's nu is at least that of any pair nested
       in it.
@@ -435,44 +447,28 @@ def _order_test(values: np.ndarray) -> bool:
       |d| <= r = 2**-53 (subtraction, addition, division; doubling is
       exact).  Values in [1, 2**500] keep every step clear of overflow and
       underflow, so that bound holds.
-    - Some two-step pair (u_m-1, u_m+1) lies inside (u_p, u_q) and holds
-      (u_k, u_k+1).  By the last two facts fl nu(u_p, u_q) >=
-      fl nu(u_m-1, u_m+1) (1 - r)**3 / (1 + r)**3, and the test, whose
-      product rounds once, gives fl nu(u_m-1, u_m+1) >= (1 + 16 r)(1 - r)
-      fl nu(u_k, u_k+1).  (1 + 16 r)(1 - r)**4 / (1 + r)**3 > 1.
+    - Let (u_p, u_q) hold a pair P that holds (u_k, u_k+1) and clears the
+      margin against it.  By the last two facts fl nu(u_p, u_q) >=
+      fl nu(P) (1 - r)**3 / (1 + r)**3, and the margin, whose product
+      rounds once, gives fl nu(P) >= (1 + 16 r)(1 - r) fl nu(u_k, u_k+1).
+      (1 + 16 r)(1 - r)**4 / (1 + r)**3 > 1.
 
-    The test must skip repeats: with v[k-1] == v[k] < v[k+1] the two-step
-    nu equals the adjacent one exactly and never clears the margin.
-    """
-    if len(values) < 3:
-        return True  # no pair has an adjacent pair inside it
-    u = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
-        return False
-    nu = nonmembership_degree(u[:-1], u[1:])
-    wide = nonmembership_degree(u[:-2], u[2:])
-    return bool(np.all(wide >= _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:])))
-
-
-def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
-    """Disjoint index ranges [start, stop) of the distinct sorted values
-    ``u`` that hold every pair the two-step test of :func:`_order_test`
-    leaves undecided; the whole of ``u`` outside [1, 2**500].
-
-    An adjacent pair (u_k, u_k+1) whose two windows (u_k-1, u_k+1) and
-    (u_k, u_k+2) both pass is safe inside any wider pair, which holds one
-    of them.  For each other k, the left end lo < k is moved down until
-    (u_lo, u_k+1) has a nu of at least :data:`_ORDER_MARGIN` nu_k, and the
-    right end hi > k + 1 up until (u_k, u_hi) does.  A pair holding
-    (u_k, u_k+1) that reaches lo or hi holds one of those two, so by the
-    nesting argument of :func:`_order_test` its float nu is at least
-    (1 + 16 r)(1 - r)**4 / (1 + r)**3 nu_k > nu_k.  Every other pair
-    holding it lies in u_lo+1 .. u_hi-1, and overlapping ranges are merged."""
+    Every wider pair holding (u_k, u_k+1) holds one of the windows
+    (u_k-1, u_k+1) and (u_k, u_k+2), so k is safe if both pass.  For each
+    other k, the left end lo < k is moved down until (u_lo, u_k+1) clears
+    the margin against nu_k, and the right end hi > k + 1 up until
+    (u_k, u_hi) does.  A pair holding (u_k, u_k+1) that reaches lo or hi
+    holds one of those two; every other lies in u_lo+1 .. u_hi-1.
+    Overlapping ranges are merged."""
+    if len(u) < 3:
+        return []  # no pair has an adjacent pair inside it
     if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
         return [(0, len(u))]
     nu = nonmembership_degree(u[:-1], u[1:])
     wide = nonmembership_degree(u[:-2], u[2:])
     failing = np.flatnonzero(wide < _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:]))
+    if not failing.size:
+        return []
     spans = []
     for k in np.union1d(failing, failing + 1).tolist():  # window f holds pairs f and f + 1
         bound = _ORDER_MARGIN * nu[k]
@@ -493,16 +489,16 @@ def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
 
 def _check_order(name: str, values: np.ndarray) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
-    below that of an adjacent pair inside it.  The O(n)
-    :func:`_order_test` decides almost every attribute; where it cannot,
-    every pair of the distinct values (a repeat adds no nu of its own)
-    within each of :func:`_undecided_spans` is checked against the largest
-    adjacent nu inside it, on arrays the square of the span's length.  The
-    spans are disjoint and ascending, so the first break named is the first
-    that a check of every pair would find."""
-    if _order_test(values):
-        return
-    values = np.unique(values)
+    below that of an adjacent pair inside it.  Only a pair of the distinct
+    values (a repeat adds no nu of its own) within one of
+    :func:`_undecided_spans` can, and almost every attribute has no span.
+    Each span's pairs are checked against the largest adjacent nu inside
+    them, on arrays the square of the span's length.  The spans are
+    disjoint and ascending, so the first break named is the first that a
+    check of every pair would find."""
+    distinct = np.ones(len(values), bool)
+    distinct[1:] = values[1:] != values[:-1]
+    values = values[distinct]
     for start, stop in _undecided_spans(values):
         span = values[start:stop]
         n = len(span)

@@ -218,12 +218,12 @@ def test_readme_library_surface_is_exported():
 
 
 def _config_with(tmp_path, **changes):
-    """The bundled config without its override, top-level keys replaced,
-    reading the bundled data."""
+    """The bundled config without its override, reading the bundled data,
+    top-level keys replaced."""
     doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
     doc.pop("overrides")
-    doc.update(changes)
     doc["data"] = str(DATA_DIR / "institutions.csv")
+    doc.update(changes)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -286,13 +286,14 @@ def _ic_flag(value):
     ({"ladders": _ss_ladder(weights=(True, False, False))}, "ladder weights must be integers"),
     ({"ladders": _ss_ladder(name="XX")}, "ladders for undeclared or nominal attributes: ['XX']"),
     ({"block_order": "bogus", "alpha": 0, "beta": 1}, "unknown block_order 'bogus'"),
+    ({"data": None}, "data must be a path string, got None"),
 ], ids=["range-max-string", "range-max-true", "range-max-infinity", "range-max-huge-int",
         "attributes-int", "range-max-nan", "attribute-int", "rank-range-word", "overrides-int",
         "force-string", "drop-string", "rank-bound-float", "rank-inf", "rank-neg-inf", "rank-nan",
         "rank-float", "rank-triple", "alpha-string", "alpha-true", "beta-null", "alpha-huge-int",
         "beta-huge-int",
         "labels-string", "labels-int", "attribute-ladder-string", "weights-float",
-        "weights-bool", "ladder-undeclared", "block-order-bogus"])
+        "weights-bool", "ladder-undeclared", "block-order-bogus", "data-null"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     config = _config_with(tmp_path, **changes)
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")
@@ -300,6 +301,17 @@ def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     assert code == 2
     assert captured.err.startswith("error [stage:load]") and message in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "partition", "rank", "fca"])
+def test_a_rank_range_no_rank_reaches_is_a_cluster_error(tmp_path, capsys, command):
+    config = _config_with(tmp_path, rank_ranges=[[1, 3], [4, 6], [7, 9], [10, 12]],
+                          overrides={"partitions": str(DATA_DIR / "eca_partition_override.json")})
+    code = run_cli(command, "--config", config, "--out", tmp_path / "out")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error [stage:cluster] rank range [10, 12] holds no object\n"
     assert not (tmp_path / "out").exists()
 
 

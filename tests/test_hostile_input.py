@@ -1,10 +1,12 @@
 """Hostile input as a property: the bundled config, data, partition override,
-an ordered-table override and the search-cut targets, each corrupted in
-turn, must end every CLI run in exit 0 or in a stage-tagged exit 2 within a
-time bound, never in a traceback or an untagged ``error:``."""
+an ordered-table override and the search-cut targets, one or two of them
+corrupted at a time, and any search-cut step, must end every CLI run in
+exit 0 or in a stage-tagged exit 2 within a time bound, never in a
+traceback or an untagged ``error:``."""
 
 import copy
 import json
+import math
 import time
 
 import pytest
@@ -106,18 +108,33 @@ def corrupted(which: str):
     return st.integers(0, 3).flatmap(lambda k: changed if k else spoilt)
 
 
-CASES = st.sampled_from(sorted(INPUTS)).flatmap(
-    lambda which: st.tuples(st.just(which), corrupted(which), st.sampled_from(COMMANDS)))
+#: search-cut steps: the intact one, the edges of (0, 1] and of the 0.001
+#: floor, and whatever a float can be.
+STEPS = st.one_of(
+    st.just(0.05),
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.05, 1e-300,
+                     math.nextafter(0.001, 0), math.nextafter(0.001, 1),
+                     math.nextafter(1.0, 0), math.nextafter(1.0, 2))),
+    st.floats(),
+)
 
 
-def run_with(directory, which: str, content: bytes, command: str, capsys):
-    """Write every input intact but ``which``, run ``command`` on them and
-    return its exit status and stderr."""
+@st.composite
+def cases(draw):
+    """One or two inputs corrupted, a command and a search-cut step."""
+    names = draw(st.lists(st.sampled_from(sorted(INPUTS)), min_size=1, max_size=2, unique=True))
+    return ({which: draw(corrupted(which)) for which in names},
+            draw(st.sampled_from(COMMANDS)), draw(STEPS))
+
+
+def run_with(directory, contents: dict[str, bytes], command: str, capsys, step=0.05):
+    """Write every input intact but those in ``contents``, run ``command``
+    on them and return its exit status and stderr."""
     for key, (name, text) in INPUTS.items():
-        (directory / name).write_bytes(content if key == which else text.encode("utf-8"))
+        (directory / name).write_bytes(contents.get(key, text.encode("utf-8")))
     argv = [command, "--config", str(directory / "config.json")]
     if command == "search-cut":
-        argv += ["--targets", str(directory / "targets.json"), "--step", "0.05"]
+        argv += ["--targets", str(directory / "targets.json"), f"--step={step!r}"]
     else:
         argv += ["--out", str(directory / "out"),
                  "--override", f"ordered_table={directory / 'ordered.json'}"]
@@ -131,13 +148,15 @@ def run_with(directory, which: str, content: bytes, command: str, capsys):
 # capsys is read, and so emptied, after every run
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=CASES)
-@example(case=("config", DEEP, "run"))
-@example(case=("data", f"institution,IC\ni_1,{OVERSIZED}\n".encode("utf-8"), "run"))
-@example(case=("targets", NON_UTF8, "search-cut"))
+@given(case=cases())
+@example(case=({"config": DEEP}, "run", 0.05))
+@example(case=({"data": f"institution,IC\ni_1,{OVERSIZED}\n".encode("utf-8")}, "run", 0.05))
+@example(case=({"targets": NON_UTF8}, "search-cut", 0.05))
+@example(case=({"data": NON_UTF8, "targets": DEEP}, "search-cut", -math.inf))
+@example(case=({}, "search-cut", math.nextafter(0.001, 1)))
 def test_corrupted_input_ends_in_exit_0_or_a_tagged_exit_2(tmp_path_factory, capsys, case):
-    which, content, command = case
-    code, err = run_with(tmp_path_factory.mktemp("hostile"), which, content, command, capsys)
+    contents, command, step = case
+    code, err = run_with(tmp_path_factory.mktemp("hostile"), contents, command, capsys, step)
     assert code in (0, 2)
     assert (err.startswith("error [stage:") if code else not err.startswith("error"))
     assert "error:" not in err
@@ -154,7 +173,7 @@ STAGES = {"config": "load", "data": "load", "partitions": "partition", "ordered"
         *(f"{which}-deep" for which in STAGES if which != "data")])
 def test_unreadable_input_names_its_file_and_stage(tmp_path, capsys, which, content):
     command = "search-cut" if which == "targets" else "run"
-    code, err = run_with(tmp_path, which, content, command, capsys)
+    code, err = run_with(tmp_path, {which: content}, command, capsys)
     what = "override" if which in ("partitions", "ordered") else which
     assert code == 2
     assert err.startswith(f"error [stage:{STAGES[which]}] cannot read {what} {tmp_path}")
@@ -163,6 +182,6 @@ def test_unreadable_input_names_its_file_and_stage(tmp_path, capsys, which, cont
 def test_oversized_csv_cell_is_a_load_error_naming_its_line(tmp_path, capsys):
     rows = DATA.splitlines()
     rows[2] = rows[2].replace(",", f",{OVERSIZED}", 1)
-    code, err = run_with(tmp_path, "data", "\n".join(rows).encode("utf-8"), "run", capsys)
+    code, err = run_with(tmp_path, {"data": "\n".join(rows).encode("utf-8")}, "run", capsys)
     assert code == 2
     assert err.startswith("error [stage:load] line 3: field larger than field limit")

@@ -1,4 +1,5 @@
-"""The library keeps no method that only its tests call."""
+"""The library keeps no method, and no private module-level function or
+constant, that only its tests read."""
 
 import ast
 
@@ -26,4 +27,25 @@ def test_every_public_method_is_read_outside_the_tests():
               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
               for item in cls.body if isinstance(item, ast.FunctionDef)
               and not item.name.startswith("_") and item.name not in read]
+    assert not unread, unread
+
+
+def test_every_private_module_name_is_read_outside_the_tests():
+    """Each private function or constant defined at the top level of a
+    module in ``src/roughfca`` must be read somewhere in the library or the
+    benchmark, test files excluded, so that no helper lives on for its
+    tests alone.  It matches by name, as the method check does."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in _parsed(LIBRARY + BENCHMARK) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for path, tree in _parsed(LIBRARY):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path, t.id) for t in targets if isinstance(t, ast.Name)]
+    unread = [f"{path.name}: {name}" for path, name in defined
+              if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, unread

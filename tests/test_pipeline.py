@@ -20,7 +20,7 @@ from roughfca.pipeline import (
     StageError,
     _admissible_prefix,
     _check_order,
-    _order_test,
+    _undecided_spans,
     emit_reports,
     load_config_table,
     run_pipeline,
@@ -142,6 +142,11 @@ def test_stage_errors_are_tagged(config, tmp_path):
     bad_override.write_text(json.dumps([{"attribute": "XX", "blocks": []}]), encoding="utf-8")
     with pytest.raises(StageError, match=r"\[stage:partition\]"):
         run_pipeline(dataclasses.replace(config, partitions_override=bad_override))
+
+    unreached = dataclasses.replace(config, rank_ranges=(*config.rank_ranges, (10, 12)))
+    with pytest.raises(StageError,
+                       match=r"^\[stage:cluster\] rank range \[10, 12\] holds no object$"):
+        run_pipeline(unreached)
 
 
 def test_single_object_universe(tmp_path):
@@ -410,8 +415,8 @@ def test_search_refuses_a_nominal_target(tmp_path, capsys):
 
 
 #: 98 and the next double up: the two-step nu beats the adjacent ones by
-#: less than the O(n) test's margin, so the pairwise check decides, and
-#: finds no break.
+#: less than the O(n) test's margin, so the values lie in an undecided span
+#: and the pairwise check decides, and finds no break.
 FALLBACK_ACCEPTED = (2.0, 98.0, math.nextafter(98.0, math.inf))
 
 
@@ -436,8 +441,11 @@ def sorted_values(draw):
 @example(values=np.array([float(v) for v in NEAR_DUPLICATES]))
 @example(values=np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]))
 def test_order_test_accepts_no_values_that_break_the_order(values):
-    if _order_test(values):
-        assert oracles.first_nu_break(values) is None
+    distinct = np.unique(values)
+    found = oracles.first_nu_break(distinct)
+    if found is not None:
+        i, j = found
+        assert any(start <= i and j < stop for start, stop in _undecided_spans(distinct))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -458,7 +466,7 @@ def test_order_check_refuses_exactly_the_values_that_break_the_order(values):
 
 def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
     values = np.array(FALLBACK_ACCEPTED)
-    assert not _order_test(values) and oracles.first_nu_break(values) is None
+    assert _undecided_spans(values) and oracles.first_nu_break(values) is None
     table = load_table("object,a\n" + "".join(f"o{i},{v!r}\n"
                                                for i, v in enumerate(FALLBACK_ACCEPTED)),
                        [AttributeSpec("a", range_max=1000)])
@@ -479,7 +487,7 @@ def test_pairwise_check_is_sized_by_the_distinct_values():
     # the order test cannot decide FALLBACK_ACCEPTED; on all 2003 values
     # the pairwise check held three n x n float arrays, about 96 MiB
     values = [*FALLBACK_ACCEPTED, *[100.0] * 2000]
-    assert not _order_test(np.sort(values))
+    assert _undecided_spans(np.unique(values))
     table = _one_attribute_table(values)
     objects = table.objects
     targets = {"a": Partition.from_blocks([objects[:1], objects[1:3], objects[3:]], objects)}
@@ -508,7 +516,7 @@ def test_pairwise_check_stays_near_the_undecided_values():
     # float arrays, about 95 MiB
     n = 2000
     values = [*FALLBACK_ACCEPTED, *map(float, range(100, n + 97))]
-    assert not _order_test(np.array(values))
+    assert _undecided_spans(np.array(values))
     table = _one_attribute_table(values, range_max=n + 96)
     targets = {"a": Partition.from_blocks([table.objects], table.objects)}
     tracemalloc.start()
