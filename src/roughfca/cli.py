@@ -207,9 +207,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value may be a negative number in exponent form or an
+#: infinity, such as ``-1e-3`` or ``-inf``.
+_NUMBER_OPTIONS = ("--alpha", "--beta", "--step")
+
+
+def _is_number_option(arg: str) -> bool:
+    """Whether ``arg`` names a number option in full or, as argparse lets
+    it, by a prefix of its name."""
+    return len(arg) > 2 and any(name.startswith(arg) for name in _NUMBER_OPTIONS)
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each number option and its value as one ``--name=value``
+    argument.  argparse reads a separate value that starts with ``-`` as an
+    option unless it is a plain negative decimal, so ``--step -1e-3`` would
+    end in a usage error where ``--step=-1e-3`` reaches the stage that
+    rejects the value.  Only a value that parses as a float is attached: an
+    option name never does."""
+    out: list[str] = []
+    for arg in argv:
+        if out and _is_number_option(out[-1]) and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except StageError as exc:

@@ -15,21 +15,29 @@ formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
 downstream consumers decide whether to proceed.  Its records are built
 only when read (:class:`ProximityViolations`), from the relation's matrices,
-which are the relation's own read-only copies.
+which are read-only and the relation's own: :func:`build_proximity` hands
+over the matrices it makes, and matrices from anywhere else are copied.
 
 Reports print each degree rounded half up to three decimals, taken on the
 shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
 0.005 although its double lies just below the tie, where ``round(x, 3)``
-gives 0.004.
-:func:`proximity_to_csv` renders a block of whole rows per numpy pass: one
-pass per row pays numpy's fixed cost per call on every row, and one pass
-over the whole matrix holds several times the output text in temporaries.
+gives 0.004.  The degrees of a relation from :func:`build_proximity` lie in
+[0, 1], so each prints as the five bytes ``d.ddd`` and a row of
+:func:`proximity_to_csv` is fixed-width after its label field: 14 bytes a
+cell.  The renderer rounds ``x * 1000`` with ``np.rint``, sends the
+near-ties (within 1e-9 of a half-way point) through ``Decimal``, and copies
+each cell's bytes from 1001-entry tables into a row buffer, a block of whole
+rows per numpy pass: one pass per row pays numpy's fixed cost per call on
+every row, and one pass over the whole matrix holds several times the
+output text in temporaries.  A degree outside [0, 1], -0.0, NaN or an
+infinity, which only a hand-built relation holds, is printed through
+``Decimal`` in its cell's place.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Sequence
 
@@ -62,19 +70,22 @@ def numeric_values(table: InformationTable, attribute: str) -> tuple[np.ndarray,
 @dataclass(frozen=True, eq=False)
 class IFProximityRelation:
     """Dense symmetric matrix of (mu, nu) degrees for one attribute, held as
-    read-only copies that no array or view the caller keeps can change."""
+    read-only copies that no array or view the caller keeps can change.
+    ``_owned`` hands over matrices made for the relation, which nothing else
+    references: they are marked read-only in place instead of copied."""
 
     attribute: str
     objects: tuple[str, ...]
     mu: np.ndarray
     nu: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         n = len(self.objects)
         if self.mu.shape != (n, n) or self.nu.shape != (n, n):
             raise ValueError("degree matrices must be |U| x |U|")
         for field in ("mu", "nu"):
-            matrix = getattr(self, field).copy()
+            matrix = getattr(self, field) if _owned else getattr(self, field).copy()
             matrix.setflags(write=False)
             object.__setattr__(self, field, matrix)
 
@@ -88,7 +99,7 @@ def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelat
     vals, range_max = numeric_values(table, attribute)
     x, y = vals[:, None], vals
     return IFProximityRelation(attribute, table.objects, membership_degree(x, y, range_max),
-                               nonmembership_degree(x, y))
+                               nonmembership_degree(x, y), _owned=True)
 
 
 @dataclass(frozen=True)
@@ -185,29 +196,83 @@ def round_half_up(x: float) -> float:
     return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-#: Three-decimal text of k / 1000 for k = 0 .. 1000.
-_CELL_TEXT = np.array([f"{k // 1000}.{k % 1000:03d}" for k in range(1001)], dtype=object)
+def _cell_words() -> tuple[np.ndarray, ...]:
+    """The eight-byte words of a cell for the degrees k / 1000, k = 0 ..
+    1000, as little-endian integers: the mu words ``"d.ddd,,`` and the nu
+    words ``,d.ddd",``."""
+    texts = [f"{k // 1000}.{k % 1000:03d}" for k in range(1001)]
+    return tuple(np.frombuffer((first + (last + first).join(texts) + last).encode(), dtype="<u8")
+                 for first, last in (('"', ",,"), (",", '",')))
+
+
+#: A rendered cell is 14 bytes, ``"mu,nu"`` and the comma after it, or the
+#: newline that ends its row.  The mu word fills bytes 0-7, the nu word
+#: bytes 6-13, so the nu word is written second: its comma overwrites the
+#: unused last byte of the mu word.
+_CELL = np.dtype({"names": ["mu", "nu"], "formats": ["<u8", "<u8"], "offsets": [0, 6],
+                  "itemsize": 14})
+_MU_WORDS, _NU_WORDS = _cell_words()
+
+#: The bits of 1.0.  As unsigned integers, the bits of a double order the
+#: doubles of [0, 1] among themselves and put -0.0, every other negative
+#: double, every double above 1, the infinities and NaN above this value.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 #: Cells rendered per numpy pass, in whole rows and at least one row.
-_BLOCK_CELLS = 1024
+_BLOCK_CELLS = 4096
 
 
-def _cell_texts(block: np.ndarray) -> np.ndarray:
-    """Three-decimal texts of a 2-D block of degrees, as ``round_half_up``
-    and ``:.3f`` give them.  A cell in [0, 1] more than 1e-9 from a half-way
-    point reads its text from the table: the product ``x * 1000`` is within
-    about 2e-13 of the shortest repr of x times 1000, so it falls on the
-    same side of the tie.  Every other cell, -0.0 included, goes through
-    ``Decimal``."""
-    block = np.asarray(block, dtype=np.float64)
-    in_range = (block <= 1.0) & ~np.signbit(block)  # False for NaN
-    scaled = np.where(in_range, block, 0.0) * 1000.0
-    floor = np.floor(scaled)
-    frac = scaled - floor
-    texts = _CELL_TEXT[(floor + (frac > 0.5)).astype(np.int16)]
-    for i, j in zip(*np.nonzero(~in_range | (np.abs(frac - 0.5) <= 1e-9))):
-        texts[i, j] = f"{round_half_up(block[i, j].item()):.3f}"
-    return texts
+def _thousandths(block: np.ndarray) -> np.ndarray:
+    """``round_half_up(x) * 1000`` of each degree x in [0, 1] of a 2-D block.
+    ``x * 1000`` is within about 2e-13 of the shortest repr of x times 1000,
+    so a product more than 1e-9 from a half-way point rounds to the nearest
+    integer on the same side of the tie as that repr.  A near-tie goes
+    through ``Decimal``."""
+    scaled = block * 1000.0
+    codes = np.rint(scaled)
+    scaled -= codes
+    for i, j in zip(*np.nonzero(np.abs(scaled, out=scaled) >= 0.5 - 1e-9)):
+        codes[i, j] = round(round_half_up(block[i, j].item()) * 1000)
+    del scaled  # before the cast allocates its copy
+    return codes.astype(np.intp)
+
+
+def _row_blocks(rel: IFProximityRelation) -> Iterator[bytes]:
+    """The rows of :func:`proximity_to_csv` in UTF-8, a block of rows at a
+    time.  The row buffer lives as long as the iterator, so it is freed
+    before the caller joins the blocks."""
+    n, size = rel.size, _CELL.itemsize
+    labels = [(csv_field(label) + ",").encode("utf-8", "surrogatepass") for label in rel.objects]
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    width = size * n
+    buf = np.empty((min(rows, n), n, size), dtype=np.uint8)
+    cells, flat = buf.view(_CELL)[..., 0], memoryview(buf.reshape(-1))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        odd: dict[int, set[int]] = {}  # the columns of each row's odd cells
+        for field, words in (("mu", _MU_WORDS), ("nu", _NU_WORDS)):
+            block = np.asarray(getattr(rel, field)[start:stop], dtype=np.float64)
+            if block.view(np.uint64).max() > _ONE_BITS:
+                outside = block.view(np.uint64) > _ONE_BITS
+                for i, j in zip(*np.nonzero(outside)):
+                    odd.setdefault(i, set()).add(j)
+                block = np.where(outside, 0.0, block)
+            np.take(words, _thousandths(block), out=cells[field][:stop - start], mode="clip")
+        buf[:, -1, -1] = ord("\n")  # in place of the last nu word's comma
+        # each row's label field, then its slice of the buffer, split around
+        # the text of each odd cell between the cell's quotes
+        pieces = []
+        for i in range(stop - start):
+            pos = i * width
+            pieces.append(labels[start + i])
+            for j in sorted(odd.get(i, ())):
+                cell = i * width + j * size
+                mu, nu = rel.mu[start + i, j].item(), rel.nu[start + i, j].item()
+                pieces += [flat[pos:cell + 1],
+                           f"{round_half_up(mu):.3f},{round_half_up(nu):.3f}".encode()]
+                pos = cell + size - 2  # at the closing quote
+            pieces.append(flat[pos:(i + 1) * width])
+        yield b"".join(pieces)
 
 
 def proximity_to_csv(rel: IFProximityRelation) -> str:
@@ -215,32 +280,19 @@ def proximity_to_csv(rel: IFProximityRelation) -> str:
     to three decimals (cells are quoted since they contain commas).
 
     Rounding is half up on the shortest decimal repr of each degree, as
-    :func:`round_half_up` does it: a degree in [0, 1] away from a half-way
-    point takes its text from a 1001-entry table, and near-ties (within 1e-9
-    of one), degrees outside [0, 1] and non-finite degrees fall back to
-    ``Decimal``.  Rows are rendered a block at a time, as many whole rows as
-    fit in ``_BLOCK_CELLS`` cells, which bounds the temporaries of each
-    numpy pass and so keeps the peak memory near twice the output.
+    :func:`round_half_up` does it.  A degree of [0, 1] prints as the five
+    bytes ``d.ddd``, so after its label field a row is n fixed-width cells
+    of 14 bytes, ``"d.ddd,d.ddd"`` and a comma, or the newline after the
+    last cell.  Rows are rendered a block at a time, as many whole rows as
+    fit in ``_BLOCK_CELLS`` cells: each degree is rounded to thousandths by
+    ``np.rint`` (:func:`_thousandths`, where a near-tie goes through
+    ``Decimal``), each cell's bytes are copied from 1001-entry tables into a
+    reused row buffer, and each row's label field is joined with its slice
+    of that buffer.  A cell with a degree outside [0, 1], -0.0, NaN or an
+    infinity is written over its slot with both degrees through ``Decimal``,
+    as :func:`round_half_up` and ``:.3f`` give them, so an infinity raises
+    ``InvalidOperation``.  Only hand-built relations hold such degrees.
     """
-    n = rel.size
-    header = ",".join([csv_field(rel.attribute, not n), *map(csv_field, rel.objects)]) + "\n"
-    # each row's label field up to the opening quote of its first cell
-    starts = [csv_field(label) + ',"' for label in rel.objects]
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
-    # a block's text as pieces, per row: the label field and the opening
-    # quote, then mu "," nu '","' per cell, with '"\n' closing the last
-    # cell.  A cell holds a comma and no quote, so it is quoted and no more.
-    pieces = np.empty((min(rows, n), 1 + 4 * n), dtype=object)
-    pieces[:, 2::4] = ","
-    pieces[:, 4::4] = '","'
-    pieces[:, -1] = '"\n'
-    parts = [header]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        k = stop - start
-        pieces[:k, 0] = starts[start:stop]
-        pieces[:k, 1::4] = _cell_texts(rel.mu[start:stop])
-        pieces[:k, 3::4] = _cell_texts(rel.nu[start:stop])
-        parts.append("".join(pieces[:k].ravel().tolist()))
-    del pieces  # free the pieces before the join copies the text
-    return "".join(parts)
+    header = ",".join([csv_field(rel.attribute, not rel.size), *map(csv_field, rel.objects)])
+    text = b"".join([(header + "\n").encode("utf-8", "surrogatepass"), *_row_blocks(rel)])
+    return text.decode("utf-8", "surrogatepass")

@@ -173,6 +173,29 @@ def test_cut_flags_outside_the_admissible_set_are_a_load_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, value, stage", [
+    (["search-cut", "--targets", TARGETS_PATH], "--step -1e-3", "partition"),
+    (["search-cut", "--targets", TARGETS_PATH], "--step -inf", "partition"),
+    (["search-cut", "--targets", TARGETS_PATH], "--st -1e-3", "partition"),
+    (["run"], "--alpha -1e-3", "load"),
+    (["run"], "--beta -1e-3", "load"),
+], ids=["step-exponent", "step-minus-inf", "step-prefix", "alpha-exponent", "beta-exponent"])
+def test_negative_number_after_its_option_is_read_as_its_value(tmp_path, capsys, argv, value,
+                                                               stage):
+    # argparse reads a separate "-1e-3" or "-inf" as an option, not a value,
+    # unless the CLI attaches it to its option as --name=value does
+    option, number = value.split()
+    results = []
+    for flag in ([option, number], [f"{option}={number}"]):
+        code = run_cli(*argv, "--config", CONFIG_PATH, *flag, "--out", tmp_path / "out")
+        results.append((code, capsys.readouterr()))
+    (code, captured), attached = results
+    assert (code, captured) == attached
+    assert code == 2 and captured.err.startswith(f"error [stage:{stage}]")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["search-cut", "--targets", TARGETS_PATH, "--alpha", "0.5"],
     ["search-cut", "--targets", TARGETS_PATH, "--force"],
