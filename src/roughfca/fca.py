@@ -16,6 +16,21 @@ per candidate or per rule inside the two walks below stay inline: there a
 call per step costs more than the loop it would replace (routing the basis's
 per-rule marks through ``_bit_indices`` made it 4-15% slower).
 
+Objects with equal rows are indiscernible: every extent holds all of them or
+none.  So a context is clarified once, when it is made: its classes are its
+distinct rows in order of first appearance, each with a member mask over the
+objects and a multiplicity, and its class columns are bitmasks over the
+classes.  The two walks, the cover and the DOT run over classes, so their
+cost follows the distinct rows, not the objects (a ranked cluster repeats
+label rows often: 25 distinct rows among 59 objects in the benchmark's
+``tiered`` table).  A rule's support is the sum of the multiplicities of its
+extent's classes, the same object count as before.  A concept from the walk
+keeps its class extent and its intent as masks; the tuples of names that
+``Concept.extent`` and ``Concept.intent`` give are built when first read, and
+the report path reads none of them: the DOT expands to objects only the
+classes each node introduces.  A concept list made by hand from names gets
+its masks in one place, ``_lattice_masks``, each object a class of its own.
+
 Concept enumeration and the canonical implication basis both walk a
 Close-by-One tree (Kuznetsov 1993).  Rows and columns are kept as integer
 bitmasks, so closures are a handful of machine-word operations at the scale
@@ -28,8 +43,8 @@ exactly one parent.  Every set under child i agrees with B below i and holds
 i, so it is lectically smaller than every set under a sibling j < i: visiting
 children in descending attribute order lists the closed sets in lectic
 order, the order of Ganter's Next-Closure.  Concept extents are carried down
-the tree (a child's is its parent's AND the column of i), and each child's
-intent is computed from its extent.
+the tree as class masks (a child's is its parent's AND the class column of
+i), and each child's intent is the AND of its classes' rows.
 
 The basis visits, in the same order, the sets closed under the rules found
 so far.  A candidate is closed only after its earlier siblings' subtrees are
@@ -48,13 +63,18 @@ earlier child is classified into the counters by its own count of missing
 attributes, and a candidate is dropped as soon as its closure gains an
 attribute below i.
 
-The lattice cover needs only the concept list.  Each object gets a bitmask
+The basis walk also meets every concept with a non-empty extent, in the same
+order, so one walk could return both.  The two stay apart while the
+benchmark times ``enumerate_concepts`` as a layer of its own from outside
+the library; merging them waits until the library records its own stage
+times.
+
+The lattice cover needs only the concept list.  Each class gets a bitmask
 over the concepts whose extent holds it, so the supersets of an extent are
-the AND of its objects' masks: one big-integer operation per object of
-each extent.
-A concept's upper neighbours are then taken smallest first from its strict
-supersets, each one clearing its own supersets from the rest, one step per
-cover edge.
+the AND of its classes' masks: one big-integer operation per class of each
+extent.  A concept's upper neighbours are then taken smallest first from its
+strict supersets, each one clearing its own supersets from the rest, one
+step per cover edge.
 
 The canonical basis keeps the rules whose premise some object satisfies.  A
 premise that no object satisfies closes to the full attribute set, so its
@@ -68,8 +88,8 @@ premise.  So a candidate whose extent is empty is dropped unexpanded, a node
 tries only the attributes that some object of its extent holds, and its
 counters leave out the rules that no object of its extent satisfies: such a
 rule could fire only on a set with an empty extent.  ``satisfied[g]`` is a
-bitmask over the rules whose premise object g satisfies; their OR over a
-node's extent gives its live rules.
+bitmask over the rules whose premise the objects of class g satisfy; their
+OR over a node's extent gives its live rules.
 """
 
 from __future__ import annotations
@@ -114,12 +134,19 @@ def _names(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
 @dataclass(frozen=True, eq=False)
 class FormalContext:
     """Objects, attributes and their incidence, with bitmask accessors.
-    Object names are unique, and so are attribute names."""
+    Object names are unique, and so are attribute names.
+
+    The objects fall into classes, one per distinct row, numbered by first
+    appearance; the walks, the cover and the DOT run over the classes."""
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     rows: tuple[int, ...]  # per object, bitmask over attribute indices
     cols: tuple[int, ...] = field(init=False, repr=False)
+    _class_rows: tuple[int, ...] = field(init=False, repr=False)
+    _class_members: tuple[int, ...] = field(init=False, repr=False)  # per class, an object mask
+    _class_sizes: tuple[int, ...] = field(init=False, repr=False)
+    _class_cols: tuple[int, ...] = field(init=False, repr=False)  # per attribute, a class mask
     _obj_index: dict[str, int] = field(init=False, repr=False)
     _attr_index: dict[str, int] = field(init=False, repr=False)
 
@@ -127,13 +154,25 @@ class FormalContext:
         if len(self.rows) != len(self.objects):
             raise ValueError("one incidence row per object required")
         n = len(self.attributes)
-        cols = [0] * n
+        members: dict[int, int] = {}  # per distinct row, by first appearance, its objects
         for g, row in enumerate(self.rows):
+            members[row] = members.get(row, 0) | 1 << g
+        cols = [0] * n
+        class_cols = [0] * n
+        bit = 1  # the class's bit
+        for row, objects in members.items():
             if row >> n:  # also a negative row
-                raise ValueError(f"row of {self.objects[g]!r} has bits beyond its {n} attributes")
+                first = self.objects[(objects & -objects).bit_length() - 1]
+                raise ValueError(f"row of {first!r} has bits beyond its {n} attributes")
             for a in _bit_indices(row):
-                cols[a] |= 1 << g
-        object.__setattr__(self, "cols", tuple(cols))
+                cols[a] |= objects
+                class_cols[a] |= bit
+            bit <<= 1
+        for slot, value in (("cols", cols), ("_class_rows", members.keys()),
+                            ("_class_members", members.values()),
+                            ("_class_sizes", map(int.bit_count, members.values())),
+                            ("_class_cols", class_cols)):
+            object.__setattr__(self, slot, tuple(value))
         for kind, names, slot in (("object", self.objects, "_obj_index"),
                                   ("attribute", self.attributes, "_attr_index")):
             index = {name: i for i, name in enumerate(names)}
@@ -238,29 +277,103 @@ def _resolve_scope(universe: tuple[str, ...], scope: Iterable[str] | None) -> tu
     return objects
 
 
-@dataclass(frozen=True)
 class Concept:
-    """An (extent, intent) pair fixed under mutual derivation."""
+    """An (extent, intent) pair fixed under mutual derivation.
 
-    extent: tuple[str, ...]
-    intent: tuple[str, ...]
+    A concept from :func:`enumerate_concepts` keeps its extent as a mask over
+    its context's object classes and its intent as an attribute mask; each
+    tuple of names is built when first read.  Equality, hashing and repr go
+    by the names, as for one built from them."""
+
+    __slots__ = ("_extent", "_intent", "_context", "_classes", "_mask")
+
+    def __init__(self, extent: tuple[str, ...], intent: tuple[str, ...]) -> None:
+        self._extent, self._intent, self._context = extent, intent, None
+
+    @property
+    def extent(self) -> tuple[str, ...]:
+        if self._extent is None:
+            context = self._context
+            self._extent = context.object_names(_class_objects(context._class_members,
+                                                               self._classes))
+        return self._extent
+
+    @property
+    def intent(self) -> tuple[str, ...]:
+        if self._intent is None:
+            self._intent = self._context.attr_names(self._mask)
+        return self._intent
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Concept):
+            return NotImplemented
+        return self.extent == other.extent and self.intent == other.intent
+
+    def __hash__(self) -> int:
+        return hash((self.extent, self.intent))
+
+    def __repr__(self) -> str:
+        return f"Concept(extent={self.extent!r}, intent={self.intent!r})"
+
+
+def _class_objects(members: Sequence[int], classes: int) -> int:
+    """The object mask of a class mask: the OR of its classes' members."""
+    out = 0
+    while classes:
+        low = classes & -classes
+        out |= members[low.bit_length() - 1]
+        classes ^= low
+    return out
+
+
+def _lattice_masks(concepts: Sequence[Concept]) -> tuple[list[int], list[int], Sequence[int],
+                                                         Sequence[str], Sequence[str]]:
+    """Extent and intent masks of a concept list, the object mask of each bit
+    of an extent mask, and the names of the objects and of the attributes.
+
+    Concepts that one walk made share its context: their extents are class
+    masks.  Any other list is indexed by first appearance of each object and
+    attribute name, each object a class of its own."""
+    context = concepts[0]._context if concepts else None
+    if context is not None and all(c._context is context for c in concepts):
+        return ([c._classes for c in concepts], [c._mask for c in concepts],
+                context._class_members, context.objects, context.attributes)
+    objects: dict[str, int] = {}
+    attributes: dict[str, int] = {}
+    extents, intents = [], []
+    for concept in concepts:
+        for names, index, masks in ((concept.extent, objects, extents),
+                                    (concept.intent, attributes, intents)):
+            mask = 0
+            for name in names:
+                mask |= 1 << index.setdefault(name, len(index))
+            masks.append(mask)
+    members = [1 << g for g in range(len(objects))]
+    return extents, intents, members, tuple(objects), tuple(attributes)
 
 
 def enumerate_concepts(context: FormalContext) -> list[Concept]:
     """All formal concepts, each exactly once, in lectic order of intents."""
     n = len(context.attributes)
     top = (1 << n) - 1
-    rows, cols = context.rows, context.cols
+    rows, cols = context._class_rows, context._class_cols
     concepts = []
-    extent = (1 << len(context.objects)) - 1
+    new = Concept.__new__
+    extent = (1 << len(rows)) - 1
+    intent = top
+    for row in rows:
+        intent &= row
     # flat (extent, intent, first attribute to try) triples: a stack of tuples
     # would leave its emptied tuples on the interpreter's free list
-    stack = [extent, context.intent_of(extent), 0]
+    stack = [extent, intent, 0]
     while stack:
         y = stack.pop()
         intent = stack.pop()
         extent = stack.pop()
-        concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
+        concept = new(Concept)
+        concept._extent = concept._intent = None
+        concept._context, concept._classes, concept._mask = context, extent, intent
+        concepts.append(concept)
         for i in range(y, n):  # pushed ascending, so popped descending
             bit = 1 << i
             if intent & bit:
@@ -282,39 +395,34 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     pairs where the parent's extent covers the child's with nothing between.
 
     The parents of a concept are the minimal strict supersets of its extent.
-    Positions hold the concepts by ascending extent size and are visited
-    downward; ``containing[g]`` is a bitmask over the positions visited so
-    far whose extent holds object g.  The AND of ``containing`` over an
-    extent's objects marks the extents above it that contain it; dropping
-    those of equal size, which equal it, gives ``up[p]``, the strict
-    supersets of position p.  The lowest candidate is a smallest one, so it is
-    minimal: it is recorded as a parent and its own strict supersets leave
-    the candidates.  A candidate that is left holds no parent found so far,
-    so every candidate taken is minimal.
+    Extents are read as class masks (``_lattice_masks``); a strict superset
+    holds strictly more classes.  Positions hold the concepts by ascending
+    extent size and are visited downward; ``containing[g]`` is a bitmask over
+    the positions visited so far whose extent holds class g.  The AND of
+    ``containing`` over an extent's classes marks the extents above it that
+    contain it; dropping those of equal size, which equal it, gives
+    ``up[p]``, the strict supersets of position p.  The lowest candidate is a
+    smallest one, so it is minimal: it is recorded as a parent and its own
+    strict supersets leave the candidates.  A candidate that is left holds no
+    parent found so far, so every candidate taken is minimal.
     """
-    index: dict[str, int] = {}
-    masks = []
-    for concept in concepts:
-        mask = 0
-        for obj in concept.extent:
-            mask |= 1 << index.setdefault(obj, len(index))
-        masks.append(mask)
+    masks, _, members, _, _ = _lattice_masks(concepts)
     sizes = [mask.bit_count() for mask in masks]
     order = sorted(range(len(masks)), key=sizes.__getitem__)
     sizes.sort()  # now by position
-    containing = [0] * len(index)
+    containing = [0] * len(members)
     above = 0  # the positions visited so far
     up = [0] * len(order)
     for p in range(len(order) - 1, -1, -1):
-        objects = _bit_indices(masks[order[p]])
+        classes = _bit_indices(masks[order[p]])
         supersets = above  # an empty extent lies in every extent above it
-        for g in objects:
+        for g in classes:
             supersets &= containing[g]
         larger = bisect_right(sizes, sizes[p])  # above p, an equal size is an equal extent
         up[p] = supersets >> larger << larger
         bit = 1 << p
         above |= bit
-        for g in objects:
+        for g in classes:
             containing[g] |= bit
     del masks, containing  # only ``up`` stays alive while the edges grow
     edges = []
@@ -349,12 +457,13 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
     """
     n = len(context.attributes)
     full = (1 << n) - 1
-    names, rows, cols = context.attributes, context.rows, context.cols
+    names, rows, cols = context.attributes, context._class_rows, context._class_cols
+    sizes = context._class_sizes
     premises: list[int] = []
     closures: list[int] = []  # full closure mask of each rule's premise
     out: list[Implication] = []
     uses = [0] * n  # per attribute, bitmask over the rules whose premise holds it
-    satisfied = [0] * len(rows)  # per object, bitmask over the rules it satisfies
+    satisfied = [0] * len(rows)  # per class, bitmask over the rules its row satisfies
 
     def expand(extent: int, mask: int, y: int) -> list[int] | None:
         """Record the rule of ``mask`` if it is a pseudo-intent, and return
@@ -382,14 +491,16 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
                 rest ^= low
             premises.append(mask)
             closures.append(closed)
-            out.append(Implication(_names(names, mask), _names(names, closed & ~mask),
-                                   extent.bit_count()))
             live |= rule
+            support = 0  # the objects of the extent's classes
             rest = extent
             while rest:
                 low = rest & -rest
-                satisfied[low.bit_length() - 1] |= rule
+                g = low.bit_length() - 1
+                satisfied[g] |= rule
+                support += sizes[g]
                 rest ^= low
+            out.append(Implication(_names(names, mask), _names(names, closed & ~mask), support))
             if closed & ~mask & ((1 << y) - 1):
                 return None
             mask = closed
@@ -532,25 +643,31 @@ def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]
     an attribute is introduced only at its attribute concept, the largest
     extent whose intent holds it, and an object only at its object concept,
     the smallest extent that holds it.  So a visit of the concepts by
-    ascending extent size finds each attribute's last concept and each
-    object's first, and the cover is read only to draw the edges.  Names are
+    ascending extent size gives each class of objects to the first extent
+    that holds it, and the reverse visit gives each attribute to the first
+    intent that holds it; the cover is read only to draw the edges.  Only the
+    classes a node introduces are expanded to their objects.  Names are
     backslash-escaped where DOT's record labels give a character a meaning.
     """
-    attr_concept: dict[str, int] = {}
-    obj_concept: dict[str, int] = {}
-    for idx in sorted(range(len(concepts)), key=lambda i: len(concepts[i].extent)):
-        concept = concepts[idx]
-        for attr in concept.intent:
-            attr_concept[attr] = idx
-        for obj in concept.extent:
-            obj_concept.setdefault(obj, idx)
+    extents, intents, members, objects, attributes = _lattice_masks(concepts)
+    order = sorted(range(len(concepts)), key=lambda i: extents[i].bit_count())
+    own_classes = [0] * len(concepts)
+    seen = 0
+    for idx in order:
+        own_classes[idx] = extents[idx] & ~seen
+        seen |= extents[idx]
+    own_attrs = [0] * len(concepts)
+    seen = 0
+    for idx in reversed(order):
+        own_attrs[idx] = intents[idx] & ~seen
+        seen |= intents[idx]
 
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
-    for idx, concept in enumerate(concepts):
-        own_attrs = " ".join(a for a in concept.intent if attr_concept[a] == idx)
-        own_objs = " ".join(o for o in concept.extent if obj_concept[o] == idx)
-        lines.append(f'  c{idx} [label="{{{own_attrs.translate(_DOT_ESCAPES)}|'
-                     f'{own_objs.translate(_DOT_ESCAPES)}}}"];')
+    for idx in range(len(concepts)):
+        attrs = " ".join(_names(attributes, own_attrs[idx]))
+        objs = " ".join(_names(objects, _class_objects(members, own_classes[idx])))
+        lines.append(f'  c{idx} [label="{{{attrs.translate(_DOT_ESCAPES)}|'
+                     f'{objs.translate(_DOT_ESCAPES)}}}"];')
     for p, c in cover:
         lines.append(f"  c{c} -> c{p};")
     lines.append("}")

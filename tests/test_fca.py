@@ -261,6 +261,17 @@ def test_full_incidence_context():
         (concepts[0].extent, concepts[0].intent) == (("g", "h"), ("m", "n"))
 
 
+def test_walk_concepts_compare_hash_and_print_as_built_from_names():
+    # g and k share a row, so one class; names are built on first read
+    ctx = FormalContext(("g", "h", "k"), ("m", "n"), (0b01, 0b11, 0b01))
+    concepts = enumerate_concepts(ctx)
+    by_hand = [Concept(("g", "h", "k"), ("m",)), Concept(("h",), ("m", "n"))]
+    assert concepts == by_hand and by_hand == concepts
+    assert set(concepts) == set(by_hand)
+    assert repr(enumerate_concepts(ctx)[1]) == "Concept(extent=('h',), intent=('m', 'n'))"
+    assert '  c0 [label="{m|g k}"];' in lattice_to_dot(concepts, lattice_cover(concepts))
+
+
 def test_lattice_cover_cluster3(cluster_contexts):
     concepts = enumerate_concepts(cluster_contexts[3])
     cover = lattice_cover(concepts)
@@ -639,3 +650,39 @@ def test_lattice_cover_of_contranominal_scale_13_in_bounded_time():
     for parent, child in cover:
         above, below = set(concepts[parent].extent), set(concepts[child].extent)
         assert below < above and len(above - below) == 1
+
+
+# the 25 distinct rows of the largest cluster of the benchmark's tiered
+# table, each a ladder level per attribute (digit k of a row is A<k><level>)
+TIERED_CLUSTER_ROWS = (
+    "222222", "444424", "222212", "444444", "333333", "232222", "332333", "333334", "444431",
+    "433333", "444441", "222224", "444244", "444234", "222432", "334333", "442442", "313333",
+    "333133", "322222", "344444", "442444", "444434", "222422", "444442",
+)
+
+
+def test_fca_on_20k_objects_of_25_distinct_rows_in_bounded_time():
+    # every kernel runs over the distinct rows: the per-object walks, cover
+    # and basis took about 5 s on concepts, cover and basis alone
+    patterns = [sum(1 << (4 * k + int(level) - 1) for k, level in enumerate(row))
+                for row in TIERED_CLUSTER_ROWS]
+    attrs = tuple(f"A{k + 1}{level}" for k in range(6) for level in range(1, 5))
+    n = 20_000
+    rows = tuple(patterns[g * 7 % 25] for g in range(n))  # each row 800 times, interleaved
+    start = time.perf_counter()
+    ctx = FormalContext(tuple(f"g{g}" for g in range(n)), attrs, rows)
+    concepts = enumerate_concepts(ctx)
+    cover = lattice_cover(concepts)
+    basis = canonical_basis(ctx)
+    dot = lattice_to_dot(concepts, cover)
+    assert time.perf_counter() - start < 2.0
+    # the clarified context: one object per row, the same lattice and rules
+    small = FormalContext(tuple(f"r{r}" for r in range(25)), attrs, tuple(patterns))
+    small_concepts = enumerate_concepts(small)
+    assert [c.intent for c in concepts] == [c.intent for c in small_concepts]
+    assert cover == lattice_cover(small_concepts)
+    assert [(r.premise, r.conclusion, r.support) for r in basis] == [
+        (r.premise, r.conclusion, 800 * r.support) for r in canonical_basis(small)]
+    # every object is introduced at exactly one node of the DOT
+    labels = [line.split("|", 1)[1][:-4] for line in dot.splitlines() if "[label=" in line]
+    assert sorted(" ".join(labels).split()) == sorted(ctx.objects)
