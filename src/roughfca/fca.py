@@ -44,7 +44,13 @@ i, so it is lectically smaller than every set under a sibling j < i: visiting
 children in descending attribute order lists the closed sets in lectic
 order, the order of Ganter's Next-Closure.  Concept extents are carried down
 the tree as class masks (a child's is its parent's AND the class column of
-i), and each child's intent is the AND of its classes' rows.
+i).  One pass over a child's classes ANDs their rows into its intent and ORs
+them into the attributes they hold, and a node tries only the attributes
+that some class of its extent holds.  Any other attribute would give the
+empty extent, whose intent is all of M.  That concept, the bottom (∅, M),
+starts at the foot of the stack, so it comes out last, where lectic order
+puts M, unless the walk lists M itself: when there is no class, or a class
+holds every attribute.
 
 The basis visits, in the same order, the sets closed under the rules found
 so far.  A candidate is closed only after its earlier siblings' subtrees are
@@ -54,14 +60,19 @@ Krajča 2021).  ``uses[a]`` is a bitmask over rule indices marking the rules
 whose premise holds attribute ``a``.  A pseudo-intent B records the rule
 B -> B'' and its children start from B'' (it has none when B'' gains an
 attribute below y), so a rule whose premise lies inside a node's set never
-fires again below it.  Each node makes one pass over its absent attributes
-to build two saturating counters over the rules: ``once`` holds the rules
-missing at least one of them and ``twice`` those missing two or more.  Child
-i fires ``uses[i] & ~twice``, the rules missing only i, at once; later rounds
-fire the rules that no attribute still absent blocks.  A rule found under an
-earlier child is classified into the counters by its own count of missing
-attributes, and a candidate is dropped as soon as its closure gains an
-attribute below i.
+fires again below it.  A node with no attribute left to try gets no stack
+frame and no counters.  Each other node makes one pass over its absent
+attributes to build two saturating counters over the rules: ``once`` holds
+the rules missing at least one of them and ``twice`` those missing two or
+more.  Child i fires ``uses[i] & ~twice``, the rules missing only i, at
+once; later rounds fire the rules that no attribute still absent blocks.  A
+rule found under an earlier child is classified into the counters by its own
+count of missing attributes, and a candidate is dropped as soon as its
+closure gains an attribute below i.  FCbO's failure memory (Outrata &
+Vychodil 2012), which hands a node's children the attributes whose
+candidates failed the canonicity test, is left out: it saved about 4% of
+the basis walk on the benchmark's ``independent`` table and would cost a
+list copy per frame.
 
 The basis walk also meets every concept with a non-empty extent, in the same
 order, so one walk could return both.  The two stay apart while the
@@ -97,7 +108,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ordering import OrderedTable
 from .table import InformationTable, cell_token, csv_field
@@ -359,34 +370,41 @@ def enumerate_concepts(context: FormalContext) -> list[Concept]:
     rows, cols = context._class_rows, context._class_cols
     concepts = []
     new = Concept.__new__
-    extent = (1 << len(rows)) - 1
-    intent = top
+    intent, held = top, 0
     for row in rows:
         intent &= row
-    # flat (extent, intent, first attribute to try) triples: a stack of tuples
-    # would leave its emptied tuples on the interpreter's free list
-    stack = [extent, intent, 0]
+        held |= row
+    # flat (extent, intent, attributes to try) triples: a stack of tuples
+    # would leave its emptied tuples on the interpreter's free list.  No
+    # node tries an attribute that its extent lacks, so the walk never meets
+    # the bottom (no class, every attribute).  At the foot of the stack it
+    # comes out last, where lectic order puts M; it is left off when the
+    # walk lists M itself: with no class, or with one holding every attribute
+    stack = [0, top, 0] if rows and top not in rows else []
+    stack += (1 << len(rows)) - 1, intent, held & ~intent
     while stack:
-        y = stack.pop()
+        todo = stack.pop()
         intent = stack.pop()
         extent = stack.pop()
         concept = new(Concept)
         concept._extent = concept._intent = None
         concept._context, concept._classes, concept._mask = context, extent, intent
         concepts.append(concept)
-        for i in range(y, n):  # pushed ascending, so popped descending
-            bit = 1 << i
-            if intent & bit:
-                continue
-            child_extent = extent & cols[i]
-            child = top  # the intent of child_extent, inlined: this is the hot loop
+        while todo:  # pushed ascending, so popped descending
+            bit = todo & -todo
+            todo ^= bit
+            child_extent = extent & cols[bit.bit_length() - 1]
+            child = top  # the intent of child_extent and, in ``held``, the attributes
+            held = 0  # its classes hold, inlined: this is the hot loop
             rest = child_extent
             while rest:
                 low = rest & -rest
-                child &= rows[low.bit_length() - 1]
+                row = rows[low.bit_length() - 1]
+                child &= row
+                held |= row
                 rest ^= low
             if child & ~intent & (bit - 1) == 0:
-                stack += child_extent, child, i + 1
+                stack += child_extent, child, held & ~child & -(bit << 1)
     return concepts
 
 
@@ -437,10 +455,14 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(NamedTuple):
     """premise -> conclusion with support = number of objects satisfying the
-    premise.  Premise and conclusion are disjoint attribute tuples."""
+    premise.  Premise and conclusion are disjoint attribute tuples.
+
+    A named tuple: immutable, equal and hashed as the tuple of its three
+    fields, and printed as ``Implication(premise=..., conclusion=...,
+    support=...)``; the basis walk builds each rule with ``tuple.__new__``,
+    which skips the Python-level ``__new__`` of the class."""
 
     premise: tuple[str, ...]
     conclusion: tuple[str, ...]
@@ -464,13 +486,15 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
     out: list[Implication] = []
     uses = [0] * n  # per attribute, bitmask over the rules whose premise holds it
     satisfied = [0] * len(rows)  # per class, bitmask over the rules its row satisfies
+    new = tuple.__new__
 
     def expand(extent: int, mask: int, y: int) -> list[int] | None:
         """Record the rule of ``mask`` if it is a pseudo-intent, and return
         the stack frame for its children: [base set, extent, attributes still
         to try, once, twice, rules classified, attributes held].  None when
         it has no children: its closure gains an attribute below y, so the
-        closure's own subtree lies elsewhere."""
+        closure's own subtree lies elsewhere, or its extent holds no
+        attribute from y on that its set lacks."""
         closed = full  # the AND of the extent's rows
         held = 0  # their OR
         live = 0  # the rules some object of the extent satisfies
@@ -500,10 +524,14 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
                 satisfied[g] |= rule
                 support += sizes[g]
                 rest ^= low
-            out.append(Implication(_names(names, mask), _names(names, closed & ~mask), support))
+            out.append(new(Implication, (_names(names, mask), _names(names, closed & ~mask),
+                                         support)))
             if closed & ~mask & ((1 << y) - 1):
                 return None
             mask = closed
+        todo = held & ~mask & -(1 << y)
+        if not todo:
+            return None
         once = twice = 0
         absent = held & ~mask
         while absent:
@@ -516,10 +544,11 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
         # unsupported set: it never fires below this node
         once &= live
         twice |= ((1 << len(premises)) - 1) & ~live
-        return [mask, extent, held & ~mask & -(1 << y), once, twice, len(premises), held]
+        return [mask, extent, todo, once, twice, len(premises), held]
 
     extent = (1 << len(rows)) - 1
-    stack = [expand(extent, 0, 0)] if extent else []
+    root = expand(extent, 0, 0) if extent else None
+    stack = [root] if root else []
     while stack:
         frame = stack[-1]
         base, extent, todo, once, twice, seen, held = frame
@@ -591,12 +620,17 @@ def implication_frequencies(basis: Sequence[Implication]) -> FrequencyTable:
     """frequency(a) = sum of support * |premise| over the rules whose
     conclusion contains a.  One row per attribute occurring in at least one
     conclusion, sorted by attribute name, with its contributors in basis
-    order; one pass over the basis groups them."""
+    order; one pass over the basis groups them.  A name repeated in one
+    conclusion counts its rule once."""
     contributors: dict[str, list[tuple[tuple[str, ...], int]]] = {}
     for imp in basis:
         pair = (imp.premise, imp.support)
-        for attr in set(imp.conclusion):
-            contributors.setdefault(attr, []).append(pair)
+        for attr in imp.conclusion:
+            group = contributors.get(attr)
+            if group is None:
+                contributors[attr] = [pair]
+            elif group[-1] is not pair:  # it is this rule's pair only for a repeated name
+                group.append(pair)
     return FrequencyTable(tuple(
         FrequencyRow(
             attribute=attr,

@@ -431,6 +431,25 @@ def test_basis_of_edge_contexts(name):
     assert textbook is None or full == textbook
 
 
+@pytest.mark.parametrize("name", sorted(EDGE_CONTEXTS))
+def test_concept_walk_of_edge_contexts(name):
+    ctx = EDGE_CONTEXTS[name][0]
+    concepts = enumerate_concepts(ctx)
+    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    cover = lattice_cover(concepts)
+    assert cover == oracles.lattice_cover_reference(concepts)
+    assert lattice_to_dot(concepts, cover) == oracles.lattice_to_dot_reference(concepts, cover)
+    # the walk tries only attributes some object holds; the bottom (empty
+    # extent, every attribute) comes last, and only when no object holds
+    # every attribute ("no objects" is that bottom alone)
+    bottom_last = {"no objects": True, "an attribute no object has": True,
+                   "one object with every attribute": False, "no attributes": False,
+                   "nominal scale of 12": True}[name]
+    assert [i for i, c in enumerate(concepts) if not c.extent] == \
+        ([len(concepts) - 1] if bottom_last else [])
+    assert concepts[-1].intent == ctx.attributes
+
+
 def test_basis_of_nominal_scale_has_one_unsupported_rule_per_pair():
     # the oracle's textbook basis; the library's holds none of these rules
     ctx = EDGE_CONTEXTS["nominal scale of 12"][0]
@@ -490,6 +509,48 @@ def test_chief_attributes_reference(cluster_contexts):
         assert groups[0][1] == golden.REFERENCE_CHIEF[cid], cid
     groups2 = chief_attributes(implication_frequencies(canonical_basis(cluster_contexts[2])))
     assert groups2[1][1] == golden.REFERENCE_NEXT_CLUSTER2
+
+
+_rule_names = st.lists(labels, max_size=3).map(tuple)  # a small alphabet: names repeat
+
+
+@st.composite
+def _hand_built_bases(draw):
+    """Rules with empty premises, names repeated in one conclusion and whole
+    rules repeated: a list drawn from a small pool of rules."""
+    pool = draw(st.lists(st.builds(Implication, _rule_names, _rule_names, st.integers(0, 5)),
+                         min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(basis=_hand_built_bases())
+@example(basis=[Implication(("a",), ("b", "b"), 2)])
+@example(basis=[Implication((), ("a",), 3), Implication((), ("a",), 3)])
+def test_frequencies_of_hand_built_rules_match_reference(basis):
+    freqs = implication_frequencies(basis)
+    assert freqs == oracles.implication_frequencies_reference(basis)
+    assert frequencies_to_csv(freqs) == oracles.frequencies_to_csv_reference(freqs)
+    for imp in basis:
+        for field in Implication._fields:
+            with pytest.raises(AttributeError):
+                setattr(imp, field, getattr(imp, field))
+
+
+def test_walk_rules_compare_hash_and_print_as_built_by_hand(cluster_contexts):
+    basis = canonical_basis(cluster_contexts[3])
+    by_hand = [Implication(premise=imp.premise, conclusion=imp.conclusion, support=imp.support)
+               for imp in basis]
+    assert basis == by_hand and by_hand == basis
+    assert [hash(imp) for imp in basis] == [hash(imp) for imp in by_hand]
+    assert list(map(repr, basis)) == list(map(repr, by_hand))
+    assert repr(basis[0]) == "Implication(premise=(), conclusion=('A24', 'A34'), support=3)"
+    assert basis_to_text(basis) == basis_to_text(by_hand)
+    assert basis_to_json(basis) == basis_to_json(by_hand)
+    assert basis[0] != Implication((), ("A24", "A34"), 2)
+    with pytest.raises(AttributeError):
+        basis[0].support = 4
+    assert basis[0].support == 3
 
 
 # --- renderers ---------------------------------------------------------------

@@ -5,7 +5,9 @@ group either.  ``appearance`` labels blocks by their first row, so its
 ranks may follow the row order, and some orders leave a rank range empty.
 A table from the benchmark's generator, whose clusters repeat label rows,
 pins that the FCA results do not follow the first-appearance order of the
-context's classes either."""
+context's classes either.  Object names are a contract too: giving every
+object a fresh name, rows in place, changes each result only by that
+renaming, whatever the block order."""
 
 import dataclasses
 import json
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, REPO_ROOT
 from roughfca.approx import cut_graph, partition_from_cut
+from roughfca.ordering import BLOCK_ORDERS
 from roughfca.pipeline import PipelineConfig, load_config_table, run_pipeline
 from roughfca.proximity import build_proximity, validate_proximity
 
@@ -25,10 +28,11 @@ import gen  # noqa: E402
 
 CONFIG = PipelineConfig.from_file(DATA_DIR / "institutions_config.json")
 HEADER, *ROWS = (DATA_DIR / "institutions.csv").read_text(encoding="utf-8").splitlines()
+OBJECTS = [row.split(",", 1)[0] for row in ROWS]
 
 
-def _blocks(partition):
-    return frozenset(map(frozenset, partition.blocks))
+def _blocks(partition, name=lambda label: label):
+    return frozenset(frozenset(map(name, block)) for block in partition.blocks)
 
 
 def preprocess(config):
@@ -42,16 +46,18 @@ def preprocess(config):
             {name: len(validate_proximity(rel)) for name, rel in relations.items()})
 
 
-def outcome(report):
-    """What a run under ``mean`` must keep: partitions, violation counts,
-    ranks per object and, per cluster, its members, concepts, basis rules
-    and chief groups, each free of the row order."""
+def outcome(report, name=lambda label: label):
+    """What a run must keep when only the row order changes, under
+    ``mean``, or only the object names: partitions, violation counts, ranks
+    per object and, per cluster, its members, concepts, basis rules and
+    chief groups.  ``name`` maps each object label first."""
     return {
-        "partitions": {name: _blocks(part) for name, part in report.partitions.items()},
-        "violations": {name: len(v) for name, v in report.violations.items()},
-        "ranks": {row.object: row.rank for row in report.ranks.rows},
-        "clusters": [frozenset(cluster.members) for cluster in report.clusters],
-        "concepts": [frozenset((frozenset(c.extent), frozenset(c.intent)) for c in a.concepts)
+        "partitions": {attr: _blocks(part, name) for attr, part in report.partitions.items()},
+        "violations": {attr: len(v) for attr, v in report.violations.items()},
+        "ranks": {name(row.object): row.rank for row in report.ranks.rows},
+        "clusters": [frozenset(map(name, cluster.members)) for cluster in report.clusters],
+        "concepts": [frozenset((frozenset(map(name, c.extent)), frozenset(c.intent))
+                               for c in a.concepts)
                      for a in report.analyses],
         "rules": [frozenset((frozenset(r.premise), frozenset(r.conclusion), r.support)
                             for r in a.basis) for a in report.analyses],
@@ -117,3 +123,46 @@ def test_row_order_changes_nothing_on_a_generated_table_with_repeated_rows(gener
     report = run_pipeline(config_for(data.draw(st.permutations(rows))))
     assert any(len(set(a.context.rows)) < len(a.context.rows) for a in report.analyses)
     assert outcome(report) == expected
+
+
+@pytest.fixture(scope="module")
+def bundled_outcomes():
+    return {order: outcome(run_pipeline(dataclasses.replace(CONFIG, block_order=order)))
+            for order in BLOCK_ORDERS}
+
+
+@pytest.fixture(scope="module")
+def renamed_config(tmp_path_factory):
+    """Write the bundled rows, each object under the given new name, and the
+    partition override with the same names, and return a config reading
+    them."""
+    directory = tmp_path_factory.mktemp("renamed")
+    data, override = directory / "institutions.csv", directory / "override.json"
+    override_doc = json.loads(CONFIG.partitions_override.read_text(encoding="utf-8"))
+
+    def config_for(names, block_order):
+        new = dict(zip(OBJECTS, names))
+        rows = [new[label] + "," + rest for label, rest in (row.split(",", 1) for row in ROWS)]
+        data.write_text("".join(line + "\n" for line in (HEADER, *rows)), encoding="utf-8")
+        override.write_text(json.dumps([{**doc, "blocks": [[new[o] for o in block]
+                                                           for block in doc["blocks"]]}
+                                        for doc in override_doc]), encoding="utf-8")
+        return dataclasses.replace(CONFIG, data_path=data, partitions_override=override,
+                                   block_order=block_order)
+
+    return config_for
+
+
+# fresh names: no bundled label ("i_1" to "i_10") can be drawn, and drawn
+# names sort in any order against each other
+_fresh_names = st.lists(st.text("abyz019-.", min_size=1, max_size=3),
+                        min_size=len(ROWS), max_size=len(ROWS), unique=True)
+
+
+@pytest.mark.parametrize("block_order", BLOCK_ORDERS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(names=_fresh_names)
+def test_renamed_objects_change_nothing_but_the_names(renamed_config, bundled_outcomes,
+                                                      block_order, names):
+    report = run_pipeline(renamed_config(names, block_order))
+    assert outcome(report, dict(zip(names, OBJECTS)).__getitem__) == bundled_outcomes[block_order]
