@@ -31,6 +31,7 @@ from .pipeline import (
     StageError,
     emit_group,
     emit_reports,
+    in_stage,
     load_config_table,
     read_input,
     run_pipeline,
@@ -61,10 +62,8 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     if args.alpha is not None or args.beta is not None:
         alpha = args.alpha if args.alpha is not None else config.cut.alpha
         beta = args.beta if args.beta is not None else config.cut.beta
-        try:
+        with in_stage("load"):
             updates["cut"] = CutParams(alpha, beta)
-        except ValueError as exc:
-            raise StageError("load", str(exc)) from None
     if args.out:
         updates["output_dir"] = Path(args.out)
     if args.force:
@@ -157,11 +156,9 @@ def _cmd_search_cut(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     table = load_config_table(config)
     docs = read_input(args.targets, "targets", "partition")
-    try:
+    with in_stage("partition"):
         targets = partitions_from_json(docs, table.objects)
         result = search_alpha_beta(table, targets, step=args.step)
-    except ValueError as exc:
-        raise StageError("partition", str(exc)) from None
     text = result.to_json()
     if args.out:
         out = Path(args.out)

@@ -65,13 +65,35 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+class in_stage:
+    """``with in_stage(stage, prefix, errors):`` runs a block as ``stage``:
+    an exception of the classes ``errors`` leaving it becomes
+    ``StageError(stage, prefix + str(exc))``, raised from None.  Every
+    failure that becomes a StageError does so here; a direct refusal raises
+    one itself.  A class: it is entered once per written file, and a
+    generator context manager costs three times as much."""
+
+    def __init__(self, stage: str, prefix: str = "", errors: type | tuple = ValueError):
+        self.stage, self.prefix, self.errors = stage, prefix, errors
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, self.errors):
+            raise StageError(self.stage, self.prefix + str(exc)) from None
+
+
 def read_input(path: str | Path, what: str, stage: str, parse: Callable = json.loads) -> object:
     """Parse an input file's UTF-8 text, JSON by default: the input twin of
-    :func:`write_files`.  Failing to read, decode or parse it is a StageError."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise StageError(stage, f"cannot read {what} {path}: {exc}") from None
+    :func:`write_files`.  Failing to read, decode or parse it (JSON nested
+    too deep included) is a StageError, and so is a JSON string that is not
+    UTF-8 text: a ``\\ud800`` escape parses to a lone surrogate."""
+    with in_stage(stage, f"cannot read {what} {path}: ", (OSError, ValueError, RecursionError)):
+        doc = parse(Path(path).read_text(encoding="utf-8"))
+        if parse is json.loads:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
 
 
 def _json_bool(value: object, what: str) -> bool:
@@ -122,7 +144,8 @@ class PipelineConfig:
         def resolve(p: str | None) -> Path | None:
             return None if p is None else base / Path(p)  # an absolute p replaces base
 
-        try:
+        with in_stage("load", "config missing key ", KeyError), \
+                in_stage("load", "bad config: ", (TypeError, ValueError, AttributeError)):
             specs = tuple(
                 AttributeSpec(
                     name=a["name"],
@@ -167,10 +190,6 @@ class PipelineConfig:
                 output_dir=resolve(doc.get("output_dir")),
                 force=_json_bool(doc.get("force", False), "force"),
             )
-        except KeyError as exc:
-            raise StageError("load", f"config missing key {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise StageError("load", f"bad config: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -234,10 +253,8 @@ class PipelineReport:
 def load_config_table(config: PipelineConfig) -> InformationTable:
     """Read and validate the configured data table (the load stage)."""
     csv_text = read_input(config.data_path, "data", "load", parse=str)
-    try:
+    with in_stage("load"):
         return load_table(csv_text, config.attributes)
-    except ValueError as exc:
-        raise StageError("load", str(exc)) from None
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -247,10 +264,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     table = load_config_table(config)
 
     numeric = [a.name for a in table.attributes if a.numeric]
-    try:
+    with in_stage("proximity"):
         relations = {name: build_proximity(table, name) for name in numeric}
-    except ValueError as exc:
-        raise StageError("proximity", str(exc)) from None
 
     violations = {name: validate_proximity(rel) for name, rel in relations.items()}
     total_violations = sum(len(v) for v in violations.values())
@@ -269,10 +284,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     override_parts: dict[str, Partition] = {}
     if config.partitions_override is not None:
         doc = read_input(config.partitions_override, "override", "partition")
-        try:
+        with in_stage("partition", "bad partition override: "):
             override_parts = partitions_from_json(doc, table.objects)
-        except ValueError as exc:
-            raise StageError("partition", f"bad partition override: {exc}") from None
         for name in override_parts:
             if name not in relations:
                 raise StageError("partition", f"override names unknown attribute {name!r}")
@@ -286,28 +299,22 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         name: ("override" if name in override_parts else "computed") for name in numeric
     }
 
-    try:
+    with in_stage("order"):
         ordered = build_ordered_table(table, partitions, config.ladders, config.block_order)
-    except ValueError as exc:
-        raise StageError("order", str(exc)) from None
     if config.ordered_override is not None:
         doc = read_input(config.ordered_override, "override", "order")
         if not isinstance(doc, dict):
             raise StageError("order", "ordered-table override must map attributes to label maps")
-        try:
+        with in_stage("order", "bad ordered-table override: "):
             ordered = ordered_table_override(ordered, doc)
-        except ValueError as exc:
-            raise StageError("order", f"bad ordered-table override: {exc}") from None
         provenance["stages"]["order"] = {"override": sorted(doc)}
     else:
         provenance["stages"]["order"] = {"override": []}
     provenance["stages"]["order"]["dropped"] = list(ordered.dropped)
 
     ranks = score_and_rank(ordered)
-    try:
+    with in_stage("cluster"):
         clusters = cluster_by_rank(ranks, config.rank_ranges)
-    except ValueError as exc:
-        raise StageError("cluster", str(exc)) from None
     for cluster in clusters:
         if not cluster.members:
             lo, hi = cluster.rank_range
@@ -315,15 +322,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     analyses = []
     for cluster in clusters:
-        try:
+        with in_stage("fca", f"cluster {cluster.cluster_id}: "):
             context = fca.build_context(ordered, cluster.members)
             concepts = fca.enumerate_concepts(context)
             cover = fca.lattice_cover(concepts)
             basis = fca.canonical_basis(context)
             freqs = fca.implication_frequencies(basis)
             chief = fca.chief_attributes(freqs)
-        except ValueError as exc:
-            raise StageError("fca", f"cluster {cluster.cluster_id}: {exc}") from None
         analyses.append(ClusterAnalysis(cluster, context, concepts, cover, basis, freqs, chief))
 
     return PipelineReport(
@@ -656,19 +661,15 @@ def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> lis
     Returns one manifest entry per file with its content digest.  Any I/O
     failure raises :class:`StageError` tagged ``emit``."""
     out = Path(output_dir)
-    try:
+    with in_stage("emit", f"cannot create {out}: ", OSError):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise StageError("emit", f"cannot create {out}: {exc}") from None
     entries = []
     for name, text in files:
         path = out / name
         data = text.encode("utf-8")
         del text
-        try:
+        with in_stage("emit", f"cannot write {path}: ", OSError):
             path.write_bytes(data)  # untranslated newlines: the file is the hashed bytes
-        except OSError as exc:
-            raise StageError("emit", f"cannot write {path}: {exc}") from None
         entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
         del data  # hold one rendered file at a time, not two, while the next renders
     return entries

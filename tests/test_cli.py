@@ -10,6 +10,7 @@ import re
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT
+from roughfca import fca, pipeline
 from roughfca.cli import build_parser, main
 
 CONFIG_PATH = DATA_DIR / "institutions_config.json"
@@ -240,13 +241,15 @@ def test_readme_library_surface_is_exported():
                 if isinstance(getattr(roughfca, name), types.ModuleType)]
 
 
-def _config_with(tmp_path, **changes):
+def _config_with(tmp_path, omit=(), **changes):
     """The bundled config without its override, reading the bundled data,
-    top-level keys replaced."""
+    top-level keys replaced and those in ``omit`` removed."""
     doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
     doc.pop("overrides")
     doc["data"] = str(DATA_DIR / "institutions.csv")
     doc.update(changes)
+    for key in omit:
+        del doc[key]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -276,6 +279,11 @@ def _ic_flag(value):
     attributes = doc["attributes"]
     attributes[0] = dict(attributes[0], drop_if_indiscernible=value)
     return attributes
+
+
+#: A JSON ``\ud800`` escape parses to a lone surrogate, which no report can
+#: hold: the config is refused as it is read.
+SURROGATE = "config.json: 'utf-8' codec can't encode character '\\ud800'"
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -310,13 +318,16 @@ def _ic_flag(value):
     ({"ladders": _ss_ladder(name="XX")}, "ladders for undeclared or nominal attributes: ['XX']"),
     ({"block_order": "bogus", "alpha": 0, "beta": 1}, "unknown block_order 'bogus'"),
     ({"data": None}, "data must be a path string, got None"),
+    ({"ladders": _ss_ladder(labels=("Top\ud800", "Very good", "Good"))}, SURROGATE),
+    ({"output_dir": "out\ud800"}, SURROGATE),
 ], ids=["range-max-string", "range-max-true", "range-max-infinity", "range-max-huge-int",
         "attributes-int", "range-max-nan", "attribute-int", "rank-range-word", "overrides-int",
         "force-string", "drop-string", "rank-bound-float", "rank-inf", "rank-neg-inf", "rank-nan",
         "rank-float", "rank-triple", "alpha-string", "alpha-true", "beta-null", "alpha-huge-int",
         "beta-huge-int",
         "labels-string", "labels-int", "attribute-ladder-string", "weights-float",
-        "weights-bool", "ladder-undeclared", "block-order-bogus", "data-null"])
+        "weights-bool", "ladder-undeclared", "block-order-bogus", "data-null",
+        "label-surrogate", "output-dir-surrogate"])
 def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     config = _config_with(tmp_path, **changes)
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")
@@ -324,7 +335,7 @@ def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     assert code == 2
     assert captured.err.startswith("error [stage:load]") and message in captured.err
     assert captured.out == ""
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report file
 
 
 @pytest.mark.parametrize("command", ["run", "partition", "rank", "fca"])
@@ -347,3 +358,103 @@ def test_config_number_too_large_for_a_float_stops_search_cut_at_load(tmp_path, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error [stage:load] bad config: ")
+
+
+ALL_OBJECTS = [f"i_{k}" for k in range(1, 11)]
+RUN = ["run", "--config", "{d}/config.json", "--out", "{d}/out"]
+
+
+def _refusal(stage, message, argv=RUN, config=None, files=None, patch=None, id=None):
+    return pytest.param(stage, message, argv, config or {}, files or {}, patch, id=id)
+
+
+#: Each place a failure becomes a stage-tagged exit 2, and the direct
+#: refusals beside them: the stage, the message after its tag, the CLI
+#: arguments, config changes (``omit`` names keys to remove), files written
+#: into the run directory {d} (JSON unless text; None makes a directory) and
+#: a library call patched to raise ValueError("patched").
+REFUSALS = [
+    _refusal("load", "cannot read config {d}/none.json: "
+                     "[Errno 2] No such file or directory: '{d}/none.json'",
+             argv=["run", "--config", "{d}/none.json"], id="config-unreadable"),
+    _refusal("load", "config missing key 'alpha'", config={"omit": ["alpha"]},
+             id="config-missing-key"),
+    _refusal("load", "bad config: alpha must be a number, got '0.9'", config={"alpha": "0.9"},
+             id="bad-config"),
+    _refusal("load", "header ['IC'] does not match declared attributes "
+                     "['IC', 'IF', 'PP', 'RS', 'SS', 'ECA']",
+             config={"data": "data.csv"}, files={"data.csv": "institution,IC\ni_1,1\n"},
+             id="data-table"),
+    _refusal("load", "cut parameters must lie in [0, 1], got CutParams(alpha=2.0, beta=0.05)",
+             argv=RUN + ["--alpha", "2"], id="cut-flags"),
+    _refusal("load", "bad override 'bogus=x', expected STAGE=FILE with "
+                     "STAGE in ('partitions', 'ordered_table')",
+             argv=RUN + ["--override", "bogus=x"], id="override-spec"),
+    _refusal("proximity", "patched", patch=(pipeline, "build_proximity"), id="proximity"),
+    _refusal("proximity", "unknown attribute 'XX'",
+             argv=["proximity", "--config", "{d}/config.json", "--out", "{d}/out",
+                   "--attribute", "XX"], id="proximity-attribute"),
+    _refusal("validate", "6 proximity axiom violation(s), e.g. sum at ('i_6', 'i_8'): "
+                         "mu + nu = 1.025 > 1; pass force to proceed",
+             config={"force": False}, id="validate"),
+    _refusal("partition", "bad partition override: object 'nope' not in the universe",
+             argv=RUN + ["--override", "partitions={d}/parts.json"],
+             files={"parts.json": [{"attribute": "IC", "blocks": [["nope"]]}]},
+             id="partition-override"),
+    _refusal("partition", "override names unknown attribute 'XX'",
+             argv=RUN + ["--override", "partitions={d}/parts.json"],
+             files={"parts.json": [{"attribute": "XX", "blocks": [ALL_OBJECTS]}]},
+             id="partition-override-attribute"),
+    _refusal("order", "ladder for 'SS' has 1 labels, partition has 3 blocks",
+             config={"ladders": {"SS": {"labels": ["Top"], "weights": [5]}}}, id="order"),
+    _refusal("order", "ordered-table override must map attributes to label maps",
+             argv=RUN + ["--override", "ordered_table={d}/ordered.json"],
+             files={"ordered.json": [1]}, id="ordered-override-shape"),
+    _refusal("order", "bad ordered-table override: override for 'IC' must map objects to labels",
+             argv=RUN + ["--override", "ordered_table={d}/ordered.json"],
+             files={"ordered.json": {"IC": [1, 2]}}, id="ordered-override"),
+    _refusal("cluster", "rank 3 covered by two ranges",
+             config={"rank_ranges": [[1, 3], [3, 6], [7, 9]]}, id="cluster"),
+    _refusal("fca", "cluster 1: patched", patch=(fca, "build_context"), id="fca"),
+    _refusal("emit", "cannot create {d}/config.json: [Errno 17] File exists: '{d}/config.json'",
+             argv=["partition", "--config", "{d}/config.json", "--out", "{d}/config.json"],
+             id="emit-create"),
+    _refusal("emit", "cannot write {d}/partitions.json: "
+                     "[Errno 21] Is a directory: '{d}/partitions.json'",
+             argv=["partition", "--config", "{d}/config.json", "--out", "{d}"],
+             files={"partitions.json": None}, id="emit-write"),
+    _refusal("emit", "no output directory: set output_dir in the config or pass --out",
+             argv=["partition", "--config", "{d}/config.json"], config={"omit": ["output_dir"]},
+             id="emit-no-directory"),
+    _refusal("partition", "grid step must lie in (0, 1] and be at least 0.001, got 0.0",
+             argv=["search-cut", "--config", "{d}/config.json", "--targets", TARGETS_PATH,
+                   "--step=0"], id="search-step"),
+    _refusal("partition", "object 'nope' not in the universe",
+             argv=["search-cut", "--config", "{d}/config.json", "--targets", "{d}/targets.json"],
+             files={"targets.json": [{"attribute": "IC", "blocks": [["nope"]]}]},
+             id="search-targets"),
+]
+
+
+@pytest.mark.parametrize("stage, message, argv, config, files, patch", REFUSALS)
+def test_every_refusal_prints_its_exact_line(tmp_path, capsys, monkeypatch, stage, message, argv,
+                                             config, files, patch):
+    def fill(text):
+        return str(text).replace("{d}", str(tmp_path))
+
+    config = dict(config)
+    _config_with(tmp_path, config.pop("omit", ()), **config)
+    for name, content in files.items():
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    if patch:
+        def refuse(*args, **kwargs):
+            raise ValueError("patched")
+        monkeypatch.setattr(*patch, refuse)
+    code = run_cli(*map(fill, argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error [stage:{stage}] {fill(message)}\n"

@@ -18,6 +18,8 @@ from roughfca.cli import main
 
 CONFIG = json.loads((DATA_DIR / "institutions_config.json").read_text(encoding="utf-8"))
 CONFIG.pop("output_dir")  # every run passes --out, or prints to stdout
+# SS's default ladder for its three blocks, written out so that its labels can be corrupted
+CONFIG["ladders"] = {"SS": {"labels": ["Excellent", "Very good", "Good"], "weights": [5, 4, 3]}}
 DATA = (DATA_DIR / "institutions.csv").read_text(encoding="utf-8")
 PARTITIONS = json.loads((DATA_DIR / "eca_partition_override.json").read_text(encoding="utf-8"))
 TARGETS = json.loads((DATA_DIR / "target_partitions.json").read_text(encoding="utf-8"))
@@ -40,10 +42,13 @@ NON_UTF8 = b"\xff\xfe\x00"
 DEEP = b"[" * 200_000
 OVERSIZED = "9" * 200_000
 
+#: Text that may hold lone surrogates, which json.dumps writes as \udXXX
+#: escapes: no report file can hold them.
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=3)
 HOSTILE = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12),
     st.sampled_from((10**30, 2**63, 10**400, -(10**9))),
-    st.floats(), st.text(max_size=3),
+    st.floats(), TEXT,
     st.lists(st.integers(0, 3) | st.text("i_1x", max_size=3), max_size=3),
     st.dictionaries(st.text("ab", max_size=2), st.integers(0, 3), max_size=2),
 )
@@ -154,6 +159,9 @@ def run_with(directory, contents: dict[str, bytes], command: str, capsys, step=0
 @example(case=({"targets": NON_UTF8}, "search-cut", 0.05))
 @example(case=({"data": NON_UTF8, "targets": DEEP}, "search-cut", -math.inf))
 @example(case=({}, "search-cut", math.nextafter(0.001, 1)))
+@example(case=({"config": json.dumps(dict(CONFIG, ladders={"SS": {
+    "labels": ["Top\ud800", "Very good", "Good"], "weights": [5, 4, 3]}})).encode("utf-8")},
+    "rank", 0.05))
 def test_corrupted_input_ends_in_exit_0_or_a_tagged_exit_2(tmp_path_factory, capsys, case):
     contents, command, step = case
     code, err = run_with(tmp_path_factory.mktemp("hostile"), contents, command, capsys, step)

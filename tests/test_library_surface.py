@@ -49,3 +49,19 @@ def test_every_private_module_name_is_read_outside_the_tests():
     unread = [f"{path.name}: {name}" for path, name in defined
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, unread
+
+
+def test_only_in_stage_turns_a_failure_into_a_stage_error():
+    """No ``except`` handler in ``src/roughfca`` raises StageError: a
+    failure becomes one through ``pipeline.in_stage`` alone, and a direct
+    refusal raises it outside any handler."""
+    def raises_stage_error(node):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        func = call.func if isinstance(call, ast.Call) else call
+        return (func.id if isinstance(func, ast.Name)
+                else getattr(func, "attr", None)) == "StageError"
+
+    converting = [f"{path.name}:{node.lineno}" for path, tree in _parsed(LIBRARY)
+                  for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+                  for node in ast.walk(handler) if raises_stage_error(node)]
+    assert not converting, converting
