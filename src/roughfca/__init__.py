@@ -31,8 +31,6 @@ from .fca import (
     build_context,
     canonical_basis,
     chief_attributes,
-    derive_attributes,
-    derive_objects,
     enumerate_concepts,
     implication_frequencies,
     lattice_cover,
@@ -46,8 +44,6 @@ from .ordering import (
     categorize_partition,
     cluster_by_rank,
     default_ladder,
-    induced_order,
-    joint_order,
     score_and_rank,
 )
 from .pipeline import (
@@ -67,7 +63,7 @@ from .proximity import (
     nonmembership_degree,
     validate_proximity,
 )
-from .table import AttributeSpec, InformationTable, Partition, TableError, indiscernibility, load_table
+from .table import AttributeSpec, InformationTable, Partition, TableError, load_table
 
 __version__ = "0.1.0"
 

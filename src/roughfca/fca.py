@@ -28,8 +28,10 @@ extent's classes, the same object count as before.  A concept from the walk
 keeps its class extent and its intent as masks; the tuples of names that
 ``Concept.extent`` and ``Concept.intent`` give are built when first read, and
 the report path reads none of them: the DOT expands to objects only the
-classes each node introduces.  A concept list made by hand from names gets
-its masks in one place, ``_lattice_masks``, each object a class of its own.
+classes each node introduces.  The cover and the DOT read those masks, so
+they take only concepts that ``enumerate_concepts`` made for one context; a
+list made by hand from names, or one that mixes contexts, is refused with a
+``TypeError`` (``_lattice_masks``).
 
 Concept enumeration and the canonical implication basis both walk a
 Close-by-One tree (Kuznetsov 1993).  Rows and columns are kept as integer
@@ -111,7 +113,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ordering import OrderedTable
-from .table import InformationTable, cell_token, csv_field
+from .table import csv_field
 
 
 def attribute_code(source_index: int, level: int) -> str:
@@ -144,8 +146,8 @@ def _names(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FormalContext:
-    """Objects, attributes and their incidence, with bitmask accessors.
-    Object names are unique, and so are attribute names.
+    """Objects, attributes and their incidence rows.  Object names are
+    unique, and so are attribute names.
 
     The objects fall into classes, one per distinct row, numbered by first
     appearance; the walks, the cover and the DOT run over the classes."""
@@ -153,13 +155,10 @@ class FormalContext:
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
     rows: tuple[int, ...]  # per object, bitmask over attribute indices
-    cols: tuple[int, ...] = field(init=False, repr=False)
     _class_rows: tuple[int, ...] = field(init=False, repr=False)
     _class_members: tuple[int, ...] = field(init=False, repr=False)  # per class, an object mask
     _class_sizes: tuple[int, ...] = field(init=False, repr=False)
     _class_cols: tuple[int, ...] = field(init=False, repr=False)  # per attribute, a class mask
-    _obj_index: dict[str, int] = field(init=False, repr=False)
-    _attr_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.objects):
@@ -168,7 +167,6 @@ class FormalContext:
         members: dict[int, int] = {}  # per distinct row, by first appearance, its objects
         for g, row in enumerate(self.rows):
             members[row] = members.get(row, 0) | 1 << g
-        cols = [0] * n
         class_cols = [0] * n
         bit = 1  # the class's bit
         for row, objects in members.items():
@@ -176,33 +174,18 @@ class FormalContext:
                 first = self.objects[(objects & -objects).bit_length() - 1]
                 raise ValueError(f"row of {first!r} has bits beyond its {n} attributes")
             for a in _bit_indices(row):
-                cols[a] |= objects
                 class_cols[a] |= bit
             bit <<= 1
-        for slot, value in (("cols", cols), ("_class_rows", members.keys()),
+        for slot, value in (("_class_rows", members.keys()),
                             ("_class_members", members.values()),
                             ("_class_sizes", map(int.bit_count, members.values())),
                             ("_class_cols", class_cols)):
             object.__setattr__(self, slot, tuple(value))
-        for kind, names, slot in (("object", self.objects, "_obj_index"),
-                                  ("attribute", self.attributes, "_attr_index")):
-            index = {name: i for i, name in enumerate(names)}
-            if len(index) < len(names):  # the index keeps a repeated name's last position
-                duplicate = next(name for i, name in enumerate(names) if index[name] != i)
+        for kind, names in (("object", self.objects), ("attribute", self.attributes)):
+            if len(set(names)) < len(names):
+                last = {name: i for i, name in enumerate(names)}  # a repeated name's last position
+                duplicate = next(name for i, name in enumerate(names) if last[name] != i)
                 raise ValueError(f"duplicate {kind} name {duplicate!r}")
-            object.__setattr__(self, slot, index)
-
-    def attr_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self._attr_index[name]
-        return mask
-
-    def object_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self._obj_index[name]
-        return mask
 
     def attr_names(self, mask: int) -> tuple[str, ...]:
         return _names(self.attributes, mask)
@@ -210,68 +193,28 @@ class FormalContext:
     def object_names(self, mask: int) -> tuple[str, ...]:
         return _names(self.objects, mask)
 
-    def extent_of(self, attr_mask: int) -> int:
-        """Objects possessing every attribute of the mask (all objects for
-        the empty mask)."""
-        out = (1 << len(self.objects)) - 1
-        for a in _bit_indices(attr_mask):
-            out &= self.cols[a]
-        return out
 
-    def intent_of(self, object_mask: int) -> int:
-        """Attributes shared by every object of the mask (all attributes for
-        the empty mask)."""
-        out = (1 << len(self.attributes)) - 1
-        for g in _bit_indices(object_mask):
-            out &= self.rows[g]
-        return out
-
-
-def derive_attributes(context: FormalContext, objects: Iterable[str]) -> tuple[str, ...]:
-    """Attributes shared by every object of the set; all of M for the empty set."""
-    return context.attr_names(context.intent_of(context.object_mask(objects)))
-
-
-def derive_objects(context: FormalContext, attrs: Iterable[str]) -> tuple[str, ...]:
-    """Objects possessing every attribute of the set; all of G for the empty set."""
-    return context.object_names(context.extent_of(context.attr_mask(attrs)))
-
-
-def build_context(source: OrderedTable | InformationTable,
-                  scope: Iterable[str] | None = None) -> FormalContext:
-    """Nominal scaling of an ordered or plain table restricted to a scope.
+def build_context(source: OrderedTable, scope: Iterable[str] | None = None) -> FormalContext:
+    """Nominal scaling of an ordered table restricted to a scope.
 
     Each (attribute, category) pair occurring in the scope becomes one
-    binary context attribute; an object is incident with it iff its cell
-    carries that category.  Ordered-table categories are coded
-    ``A<position><ladder level>`` and listed by ascending level; plain-table
-    values are coded ``<attribute>=<value>`` and listed in ladder order, then
-    sorted stray values, or by first appearance without a ladder.
+    binary context attribute, coded ``A<position><ladder level>`` and listed
+    by column, then by ascending level; an object is incident with it iff
+    its cell carries that category.
     """
-    if not isinstance(source, (OrderedTable, InformationTable)):
+    if not isinstance(source, OrderedTable):
         raise TypeError(f"cannot scale a {type(source).__name__}")
     objects = _resolve_scope(source.objects, scope)
-
-    columns = []  # per source column: each object's category, and each category's code
-    if isinstance(source, OrderedTable):
-        for col in source.columns:
-            levels = [col.ladder.position(col.label(o)) for o in objects]
-            columns.append((levels, {k: attribute_code(col.source_index, k)
-                                     for k in sorted(set(levels))}))
-    else:
-        for spec in source.attributes:
-            tokens = [cell_token(source.value(o, spec.name)) for o in objects]
-            order = dict.fromkeys(tokens)
-            if spec.ladder:
-                order = [t for t in spec.ladder if t in order] + sorted(order.keys() - spec.ladder)
-            columns.append((tokens, {t: f"{spec.name}={t}" for t in order}))
     names: list[str] = []
     rows = [0] * len(objects)
-    for categories, codes in columns:
-        bits = {key: 1 << (len(names) + i) for i, key in enumerate(codes)}
-        names += codes.values()
-        for g, key in enumerate(categories):
-            rows[g] |= bits[key]
+    for col in source.columns:
+        levels = [col.ladder.position(col.label(o)) for o in objects]
+        bits = {}
+        for k in sorted(set(levels)):
+            bits[k] = 1 << len(names)
+            names.append(attribute_code(col.source_index, k))
+        for g, k in enumerate(levels):
+            rows[g] |= bits[k]
     return FormalContext(objects, tuple(names), tuple(rows))
 
 
@@ -337,30 +280,15 @@ def _class_objects(members: Sequence[int], classes: int) -> int:
     return out
 
 
-def _lattice_masks(concepts: Sequence[Concept]) -> tuple[list[int], list[int], Sequence[int],
-                                                         Sequence[str], Sequence[str]]:
-    """Extent and intent masks of a concept list, the object mask of each bit
-    of an extent mask, and the names of the objects and of the attributes.
-
-    Concepts that one walk made share its context: their extents are class
-    masks.  Any other list is indexed by first appearance of each object and
-    attribute name, each object a class of its own."""
+def _lattice_masks(concepts: Sequence[Concept]) -> tuple[list[int], list[int], FormalContext]:
+    """Class-mask extents and attribute-mask intents of concepts that
+    ``enumerate_concepts`` made for one context, and that context.  Any
+    other list, empty, built by hand from names or mixing contexts, is a
+    TypeError."""
     context = concepts[0]._context if concepts else None
-    if context is not None and all(c._context is context for c in concepts):
-        return ([c._classes for c in concepts], [c._mask for c in concepts],
-                context._class_members, context.objects, context.attributes)
-    objects: dict[str, int] = {}
-    attributes: dict[str, int] = {}
-    extents, intents = [], []
-    for concept in concepts:
-        for names, index, masks in ((concept.extent, objects, extents),
-                                    (concept.intent, attributes, intents)):
-            mask = 0
-            for name in names:
-                mask |= 1 << index.setdefault(name, len(index))
-            masks.append(mask)
-    members = [1 << g for g in range(len(objects))]
-    return extents, intents, members, tuple(objects), tuple(attributes)
+    if context is None or any(c._context is not context for c in concepts):
+        raise TypeError("expected concepts that enumerate_concepts made for one context")
+    return [c._classes for c in concepts], [c._mask for c in concepts], context
 
 
 def enumerate_concepts(context: FormalContext) -> list[Concept]:
@@ -424,11 +352,11 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     strict supersets leave the candidates.  A candidate that is left holds no
     parent found so far, so every candidate taken is minimal.
     """
-    masks, _, members, _, _ = _lattice_masks(concepts)
+    masks, _, context = _lattice_masks(concepts)
     sizes = [mask.bit_count() for mask in masks]
     order = sorted(range(len(masks)), key=sizes.__getitem__)
     sizes.sort()  # now by position
-    containing = [0] * len(members)
+    containing = [0] * len(context._class_rows)
     above = 0  # the positions visited so far
     up = [0] * len(order)
     for p in range(len(order) - 1, -1, -1):
@@ -683,7 +611,7 @@ def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]
     classes a node introduces are expanded to their objects.  Names are
     backslash-escaped where DOT's record labels give a character a meaning.
     """
-    extents, intents, members, objects, attributes = _lattice_masks(concepts)
+    extents, intents, context = _lattice_masks(concepts)
     order = sorted(range(len(concepts)), key=lambda i: extents[i].bit_count())
     own_classes = [0] * len(concepts)
     seen = 0
@@ -698,8 +626,9 @@ def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]
 
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
     for idx in range(len(concepts)):
-        attrs = " ".join(_names(attributes, own_attrs[idx]))
-        objs = " ".join(_names(objects, _class_objects(members, own_classes[idx])))
+        attrs = " ".join(context.attr_names(own_attrs[idx]))
+        objs = " ".join(context.object_names(_class_objects(context._class_members,
+                                                            own_classes[idx])))
         lines.append(f'  c{idx} [label="{{{attrs.translate(_DOT_ESCAPES)}|'
                      f'{objs.translate(_DOT_ESCAPES)}}}"];')
     for p, c in cover:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .table import InformationTable, Partition, TableError, csv_field
 
@@ -164,25 +164,6 @@ def build_ordered_table(table: InformationTable, partitions: Mapping[str, Partit
                 if spec.ladder else default_ladder(len(part.blocks))
         columns.append(categorize_partition(table, spec.name, part, ladder, order_by))
     return OrderedTable(table.objects, tuple(columns), tuple(dropped))
-
-
-def induced_order(column: OrderedColumn, x: str, y: str) -> str:
-    """"ahead" iff x's label strictly precedes y's in the ladder, "behind"
-    for the converse, "tied" on equal labels."""
-    px, py = column.ladder.position(column.label(x)), column.ladder.position(column.label(y))
-    if px < py:
-        return "ahead"
-    if px > py:
-        return "behind"
-    return "tied"
-
-
-def joint_order(columns: Iterable[OrderedColumn], x: str, y: str) -> bool:
-    """True iff x is strictly ahead of y on every given column."""
-    cols = list(columns)
-    if not cols:
-        raise TableError("attribute subset must be nonempty")
-    return all(induced_order(col, x, y) == "ahead" for col in cols)
 
 
 @dataclass(frozen=True)

@@ -88,12 +88,37 @@ def read_input(path: str | Path, what: str, stage: str, parse: Callable = json.l
     """Parse an input file's UTF-8 text, JSON by default: the input twin of
     :func:`write_files`.  Failing to read, decode or parse it (JSON nested
     too deep included) is a StageError, and so is a JSON string that is not
-    UTF-8 text: a ``\\ud800`` escape parses to a lone surrogate."""
+    UTF-8 text: a ``\\ud800`` escape parses to a lone surrogate, and the
+    message names the string's JSON path."""
     with in_stage(stage, f"cannot read {what} {path}: ", (OSError, ValueError, RecursionError)):
         doc = parse(Path(path).read_text(encoding="utf-8"))
         if parse is json.loads:
-            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+            _check_text(doc)
         return doc
+
+
+def _check_text(doc: object) -> None:
+    """Raise ValueError for the first string of a parsed JSON document, key
+    or value in document order, that is not UTF-8 text, naming its JSON path
+    (``ladders.SS.labels[0]``); a key is named by the path of its entry.
+    The walk keeps its own stack, so no document that parsed is too deep."""
+    stack = [(doc, "")]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, dict):
+            for name, item in reversed(value.items()):
+                plain = name.isascii() and name.isidentifier()
+                entry = path + (f".{name}" if plain else f"[{json.dumps(name)}]")
+                stack += (item, entry), (name, entry)
+        elif isinstance(value, list):
+            stack += ((item, f"{path}[{i}]") for i, item in reversed(list(enumerate(value))))
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"'utf-8' codec can't encode character {value[exc.start]!r} in "
+                                 f"position {exc.start} of {path.lstrip('.') or 'the document'}: "
+                                 f"{exc.reason}") from None
 
 
 def _json_bool(value: object, what: str) -> bool:

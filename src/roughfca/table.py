@@ -1,4 +1,4 @@
-"""Information tables: loading, validation, and exact indiscernibility.
+"""Information tables: loading, validation and partitions.
 
 An information table is a finite universe of labelled objects, a list of
 attribute declarations, and a total value assignment.  Numeric attributes
@@ -141,14 +141,6 @@ class Partition:
         return frozenset(frozenset(b) for b in self.blocks)
 
 
-def cell_token(value: float | str) -> str:
-    """Text of one table cell: integral numbers without a trailing .0, so
-    integer data reads as written."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
 def csv_field(text: str, alone: bool = False) -> str:
     """``text`` as one field of a record, quoted exactly where the standard
     library's CSV writer with ``lineterminator="\\n"`` quotes it: around a
@@ -237,19 +229,3 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
         raise TableError("no data rows")
     return InformationTable(tuple(objects), tuple(specs), values)
 
-
-def indiscernibility(table: InformationTable, attrs: Iterable[str]) -> Partition:
-    """Partition the universe by exact value agreement on every attribute in
-    attrs.  Two objects share a block iff all their attrs values coincide.
-    """
-    names = list(attrs)
-    if not names:
-        raise TableError("attribute subset must be nonempty")
-    for name in names:
-        table.spec(name)
-    key_order = sorted(set(names), key=table.attribute_names.index)
-    groups: dict[tuple, list[str]] = {}
-    for obj in table.objects:
-        key = tuple(table.values[(obj, a)] for a in key_order)
-        groups.setdefault(key, []).append(obj)
-    return Partition.from_blocks(groups.values(), table.objects)

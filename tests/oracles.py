@@ -24,17 +24,53 @@ from roughfca.fca import (
     _resolve_scope,
     attribute_code,
 )
-from roughfca.ordering import OrderedTable, RankTable
+from roughfca.ordering import OrderedColumn, OrderedTable, RankTable
 from roughfca.pipeline import CutSearchResult
 from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
-from roughfca.table import InformationTable, Partition, cell_token
+from roughfca.table import InformationTable, Partition, TableError
 
 
 # --- lookups the library leaves to its callers --------------------------------
 
+def attr_mask(context: FormalContext, names) -> int:
+    """The mask of the named attributes."""
+    mask = 0
+    for name in names:
+        mask |= 1 << context.attributes.index(name)
+    return mask
+
+
+def object_mask(context: FormalContext, names) -> int:
+    """The mask of the named objects."""
+    mask = 0
+    for name in names:
+        mask |= 1 << context.objects.index(name)
+    return mask
+
+
+def extent_of(context: FormalContext, mask: int) -> int:
+    """Objects whose row holds every attribute of the mask (all objects for
+    the empty mask), read off the context's rows."""
+    out = 0
+    for g, row in enumerate(context.rows):
+        if row & mask == mask:
+            out |= 1 << g
+    return out
+
+
+def intent_of(context: FormalContext, mask: int) -> int:
+    """Attributes in the row of every object of the mask (all attributes for
+    the empty mask), read off the context's rows."""
+    out = (1 << len(context.attributes)) - 1
+    for g, row in enumerate(context.rows):
+        if mask >> g & 1:
+            out &= row
+    return out
+
+
 def intent_closure(context: FormalContext, mask: int) -> int:
     """The closure of an attribute mask: the intent of its extent."""
-    return context.intent_of(context.extent_of(mask))
+    return intent_of(context, extent_of(context, mask))
 
 
 def frequencies_by_attribute(freqs: FrequencyTable) -> dict[str, int]:
@@ -49,6 +85,54 @@ def ordered_column(ordered: OrderedTable, attribute: str):
 
 def ranks_by_object(ranks: RankTable) -> dict[str, int]:
     return {row.object: row.rank for row in ranks.rows}
+
+
+# --- former library exports that no code outside the tests read ---------------
+
+def derive_attributes(context: FormalContext, objects) -> tuple[str, ...]:
+    """Attributes shared by every object of the set; all of M for the empty set."""
+    return context.attr_names(intent_of(context, object_mask(context, objects)))
+
+
+def derive_objects(context: FormalContext, attrs) -> tuple[str, ...]:
+    """Objects possessing every attribute of the set; all of G for the empty set."""
+    return context.object_names(extent_of(context, attr_mask(context, attrs)))
+
+
+def indiscernibility(table: InformationTable, attrs) -> Partition:
+    """Partition the universe by exact value agreement on every attribute in
+    attrs.  Two objects share a block iff all their attrs values coincide.
+    """
+    names = list(attrs)
+    if not names:
+        raise TableError("attribute subset must be nonempty")
+    for name in names:
+        table.spec(name)
+    key_order = sorted(set(names), key=table.attribute_names.index)
+    groups: dict[tuple, list[str]] = {}
+    for obj in table.objects:
+        key = tuple(table.values[(obj, a)] for a in key_order)
+        groups.setdefault(key, []).append(obj)
+    return Partition.from_blocks(groups.values(), table.objects)
+
+
+def induced_order(column: OrderedColumn, x: str, y: str) -> str:
+    """"ahead" iff x's label strictly precedes y's in the ladder, "behind"
+    for the converse, "tied" on equal labels."""
+    px, py = column.ladder.position(column.label(x)), column.ladder.position(column.label(y))
+    if px < py:
+        return "ahead"
+    if px > py:
+        return "behind"
+    return "tied"
+
+
+def joint_order(columns, x: str, y: str) -> bool:
+    """True iff x is strictly ahead of y on every given column."""
+    cols = list(columns)
+    if not cols:
+        raise TableError("attribute subset must be nonempty")
+    return all(induced_order(col, x, y) == "ahead" for col in cols)
 
 
 # --- the proximity layer's former pair-by-pair loops --------------------------
@@ -329,40 +413,20 @@ def build_context_reference(source, scope=None) -> FormalContext:
     code) name pair, each ordered-table category found by re-reading every
     object's label, and the context built from those pairs.  Same contract
     as ``roughfca.fca.build_context``."""
-    if isinstance(source, OrderedTable):
-        universe = source.objects
-    elif isinstance(source, InformationTable):
-        universe = source.objects
-    else:
+    if not isinstance(source, OrderedTable):
         raise TypeError(f"cannot scale a {type(source).__name__}")
-    objects = _resolve_scope(universe, scope)
+    objects = _resolve_scope(source.objects, scope)
 
     names: list[str] = []
     pairs: list[tuple[str, str]] = []
-    if isinstance(source, OrderedTable):
-        for col in source.columns:
-            levels = sorted({col.ladder.position(col.label(o)) for o in objects})
-            for k in levels:
-                code = attribute_code(col.source_index, k)
-                names.append(code)
-                for o in objects:
-                    if col.ladder.position(col.label(o)) == k:
-                        pairs.append((o, code))
-    else:
-        for spec in source.attributes:
-            tokens = [cell_token(source.value(o, spec.name)) for o in objects]
-            if spec.ladder:
-                order = [t for t in spec.ladder if t in set(tokens)]
-                stray = sorted(set(tokens) - set(order))
-                order += stray
-            else:
-                order = list(dict.fromkeys(tokens))
-            for token in order:
-                code = f"{spec.name}={token}"
-                names.append(code)
-                for o, t in zip(objects, tokens):
-                    if t == token:
-                        pairs.append((o, code))
+    for col in source.columns:
+        levels = sorted({col.ladder.position(col.label(o)) for o in objects})
+        for k in levels:
+            code = attribute_code(col.source_index, k)
+            names.append(code)
+            for o in objects:
+                if col.ladder.position(col.label(o)) == k:
+                    pairs.append((o, code))
     return _context_from_pairs(objects, names, pairs)
 
 
@@ -376,8 +440,8 @@ def concepts_bruteforce(context: FormalContext):
             mask = 0
             for a in combo:
                 mask |= 1 << a
-            extent = context.extent_of(mask)
-            intent = context.intent_of(extent)
+            extent = extent_of(context, mask)
+            intent = intent_of(context, extent)
             found.add((frozenset(context.object_names(extent)),
                        frozenset(context.attr_names(intent))))
     return found
@@ -393,10 +457,10 @@ def valid_implications_bruteforce(context: FormalContext, require_support=True):
             mask = 0
             for a in combo:
                 mask |= 1 << a
-            extent = context.extent_of(mask)
+            extent = extent_of(context, mask)
             if require_support and extent == 0:
                 continue
-            closed = context.intent_of(extent)
+            closed = intent_of(context, extent)
             if closed != mask:
                 yield (frozenset(context.attr_names(mask)),
                        frozenset(context.attr_names(closed & ~mask)))
@@ -422,10 +486,10 @@ def rules_of(basis):
 
 def implication_holds(context: FormalContext, premise, conclusion) -> bool:
     """True iff every object containing the premise contains the conclusion."""
-    pm = context.attr_mask(premise)
-    cm = context.attr_mask(conclusion)
-    extent = context.extent_of(pm)
-    return context.extent_of(cm) & extent == extent
+    pm = attr_mask(context, premise)
+    cm = attr_mask(context, conclusion)
+    extent = extent_of(context, pm)
+    return extent_of(context, cm) & extent == extent
 
 
 def hasse_edges_bruteforce(extents):
@@ -538,7 +602,7 @@ def enumerate_concepts_reference(context: FormalContext):
     concepts = []
     intent = intent_closure(context, 0)
     while intent is not None:
-        extent = context.extent_of(intent)
+        extent = extent_of(context, intent)
         concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
         intent = _next_closure_reference(intent, n, lambda mask: intent_closure(context, mask))
     return concepts
@@ -571,7 +635,7 @@ def canonical_basis_reference(context: FormalContext, include_unsupported: bool 
 
     out = []
     for prem, closed in rules:
-        support = context.extent_of(prem).bit_count()
+        support = extent_of(context, prem).bit_count()
         if support == 0 and not include_unsupported:
             continue
         out.append(Implication(
@@ -615,13 +679,13 @@ def concepts_bruteforce_masks(context: FormalContext):
     m = len(context.attributes)
     found = set()
     for mask in range(1 << m):
-        extent = context.extent_of(mask)
-        found.add((extent, context.intent_of(extent)))
+        extent = extent_of(context, mask)
+        found.add((extent, intent_of(context, extent)))
     return found
 
 
 def mask_rules(basis, context: FormalContext):
-    return [(context.attr_mask(imp.premise), context.attr_mask(imp.conclusion))
+    return [(attr_mask(context, imp.premise), attr_mask(context, imp.conclusion))
             for imp in basis]
 
 
@@ -640,10 +704,10 @@ def valid_implication_masks(context: FormalContext, require_support=True):
     """(premise mask, proper-conclusion mask) of every implication that holds."""
     m = len(context.attributes)
     for mask in range(1 << m):
-        extent = context.extent_of(mask)
+        extent = extent_of(context, mask)
         if require_support and extent == 0:
             continue
-        closed = context.intent_of(extent)
+        closed = intent_of(context, extent)
         if closed != mask:
             yield mask, closed & ~mask
 

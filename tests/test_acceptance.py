@@ -41,10 +41,11 @@ from roughfca.fca import (
 from roughfca.ordering import build_ordered_table, cluster_by_rank, score_and_rank
 from roughfca.pipeline import PipelineConfig, emit_reports, run_pipeline, search_alpha_beta
 from roughfca.proximity import build_proximity, round_half_up
-from roughfca.table import AttributeSpec, InformationTable, Partition, indiscernibility
+from roughfca.table import AttributeSpec, InformationTable, Partition
 
 import golden
 import oracles
+from oracles import attr_mask, extent_of, indiscernibility, intent_of, object_mask
 from conftest import DATA_DIR
 
 ACCEPTANCE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -170,7 +171,7 @@ def test_c6_cluster_bases_semantic(cluster_contexts, cid):
         assert oracles.implication_holds(ctx, premise, conclusion)
         assert set(conclusion) <= oracles.naive_rule_closure(oracles.rules_of(basis), premise)
         # and its support matches the computed extent size
-        extent = ctx.extent_of(ctx.attr_mask(premise))
+        extent = extent_of(ctx, attr_mask(ctx, premise))
         assert extent.bit_count() == support, (cid, premise)
 
 
@@ -387,20 +388,20 @@ def test_c8_one_zero_cut_is_indiscernibility(table):
 def test_c8_galois_connection_laws(ctx, data):
     xs = data.draw(st.sets(st.sampled_from(ctx.objects)) if ctx.objects else st.just(set()))
     ys = data.draw(st.sets(st.sampled_from(ctx.attributes)) if ctx.attributes else st.just(set()))
-    xm, ym = ctx.object_mask(xs), ctx.attr_mask(ys)
+    xm, ym = object_mask(ctx, xs), attr_mask(ctx, ys)
 
-    assert xm & ctx.extent_of(ctx.intent_of(xm)) == xm          # X <= X''
-    assert ym & ctx.intent_of(ctx.extent_of(ym)) == ym          # Y <= Y''
-    prime = ctx.intent_of(xm)
-    assert ctx.intent_of(ctx.extent_of(prime)) == prime          # X' = X'''
-    x2 = xm | ctx.object_mask(data.draw(st.sets(st.sampled_from(ctx.objects))))
-    assert ctx.intent_of(x2) & ~ctx.intent_of(xm) == 0           # antitone
+    assert xm & extent_of(ctx, intent_of(ctx, xm)) == xm    # X <= X''
+    assert ym & intent_of(ctx, extent_of(ctx, ym)) == ym    # Y <= Y''
+    prime = intent_of(ctx, xm)
+    assert intent_of(ctx, extent_of(ctx, prime)) == prime   # X' = X'''
+    x2 = xm | object_mask(ctx, data.draw(st.sets(st.sampled_from(ctx.objects))))
+    assert intent_of(ctx, x2) & ~intent_of(ctx, xm) == 0    # antitone
 
 
 @ACCEPTANCE
 @given(ctx=random_contexts())
 def test_c8_concepts_equal_bruteforce(ctx):
-    fast = {(ctx.object_mask(c.extent), ctx.attr_mask(c.intent))
+    fast = {(object_mask(ctx, c.extent), attr_mask(ctx, c.intent))
             for c in enumerate_concepts(ctx)}
     assert fast == oracles.concepts_bruteforce_masks(ctx)
     assert len(fast) == len(enumerate_concepts(ctx))  # no duplicates
@@ -418,13 +419,13 @@ def test_c8_concepts_match_reference_in_order(kind, data):
 @ACCEPTANCE
 @given(ctx=random_contexts())
 def test_c8_basis_premises_match_definition_oracle(ctx):
-    pseudo = {(m, ctx.intent_of(ctx.extent_of(m)) & ~m, ctx.extent_of(m) != 0)
+    pseudo = {(m, intent_of(ctx, extent_of(ctx, m)) & ~m, extent_of(ctx, m) != 0)
               for m in oracles.pseudo_intents_bruteforce(ctx)}
-    got = {(ctx.attr_mask(i.premise), ctx.attr_mask(i.conclusion))
+    got = {(attr_mask(ctx, i.premise), attr_mask(ctx, i.conclusion))
            for i in canonical_basis(ctx)}
     assert got == {(m, c) for m, c, supported in pseudo if supported}
     # the oracle's textbook basis keeps every pseudo-intent, supported or not
-    textbook = {(ctx.attr_mask(i.premise), ctx.attr_mask(i.conclusion))
+    textbook = {(attr_mask(ctx, i.premise), attr_mask(ctx, i.conclusion))
                 for i in oracles.canonical_basis_reference(ctx, include_unsupported=True)}
     assert textbook == {(m, c) for m, c, _ in pseudo}
 
@@ -444,8 +445,8 @@ def test_c8_canonical_basis_sound_complete_minimal(ctx):
 
     for skip in range(len(basis)):  # minimality
         rest = oracles.mask_rules(basis[:skip] + basis[skip + 1:], ctx)
-        closed = oracles.mask_closure(rest, ctx.attr_mask(basis[skip].premise))
-        assert ctx.attr_mask(basis[skip].conclusion) & ~closed != 0
+        closed = oracles.mask_closure(rest, attr_mask(ctx, basis[skip].premise))
+        assert attr_mask(ctx, basis[skip].conclusion) & ~closed != 0
 
 
 @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))

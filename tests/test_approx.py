@@ -60,7 +60,7 @@ def test_cut_graph_beta_half_connects_everything(relations):
 
 
 def test_cut_graph_one_zero_is_exact_equality(institutions, relations):
-    from roughfca.table import indiscernibility
+    from oracles import indiscernibility
 
     for name in institutions.attribute_names:
         part = partition_from_cut(cut_graph(relations[name], CutParams(1.0, 0.0)))

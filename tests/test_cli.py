@@ -282,7 +282,7 @@ def _ic_flag(value):
 
 
 #: A JSON ``\ud800`` escape parses to a lone surrogate, which no report can
-#: hold: the config is refused as it is read.
+#: hold: the config is refused as it is read (REFUSALS pins the whole line).
 SURROGATE = "config.json: 'utf-8' codec can't encode character '\\ud800'"
 
 
@@ -433,6 +433,19 @@ REFUSALS = [
              argv=["search-cut", "--config", "{d}/config.json", "--targets", "{d}/targets.json"],
              files={"targets.json": [{"attribute": "IC", "blocks": [["nope"]]}]},
              id="search-targets"),
+    _refusal("load", "cannot read config {d}/config.json: 'utf-8' codec can't encode character "
+                     "'\\ud800' in position 3 of ladders.SS.labels[0]: surrogates not allowed",
+             config={"ladders": _ss_ladder(labels=("Top\ud800", "Very good", "Good"))},
+             id="label-surrogate"),
+    _refusal("load", "cannot read config {d}/config.json: 'utf-8' codec can't encode character "
+                     "'\\ud800' in position 3 of output_dir: surrogates not allowed",
+             config={"output_dir": "out\ud800"}, id="output-dir-surrogate"),
+    _refusal("partition", "cannot read targets {d}/targets.json: 'utf-8' codec can't encode "
+                          "character '\\udfff' in position 1 of [0].blocks[0][1]: "
+                          "surrogates not allowed",
+             argv=["search-cut", "--config", "{d}/config.json", "--targets", "{d}/targets.json"],
+             files={"targets.json": [{"attribute": "IC", "blocks": [["i_1", "i\udfff"]]}]},
+             id="targets-surrogate"),
 ]
 
 

@@ -14,6 +14,14 @@ def _parsed(paths):
     return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
 
 
+def _names_read(paths):
+    """Every name read in the files, as a variable (``name``) or as an
+    attribute (``x.name``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in _parsed(paths) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_method_is_read_outside_the_tests():
     """Each public method or property of a class in ``src/roughfca`` must be
     read as an attribute (``x.name``) somewhere in the library or the
@@ -35,9 +43,7 @@ def test_every_private_module_name_is_read_outside_the_tests():
     module in ``src/roughfca`` must be read somewhere in the library or the
     benchmark, test files excluded, so that no helper lives on for its
     tests alone.  It matches by name, as the method check does."""
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for _, tree in _parsed(LIBRARY + BENCHMARK) for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    read = _names_read(LIBRARY + BENCHMARK)
     defined = []
     for path, tree in _parsed(LIBRARY):
         for node in tree.body:
@@ -48,6 +54,20 @@ def test_every_private_module_name_is_read_outside_the_tests():
                 defined += [(path, t.id) for t in targets if isinstance(t, ast.Name)]
     unread = [f"{path.name}: {name}" for path, name in defined
               if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not unread, unread
+
+
+def test_every_export_is_read_outside_the_tests():
+    """Each name in ``roughfca.__all__`` must be read somewhere in
+    ``src/roughfca`` outside ``__init__.py``, or in the benchmark, test files
+    excluded, so that no export lives on for its tests alone.  It matches by
+    name, as the checks above do."""
+    import roughfca
+
+    read = _names_read([path for path in LIBRARY if path.name != "__init__.py"] + BENCHMARK)
+    # the paper's rough-set reading of the clusters, which no stage computes
+    # yet: ROADMAP item 9 gives it a command
+    unread = sorted(set(roughfca.__all__) - read - {"rough_approximation"})
     assert not unread, unread
 
 

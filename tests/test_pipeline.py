@@ -277,7 +277,7 @@ def test_search_finds_reference_cut(institutions, reference_partitions):
 
 
 def test_search_exact_equality_targets(institutions):
-    from roughfca.table import indiscernibility
+    from oracles import indiscernibility
 
     targets = {name: indiscernibility(institutions, [name])
                for name in institutions.attribute_names}

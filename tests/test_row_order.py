@@ -7,7 +7,10 @@ A table from the benchmark's generator, whose clusters repeat label rows,
 pins that the FCA results do not follow the first-appearance order of the
 context's classes either.  Object names are a contract too: giving every
 object a fresh name, rows in place, changes each result only by that
-renaming, whatever the block order."""
+renaming, whatever the block order.  So is column order: permuting the
+columns and the config's attribute list together moves each context code
+``A<position><level>`` to its attribute's new position and changes nothing
+else."""
 
 import dataclasses
 import json
@@ -46,22 +49,26 @@ def preprocess(config):
             {name: len(validate_proximity(rel)) for name, rel in relations.items()})
 
 
-def outcome(report, name=lambda label: label):
+def outcome(report, name=lambda label: label, code=lambda attribute: attribute):
     """What a run must keep when only the row order changes, under
-    ``mean``, or only the object names: partitions, violation counts, ranks
-    per object and, per cluster, its members, concepts, basis rules and
-    chief groups.  ``name`` maps each object label first."""
+    ``mean``, or only the object names or the column order: partitions,
+    violation counts, ranks per object and, per cluster, its members,
+    concepts, basis rules and chief groups.  ``name`` maps each object label
+    first, and ``code`` each context attribute."""
+    def codes(names):
+        return frozenset(map(code, names))
+
     return {
         "partitions": {attr: _blocks(part, name) for attr, part in report.partitions.items()},
         "violations": {attr: len(v) for attr, v in report.violations.items()},
         "ranks": {name(row.object): row.rank for row in report.ranks.rows},
         "clusters": [frozenset(map(name, cluster.members)) for cluster in report.clusters],
-        "concepts": [frozenset((frozenset(map(name, c.extent)), frozenset(c.intent))
+        "concepts": [frozenset((frozenset(map(name, c.extent)), codes(c.intent))
                                for c in a.concepts)
                      for a in report.analyses],
-        "rules": [frozenset((frozenset(r.premise), frozenset(r.conclusion), r.support)
+        "rules": [frozenset((codes(r.premise), codes(r.conclusion), r.support)
                             for r in a.basis) for a in report.analyses],
-        "chief": [[(frequency, frozenset(names)) for frequency, names in a.chief]
+        "chief": [[(frequency, codes(names)) for frequency, names in a.chief]
                   for a in report.analyses],
     }
 
@@ -166,3 +173,65 @@ def test_renamed_objects_change_nothing_but_the_names(renamed_config, bundled_ou
                                                       block_order, names):
     report = run_pipeline(renamed_config(names, block_order))
     assert outcome(report, dict(zip(names, OBJECTS)).__getitem__) == bundled_outcomes[block_order]
+
+
+ATTRIBUTES = HEADER.split(",")[1:]
+
+
+@pytest.fixture(scope="module")
+def permuted_config(tmp_path_factory):
+    """Write the bundled table with its attribute columns in the given order
+    and return the bundled config with its attribute list in that order."""
+    path = tmp_path_factory.mktemp("columns") / "institutions.csv"
+    specs = {spec.name: spec for spec in CONFIG.attributes}
+
+    def config_for(order):
+        columns = [0, *(ATTRIBUTES.index(attribute) + 1 for attribute in order)]
+        lines = [line.split(",") for line in (HEADER, *ROWS)]
+        path.write_text("".join(",".join(cells[i] for i in columns) + "\n" for cells in lines),
+                        encoding="utf-8")
+        return dataclasses.replace(CONFIG, data_path=path,
+                                   attributes=tuple(specs[attribute] for attribute in order))
+
+    return config_for
+
+
+def column_outcome(report, code=lambda attribute: attribute):
+    """What a run must keep when only the column order changes, beyond
+    :func:`outcome`: each object's label and weight per attribute and its
+    total, and per cluster its context's incidences and its frequency rows,
+    contributors as a multiset."""
+    return {
+        **outcome(report, code=code),
+        "contexts": [{(g, code(m)) for g, row in zip(a.context.objects, a.context.rows)
+                      for m in a.context.attr_names(row)} for a in report.analyses],
+        "rank_table": {row.object: (dict(zip(report.ranks.attributes,
+                                             zip(row.labels, row.weights))), row.total)
+                       for row in report.ranks.rows},
+        "frequencies": [{code(row.attribute): (row.frequency, sorted(
+                            (sorted(map(code, premise)), support)
+                            for premise, support in row.contributors))
+                         for row in a.frequencies.rows} for a in report.analyses],
+    }
+
+
+@pytest.fixture(scope="module")
+def bundled_report():
+    return run_pipeline(CONFIG)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(order=st.permutations(ATTRIBUTES))
+def test_permuted_columns_move_the_codes_and_nothing_else(permuted_config, bundled_report, order):
+    report = run_pipeline(permuted_config(order))
+    position = {attribute: i + 1 for i, attribute in enumerate(order)}
+    assert {col.attribute: col.source_index for col in report.ordered.columns} == {
+        attribute: position[attribute] for attribute in report.ordered.attribute_names}
+    # A<position><level> names the attribute at that position of the new order
+    back = {f"A{position[attribute]}": f"A{ATTRIBUTES.index(attribute) + 1}"
+            for attribute in ATTRIBUTES}
+
+    def code(name):
+        return back[name[:2]] + name[2:]
+
+    assert column_outcome(report, code) == column_outcome(bundled_report)

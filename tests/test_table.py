@@ -7,9 +7,10 @@ from roughfca.table import (
     Partition,
     TableError,
     csv_field,
-    indiscernibility,
     load_table,
 )
+
+from oracles import indiscernibility
 
 
 def test_load_institutions(institutions):
