@@ -65,12 +65,10 @@ class SimilarityGraph:
 
 
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
-    """Pairs passing both threshold tests at full precision, read from the
-    upper triangle (diagonal included) and mirrored, so an asymmetric
-    relation is cut on its cells i <= j."""
-    ar = np.arange(rel.size)
-    keep = (rel.mu >= params.alpha) & (rel.nu <= params.beta) & (ar[:, None] <= ar)
-    packed = np.packbits(keep | keep.T, axis=1, bitorder="little")
+    """Pairs passing both threshold tests at full precision.  The relation
+    is symmetric, so the packed rows of the whole-matrix mask are too."""
+    keep = (rel.mu >= params.alpha) & (rel.nu <= params.beta)
+    packed = np.packbits(keep, axis=1, bitorder="little")
     return SimilarityGraph(rel.objects, tuple(int.from_bytes(row, "little") for row in packed))
 
 

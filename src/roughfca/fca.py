@@ -291,8 +291,13 @@ def _lattice_masks(concepts: Sequence[Concept]) -> tuple[list[int], list[int], F
     return [c._classes for c in concepts], [c._mask for c in concepts], context
 
 
+MAX_CONCEPTS = 10_000
+
+
 def enumerate_concepts(context: FormalContext) -> list[Concept]:
-    """All formal concepts, each exactly once, in lectic order of intents."""
+    """All formal concepts, each exactly once, in lectic order of intents.
+    Raises ValueError at concept ``MAX_CONCEPTS + 1``: the cover's masks
+    hold a bit per pair of concepts, 512 MiB at 2**16 of them."""
     n = len(context.attributes)
     top = (1 << n) - 1
     rows, cols = context._class_rows, context._class_cols
@@ -318,6 +323,8 @@ def enumerate_concepts(context: FormalContext) -> list[Concept]:
         concept._extent = concept._intent = None
         concept._context, concept._classes, concept._mask = context, extent, intent
         concepts.append(concept)
+        if len(concepts) > MAX_CONCEPTS:
+            raise ValueError(f"more than {MAX_CONCEPTS} concepts")
         while todo:  # pushed ascending, so popped descending
             bit = todo & -todo
             todo ^= bit

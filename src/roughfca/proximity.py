@@ -10,28 +10,27 @@ Both are symmetric, the diagonal is (1, 0), and nu < 1/2 whenever x != y.
 :func:`membership_degree` and :func:`nonmembership_degree`, elementwise on
 numpy arrays, are their only definition: the dense matrices and the cut
 search's sorted passes share their float expressions bit for bit.
+A relation is reflexive and symmetric with every degree in [0, 1]:
+:func:`build_proximity` hands over matrices it makes so, and
+:class:`IFProximityRelation` copies and checks matrices from anywhere else.
 The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity` rather than clamped, and
 downstream consumers decide whether to proceed.  Its records are built
-only when read (:class:`ProximityViolations`), from the relation's matrices,
-which are read-only and the relation's own: :func:`build_proximity` hands
-over the matrices it makes, and matrices from anywhere else are copied.
+only when read (:class:`ProximityViolations`), from the relation's own
+read-only matrices.
 
 Reports print each degree rounded half up to three decimals, taken on the
 shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
 0.005 although its double lies just below the tie, where ``round(x, 3)``
-gives 0.004.  The degrees of a relation from :func:`build_proximity` lie in
-[0, 1], so each prints as the five bytes ``d.ddd`` and a row of
-:func:`proximity_to_csv` is fixed-width after its label field: 14 bytes a
-cell.  The renderer rounds ``x * 1000`` with ``np.rint``, sends the
-near-ties (within 1e-9 of a half-way point) through ``Decimal``, and copies
-each cell's bytes from 1001-entry tables into a row buffer, a block of whole
-rows per numpy pass: one pass per row pays numpy's fixed cost per call on
-every row, and one pass over the whole matrix holds several times the
-output text in temporaries.  A degree outside [0, 1], -0.0, NaN or an
-infinity, which only a hand-built relation holds, is printed through
-``Decimal`` in its cell's place.
+gives 0.004.  Every degree lies in [0, 1], so each prints as the five bytes
+``d.ddd`` and a row of :func:`proximity_to_csv` is fixed-width after its
+label field: 14 bytes a cell.  The renderer rounds ``x * 1000`` with
+``np.rint``, sends the near-ties (within 1e-9 of a half-way point) through
+``Decimal``, and copies each cell's bytes from 1001-entry tables into a row
+buffer, a block of whole rows per numpy pass: one pass per row pays numpy's
+fixed cost per call on every row, and one pass over the whole matrix holds
+several times the output text in temporaries.
 """
 
 from __future__ import annotations
@@ -67,12 +66,21 @@ def numeric_values(table: InformationTable, attribute: str) -> tuple[np.ndarray,
     return np.array(table.column(attribute), dtype=float), spec.range_max
 
 
+#: The bits of 1.0.  As unsigned integers, the bits of a double order the
+#: doubles of [0, 1] among themselves and put -0.0, every other negative
+#: double, every double above 1, the infinities and NaN above this value.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class IFProximityRelation:
-    """Dense symmetric matrix of (mu, nu) degrees for one attribute, held as
-    read-only copies that no array or view the caller keeps can change.
-    ``_owned`` hands over matrices made for the relation, which nothing else
-    references: they are marked read-only in place instead of copied."""
+    """Dense symmetric matrix of (mu, nu) degrees for one attribute, held
+    read-only.  Matrices from outside are copied as float64, out of reach of
+    the caller's arrays, and refused, naming the matrix and its first bad
+    cell, unless every degree lies in [0, 1] (-0.0 and NaN excluded), the
+    diagonal is (1, 0) and both are symmetric.  ``_owned`` hands over the
+    matrices that ``build_proximity`` made so: they are marked read-only in
+    place, neither copied nor checked."""
 
     attribute: str
     objects: tuple[str, ...]
@@ -82,10 +90,18 @@ class IFProximityRelation:
 
     def __post_init__(self, _owned: bool) -> None:
         n = len(self.objects)
-        if self.mu.shape != (n, n) or self.nu.shape != (n, n):
-            raise ValueError("degree matrices must be |U| x |U|")
-        for field in ("mu", "nu"):
-            matrix = getattr(self, field) if _owned else getattr(self, field).copy()
+        for field, diagonal in (("mu", 1.0), ("nu", 0.0)):
+            matrix = getattr(self, field)
+            if not _owned:
+                matrix = np.array(matrix, dtype=np.float64)
+                if matrix.shape != (n, n):
+                    raise ValueError("degree matrices must be |U| x |U|")
+                bad = np.argwhere((matrix.view(np.uint64) > _ONE_BITS) | (matrix != matrix.T)
+                                  | np.diag(np.diagonal(matrix) != diagonal))
+                if len(bad):
+                    i, j = bad[0].tolist()
+                    raise ValueError(f"{field}[{i}, {j}] = {matrix.item(i, j)!r}: a degree matrix "
+                                     f"is symmetric, in [0, 1] and {diagonal!r} on its diagonal")
             matrix.setflags(write=False)
             object.__setattr__(self, field, matrix)
 
@@ -104,36 +120,30 @@ def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelat
 
 @dataclass(frozen=True)
 class ProximityViolation:
-    """One failed axiom: kind is "reflexivity", "symmetry" or "sum"."""
+    """One pair that breaks mu + nu <= 1: kind is always "sum"."""
 
     kind: str
     pair: tuple[str, str]
     detail: str
 
 
-#: Violation kinds by code, in the order of a pair's records.
-_KINDS = ("reflexivity", "symmetry", "sum")
-
-
 class ProximityViolations(Sequence[ProximityViolation]):
     """The violations of one relation, as :func:`validate_proximity` finds
-    them: each record's kind code and object indices, with the record itself
-    built only when an item or slice is read.  The details are formatted
-    from the relation's matrices at that point, which is sound because the
-    matrices are read-only.  Compares equal to a list, or to another such
-    sequence, that holds the same records in the same order."""
+    them: the pairs' indices, each record built from the relation's
+    read-only matrices only when an item or slice is read.  Compares equal
+    to a list, or to another such sequence, that holds the same records in
+    the same order."""
 
-    __slots__ = ("_rel", "_kinds", "_rows", "_cols")
+    __slots__ = ("_rel", "_rows", "_cols")
 
-    def __init__(self, rel: IFProximityRelation, kinds: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray) -> None:
-        self._rel, self._kinds, self._rows, self._cols = rel, kinds, rows, cols
+    def __init__(self, rel: IFProximityRelation, rows: np.ndarray, cols: np.ndarray) -> None:
+        self._rel, self._rows, self._cols = rel, rows, cols
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return len(self._rows)
 
     def __getitem__(self, index: int | slice) -> ProximityViolation | list[ProximityViolation]:
-        n = len(self._kinds)
+        n = len(self._rows)
         if isinstance(index, slice):
             return [self._record(k) for k in range(*index.indices(n))]
         k = operator.index(index)
@@ -142,7 +152,7 @@ class ProximityViolations(Sequence[ProximityViolation]):
         return self._record(k % n)
 
     def __iter__(self) -> Iterator[ProximityViolation]:
-        return map(self._record, range(len(self._kinds)))
+        return map(self._record, range(len(self._rows)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, ProximityViolations)):
@@ -150,44 +160,22 @@ class ProximityViolations(Sequence[ProximityViolation]):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def _record(self, k: int) -> ProximityViolation:
-        kind, i, j = _KINDS[self._kinds.item(k)], self._rows.item(k), self._cols.item(k)
-        mu, nu = self._rel.mu.item, self._rel.nu.item
-        if kind == "reflexivity":
-            detail = f"diagonal is ({mu(i, i):.6g}, {nu(i, i):.6g}), expected (1, 0)"
-        elif kind == "symmetry":
-            detail = f"({mu(i, j):.6g}, {nu(i, j):.6g}) vs ({mu(j, i):.6g}, {nu(j, i):.6g})"
-        else:
-            detail = f"mu + nu = {mu(i, j) + nu(i, j):.6g} > 1"
+        i, j = self._rows.item(k), self._cols.item(k)
+        total = self._rel.mu.item(i, j) + self._rel.nu.item(i, j)
         objs = self._rel.objects
-        return ProximityViolation(kind, (objs[i], objs[j]), detail)
+        return ProximityViolation("sum", (objs[i], objs[j]), f"mu + nu = {total:.6g} > 1")
 
 
 def validate_proximity(rel: IFProximityRelation) -> ProximityViolations:
-    """Check reflexivity, symmetry and the constraint mu + nu <= 1 for every
-    pair.  Returns a read-only sequence of :class:`ProximityViolation`
-    records, empty iff all three hold; each carries the offending pair and
-    axiom name.  Order: reflexivity failures along the diagonal, then pairs
-    i < j in row-major order, symmetry before sum.
-
-    One masked pass over the full matrices finds the failing pairs, and the
-    records' kinds and indices are kept as arrays.  A record is built and
-    formatted only when it is read, so a caller that reads the count and the
-    first example pays for one record, however many pairs fail.
-    """
-    mu, nu = rel.mu, rel.nu
-    diag = np.flatnonzero((np.diagonal(mu) != 1.0) | (np.diagonal(nu) != 0.0))
-    asym = (mu != mu.T) | (nu != nu.T)
-    over = mu + nu > 1.0
-    iu, ju = np.nonzero(asym | over)
-    upper = iu < ju
-    iu, ju = iu[upper], ju[upper]
-    # two slots per failing pair, symmetry then sum, kept where that axiom fails
-    found = np.stack((asym[iu, ju], over[iu, ju]), axis=1).ravel()
-    kinds = np.concatenate((np.zeros(len(diag), np.int8),
-                            np.tile(np.array((1, 2), np.int8), len(iu))[found]))
-    rows = np.concatenate((diag, np.repeat(iu, 2)[found]))
-    cols = np.concatenate((diag, np.repeat(ju, 2)[found]))
-    return ProximityViolations(rel, kinds, rows, cols)
+    """The pairs i < j, in row-major order, that break mu + nu <= 1, the one
+    axiom a relation can fail, as a read-only sequence of
+    :class:`ProximityViolation` records, empty iff no pair does.  One pass
+    over the matrices finds the pairs; a record is built only when it is
+    read, so the count and the first example cost one record however many
+    pairs fail."""
+    rows, cols = np.nonzero(rel.mu + rel.nu > 1.0)
+    upper = rows < cols
+    return ProximityViolations(rel, rows[upper], cols[upper])
 
 
 def round_half_up(x: float) -> float:
@@ -212,11 +200,6 @@ def _cell_words() -> tuple[np.ndarray, ...]:
 _CELL = np.dtype({"names": ["mu", "nu"], "formats": ["<u8", "<u8"], "offsets": [0, 6],
                   "itemsize": 14})
 _MU_WORDS, _NU_WORDS = _cell_words()
-
-#: The bits of 1.0.  As unsigned integers, the bits of a double order the
-#: doubles of [0, 1] among themselves and put -0.0, every other negative
-#: double, every double above 1, the infinities and NaN above this value.
-_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 #: Cells rendered per numpy pass, in whole rows and at least one row.
 _BLOCK_CELLS = 4096
@@ -249,50 +232,22 @@ def _row_blocks(rel: IFProximityRelation) -> Iterator[bytes]:
     cells, flat = buf.view(_CELL)[..., 0], memoryview(buf.reshape(-1))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        odd: dict[int, set[int]] = {}  # the columns of each row's odd cells
         for field, words in (("mu", _MU_WORDS), ("nu", _NU_WORDS)):
-            block = np.asarray(getattr(rel, field)[start:stop], dtype=np.float64)
-            if block.view(np.uint64).max() > _ONE_BITS:
-                outside = block.view(np.uint64) > _ONE_BITS
-                for i, j in zip(*np.nonzero(outside)):
-                    odd.setdefault(i, set()).add(j)
-                block = np.where(outside, 0.0, block)
-            np.take(words, _thousandths(block), out=cells[field][:stop - start], mode="clip")
+            np.take(words, _thousandths(getattr(rel, field)[start:stop]),
+                    out=cells[field][:stop - start], mode="clip")
         buf[:, -1, -1] = ord("\n")  # in place of the last nu word's comma
-        # each row's label field, then its slice of the buffer, split around
-        # the text of each odd cell between the cell's quotes
-        pieces = []
-        for i in range(stop - start):
-            pos = i * width
-            pieces.append(labels[start + i])
-            for j in sorted(odd.get(i, ())):
-                cell = i * width + j * size
-                mu, nu = rel.mu[start + i, j].item(), rel.nu[start + i, j].item()
-                pieces += [flat[pos:cell + 1],
-                           f"{round_half_up(mu):.3f},{round_half_up(nu):.3f}".encode()]
-                pos = cell + size - 2  # at the closing quote
-            pieces.append(flat[pos:(i + 1) * width])
-        yield b"".join(pieces)
+        # each row's label field, then its slice of the buffer
+        yield b"".join([piece for i in range(stop - start)
+                        for piece in (labels[start + i], flat[i * width:(i + 1) * width])])
 
 
 def proximity_to_csv(rel: IFProximityRelation) -> str:
     """Render the relation as a CSV cross table with "mu,nu" cells rounded
-    to three decimals (cells are quoted since they contain commas).
-
-    Rounding is half up on the shortest decimal repr of each degree, as
-    :func:`round_half_up` does it.  A degree of [0, 1] prints as the five
-    bytes ``d.ddd``, so after its label field a row is n fixed-width cells
-    of 14 bytes, ``"d.ddd,d.ddd"`` and a comma, or the newline after the
-    last cell.  Rows are rendered a block at a time, as many whole rows as
-    fit in ``_BLOCK_CELLS`` cells: each degree is rounded to thousandths by
-    ``np.rint`` (:func:`_thousandths`, where a near-tie goes through
-    ``Decimal``), each cell's bytes are copied from 1001-entry tables into a
-    reused row buffer, and each row's label field is joined with its slice
-    of that buffer.  A cell with a degree outside [0, 1], -0.0, NaN or an
-    infinity is written over its slot with both degrees through ``Decimal``,
-    as :func:`round_half_up` and ``:.3f`` give them, so an infinity raises
-    ``InvalidOperation``.  Only hand-built relations hold such degrees.
-    """
+    half up to three decimals, as :func:`round_half_up` does it (cells are
+    quoted since they contain commas).  After its label field a row is n
+    cells of 14 bytes, ``"d.ddd,d.ddd"`` and a comma, or the newline after
+    the last cell, rendered a block of ``_BLOCK_CELLS`` cells at a time as
+    the module docstring describes."""
     header = ",".join([csv_field(rel.attribute, not rel.size), *map(csv_field, rel.objects)])
     text = b"".join([(header + "\n").encode("utf-8", "surrogatepass"), *_row_blocks(rel)])
     return text.decode("utf-8", "surrogatepass")

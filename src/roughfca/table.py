@@ -29,7 +29,7 @@ class AttributeSpec:
     kind is "numeric" or "nominal".  Numeric columns require a finite
     range_max >= 1 (a number, not a bool) and every cell must lie in
     [1, range_max].  ladder optionally fixes the category order (best label
-    first) used when the column is categorised or nominally scaled.
+    first) used when the column is categorised.
     drop_if_indiscernible controls whether a column whose similarity
     partition has a single block is dropped from ordered tables.
     """

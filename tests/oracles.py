@@ -151,8 +151,15 @@ def proximity_to_csv_reference(rel):
     return buf.getvalue()
 
 
+def is_degree(x: float) -> bool:
+    """A float of [0, 1]: -0.0 and NaN are not degrees."""
+    return 0.0 <= x <= 1.0 and math.copysign(1.0, x) == 1.0
+
+
 def validate_proximity_reference(rel):
-    """The library's former axiom scan, one numpy scalar at a time."""
+    """The library's former axiom scan, one numpy scalar at a time.  Its
+    reflexivity and symmetry records, which no relation can hold, check the
+    relations that ``build_proximity`` makes without the relation's check."""
     out = []
     objs = rel.objects
     for i, x in enumerate(objs):

@@ -2,12 +2,12 @@
 
 ``table_relations`` builds the relation of one numeric column read through
 ``load_table``, as a pipeline run does, and ``numeric_tables`` a table of
-a few such columns.  ``hand_built_relations`` fills both
-matrices cell by cell with values that are hard to round or to compare:
-exact decimal ties, ties one ulp off, -0.0, values outside [0, 1], NaN and
-infinities.  ``perturbed_relations`` breaks a few cells of a table relation,
-so that most pairs pass validation and a few fail.  ``json_names`` draws
-the attribute and object names that the JSON documents must escape.
+a few such columns.  ``hand_built_relations`` fills both symmetric
+matrices, off the (1, 0) diagonal, with degrees that are hard to round or
+to compare: exact decimal ties, ties one ulp off, 0.0 and 1.0.
+``perturbed_relations`` replaces a few pairs of a table relation, so that
+most pairs pass validation and a few fail.  ``json_names`` draws the
+attribute and object names that the JSON documents must escape.
 ``spread_relation`` is the fixed relation of the scale guards.
 """
 
@@ -24,8 +24,8 @@ from roughfca.table import AttributeSpec, InformationTable, load_table
 #: itself gives 0.004, the repr rounds half up to 0.005.
 DECIMAL_TIES = (0.0015, 0.0025, 0.0045, 0.0125)
 
-#: Cells outside the ordinary range of a degree.
-ODD_CELLS = (0.0, -0.0, 1.0, -0.25, 1.0005, 1.5, 12.0, math.nan, math.inf, -math.inf)
+#: Cells outside the range of a degree, which a relation refuses.
+ODD_CELLS = (-0.0, -0.25, 1.0005, 1.5, 12.0, math.nan, math.inf, -math.inf)
 
 
 def near_tie(k: int, side: int) -> float:
@@ -35,11 +35,11 @@ def near_tie(k: int, side: int) -> float:
     return tie if side == 0 else math.nextafter(tie, side * math.inf)
 
 
+#: Degrees of [0, 1]; st.floats(0.0, 1.0) draws no -0.0.
 cell_values = st.one_of(
-    st.sampled_from(DECIMAL_TIES + ODD_CELLS),
+    st.sampled_from(DECIMAL_TIES + (0.0, 1.0)),
     st.builds(near_tie, st.integers(0, 999), st.sampled_from((-1, 0, 1))),
     st.floats(0.0, 1.0),
-    st.floats(-2.0, 2.0),
 )
 
 #: Labels that csv.writer must quote or leave alone.
@@ -84,25 +84,36 @@ def numeric_tables(draw, max_objects: int = 8, max_attributes: int = 3) -> Infor
     return load_table("object," + ",".join(names) + "\n" + rows, specs)
 
 
+def _symmetric(n: int, diagonal: float, cells: list[float]) -> np.ndarray:
+    """The n x n matrix with ``diagonal`` on its diagonal and ``cells``, in
+    row-major order, above it and mirrored below it."""
+    matrix = np.full((n, n), diagonal)
+    upper = np.triu_indices(n, 1)
+    matrix[upper] = matrix.T[upper] = cells
+    return matrix
+
+
 @st.composite
 def hand_built_relations(draw, max_objects: int = 6) -> IFProximityRelation:
-    """Arbitrary cells: neither symmetric nor reflexive in general."""
+    """Arbitrary degrees, symmetric and with a (1, 0) diagonal."""
     n = draw(st.integers(1, max_objects))
     objects = draw(st.lists(labels, min_size=n, max_size=n, unique=True))
-    mu, nu = (np.array(draw(st.lists(cell_values, min_size=n * n, max_size=n * n)))
-              .reshape(n, n) for _ in range(2))
+    pairs = n * (n - 1) // 2
+    mu, nu = (_symmetric(n, diagonal, draw(st.lists(cell_values, min_size=pairs, max_size=pairs)))
+              for diagonal in (1.0, 0.0))
     return IFProximityRelation("a", tuple(objects), mu, nu)
 
 
 @st.composite
 def perturbed_relations(draw) -> IFProximityRelation:
-    """A table relation with a few cells, diagonal ones included, replaced."""
+    """A table relation with a few pairs off the diagonal replaced, each
+    cell written at (i, j) and (j, i)."""
     rel = draw(table_relations())
     mu, nu = np.array(rel.mu), np.array(rel.nu)
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4)) if rel.size > 1 else 0):
         matrix = mu if draw(st.booleans()) else nu
-        i, j = draw(st.integers(0, rel.size - 1)), draw(st.integers(0, rel.size - 1))
-        matrix[i, j] = draw(cell_values)
+        i, j = draw(st.lists(st.integers(0, rel.size - 1), min_size=2, max_size=2, unique=True))
+        matrix[i, j] = matrix[j, i] = draw(cell_values)
     return IFProximityRelation(rel.attribute, rel.objects, mu, nu)
 
 

@@ -1,14 +1,16 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughfca.approx import (
     CutParams,
+    SimilarityGraph,
     cut_graph,
     lower_approx,
     partition_from_cut,
@@ -120,7 +122,7 @@ EMPTY_RELATION = IFProximityRelation("a", (), np.zeros((0, 0)), np.zeros((0, 0))
 
 @st.composite
 def boundary_cuts(draw):
-    """A relation, symmetric or not, reflexive or not, with a cut whose
+    """A relation, from a table, hand-built or perturbed, with a cut whose
     thresholds lie on a cell's mu or nu or one ulp either side of it."""
     rel = draw(st.one_of(table_relations(), hand_built_relations(), perturbed_relations(),
                          st.just(EMPTY_RELATION)))
@@ -156,10 +158,18 @@ def test_cut_graph_rows_are_symmetric(case):
             assert graph.rows[i] >> j & 1 == graph.rows[j] >> i & 1 == ((min(i, j), max(i, j)) in edges)
 
 
+def test_graph_without_a_self_loop_comes_from_no_relation():
+    # an object without a self-loop is still a block of its own, but no
+    # relation has one: its diagonal is (1, 0), which every cut keeps
+    with pytest.raises(ValueError, match=re.escape("mu[0, 0] = 0.0:")):
+        IFProximityRelation("a", ("x",), np.array([[0.0]]), np.array([[1.0]]))
+    graph = SimilarityGraph(("x",), (0,))
+    assert partition_from_cut(graph) == oracles.partition_from_cut_reference(graph)
+    assert partition_from_cut(graph).blocks == (("x",),)
+
+
 @BOUNDARY
 @given(case=boundary_cuts())
-@example(case=(IFProximityRelation("a", ("x",), np.array([[0.0]]), np.array([[1.0]])),
-               CutParams(0.5, 0.5)))  # no self-loop, still a block
 def test_partition_from_cut_matches_oracles(case):
     graph = cut_graph(*case)
     part = partition_from_cut(graph)

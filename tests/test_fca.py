@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from roughfca import fca
 from roughfca.fca import (
     Concept,
     FormalContext,
@@ -686,6 +687,23 @@ def test_lattice_cover_of_contranominal_scale_13_in_bounded_time():
         above, below = set(concepts[parent].extent), set(concepts[child].extent)
         assert below < above and len(above - below) == 1
 
+
+@pytest.mark.parametrize("n, budget", [(13, 1 << 13), (13, (1 << 13) - 1), (14, None)])
+def test_concept_walk_stops_past_the_budget(monkeypatch, n, budget):
+    # the contranominal scale has 2^n concepts: the walk refuses the first
+    # concept past the budget, before the cover and the basis meet them all
+    if budget is not None:
+        monkeypatch.setattr(fca, "MAX_CONCEPTS", budget)
+    full = (1 << n) - 1
+    ctx = FormalContext(tuple(f"g{i}" for i in range(n)), tuple(f"m{i}" for i in range(n)),
+                        tuple(full & ~(1 << i) for i in range(n)))
+    start = time.perf_counter()
+    if 1 << n <= fca.MAX_CONCEPTS:
+        assert len(enumerate_concepts(ctx)) == 1 << n
+    else:
+        with pytest.raises(ValueError, match=f"^more than {fca.MAX_CONCEPTS} concepts$"):
+            enumerate_concepts(ctx)
+    assert time.perf_counter() - start < 1.0
 
 # the 25 distinct rows of the largest cluster of the benchmark's tiered
 # table, each a ladder level per attribute (digit k of a row is A<k><level>)

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
+from roughfca import fca
 from roughfca.cli import main
 
 CONFIG = json.loads((DATA_DIR / "institutions_config.json").read_text(encoding="utf-8"))
@@ -193,3 +194,33 @@ def test_oversized_csv_cell_is_a_load_error_naming_its_line(tmp_path, capsys):
     code, err = run_with(tmp_path, {"data": "\n".join(rows).encode("utf-8")}, "run", capsys)
     assert code == 2
     assert err.startswith("error [stage:load] line 3: field larger than field limit")
+
+
+def contranominal_table(k: int) -> tuple[dict, str]:
+    """A config and its data: k objects x k attributes, R = 250, object i
+    at 10 on attribute i and 200 on the others.  Each attribute has two
+    blocks and every object the same rank, so the one cluster's context
+    has 2^k concepts."""
+    config = {"data": "table.csv", "alpha": 0.92, "beta": 0.05, "block_order": "mean",
+              "rank_ranges": [[1, 1]],
+              "attributes": [{"name": f"a{j}", "range_max": 250} for j in range(k)]}
+    rows = "".join(f"o{i}," + ",".join("10" if i == j else "200" for j in range(k)) + "\n"
+                   for i in range(k))
+    return config, "object," + ",".join(f"a{j}" for j in range(k)) + "\n" + rows
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_exponential_lattice_is_refused_past_the_concept_budget(tmp_path, capsys, k):
+    config, data = contranominal_table(k)
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "table.csv").write_text(data, encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["fca", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert elapsed < SECONDS
+    if 2**k <= fca.MAX_CONCEPTS:
+        assert code == 0 and not err.startswith("error")
+    else:
+        assert code == 2
+        assert err == f"error [stage:fca] cluster 1: more than {fca.MAX_CONCEPTS} concepts\n"

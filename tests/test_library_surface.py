@@ -85,3 +85,27 @@ def test_only_in_stage_turns_a_failure_into_a_stage_error():
                   for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
                   for node in ast.walk(handler) if raises_stage_error(node)]
     assert not converting, converting
+
+
+def _calls_by_function(node, owner=None):
+    """Each call under ``node``, with the name of the innermost function
+    that makes it (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_function(child, owner)
+
+
+def test_only_build_proximity_hands_over_unchecked_matrices():
+    """A relation checks the matrices it is given unless a call passes
+    ``_owned=True``, which ``build_proximity`` alone may do: its matrices
+    are reflexive, symmetric and in [0, 1] by construction."""
+    owned = [(path.name, owner, call.lineno) for path, tree in _parsed(LIBRARY)
+             for owner, call in _calls_by_function(tree)
+             if any(keyword.arg == "_owned" and not (isinstance(keyword.value, ast.Constant)
+                                                     and keyword.value.value is False)
+                    for keyword in call.keywords)]
+    assert [place[:2] for place in owned] == [("proximity.py", "build_proximity")], owned

@@ -2,7 +2,9 @@
 changes no partition and no violation count, whatever the block order, and
 under ``block_order: "mean"`` no rank, cluster, concept, rule or chief
 group either.  ``appearance`` labels blocks by their first row, so its
-ranks may follow the row order, and some orders leave a rank range empty.
+ranks may follow the row order, and some orders leave a rank range empty;
+its labels change only as the new first-appearance order of the blocks
+implies.
 A table from the benchmark's generator, whose clusters repeat label rows,
 pins that the FCA results do not follow the first-appearance order of the
 context's classes either.  Object names are a contract too: giving every
@@ -14,6 +16,7 @@ else."""
 
 import dataclasses
 import json
+import random
 import sys
 
 import pytest
@@ -218,6 +221,26 @@ def column_outcome(report, code=lambda attribute: attribute):
 @pytest.fixture(scope="module")
 def bundled_report():
     return run_pipeline(CONFIG)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_row_order_relabels_blocks_by_first_appearance(shuffled_config, bundled_report, seed):
+    # under appearance, shuffled rows keep every partition and give each
+    # block the ladder label of its place in the new first-appearance order;
+    # one rank range, since some orders leave a bundled range empty
+    rows = random.Random(seed).sample(ROWS, len(ROWS))
+    config = dataclasses.replace(shuffled_config(rows, "appearance"),
+                                 rank_ranges=((1, len(ROWS)),))
+    report = run_pipeline(config)
+    position = {row.split(",", 1)[0]: k for k, row in enumerate(rows)}
+    assert {attr: _blocks(part) for attr, part in report.partitions.items()} == \
+        {attr: _blocks(part) for attr, part in bundled_report.partitions.items()}
+    assert report.ordered.attribute_names == bundled_report.ordered.attribute_names
+    for column, bundled in zip(report.ordered.columns, bundled_report.ordered.columns):
+        blocks = sorted(_blocks(report.partitions[column.attribute]),
+                        key=lambda block: min(map(position.__getitem__, block)))
+        assert dict(column.labels) == {obj: label for label, block in
+                                       zip(bundled.ladder.labels, blocks) for obj in block}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
