@@ -57,7 +57,6 @@ from .pipeline import (
 )
 from .proximity import (
     IFProximityRelation,
-    ProximityViolation,
     build_proximity,
     membership_degree,
     nonmembership_degree,

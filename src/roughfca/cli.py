@@ -116,7 +116,7 @@ def _cmd_proximity(args: argparse.Namespace) -> int:
             raise StageError("proximity", f"unknown attribute {name!r}")
     selected = dataclasses.replace(report, relations={n: report.relations[n] for n in names})
     written = emit_group(selected, out, "proximity")
-    flagged = {name: len(v) for name, v in report.violations.items() if v}
+    flagged = {name: len(v) for name, v in report.violations.items() if len(v)}
     if flagged:
         print(f"validation violations: {flagged}")
     print(f"wrote {len(written)} proximity matrices to {out}")

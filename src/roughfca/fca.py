@@ -11,10 +11,10 @@ Nominal scaling gives each category of a column the next bit and ORs it
 into the rows of the objects that carry it, so no name is looked up on the
 way; the columns are then read off the rows' set bits.  One helper,
 ``_names``, reads the labels off a mask by clearing one bit per name, and
-concepts and rules are named through it.  The loops that run once per node,
-per candidate or per rule inside the two walks below stay inline: there a
-call per step costs more than the loop it would replace (routing the basis's
-per-rule marks through ``_bit_indices`` made it 4-15% slower).
+rules and the DOT's labels are named through it.  The loops that run once
+per node, per candidate or per rule inside the two walks below stay inline:
+there a call per step costs more than the loop it would replace (routing the
+basis's per-rule marks through ``_bit_indices`` made it 4-15% slower).
 
 Objects with equal rows are indiscernible: every extent holds all of them or
 none.  So a context is clarified once, when it is made: its classes are its
@@ -24,14 +24,11 @@ classes.  The two walks, the cover and the DOT run over classes, so their
 cost follows the distinct rows, not the objects (a ranked cluster repeats
 label rows often: 25 distinct rows among 59 objects in the benchmark's
 ``tiered`` table).  A rule's support is the sum of the multiplicities of its
-extent's classes, the same object count as before.  A concept from the walk
-keeps its class extent and its intent as masks; the tuples of names that
-``Concept.extent`` and ``Concept.intent`` give are built when first read, and
-the report path reads none of them: the DOT expands to objects only the
-classes each node introduces.  The cover and the DOT read those masks, so
-they take only concepts that ``enumerate_concepts`` made for one context; a
-list made by hand from names, or one that mixes contexts, is refused with a
-``TypeError`` (``_lattice_masks``).
+extent's classes, the same object count as before.  A concept is a pair of
+masks: its extent over the context's classes and its intent over the
+attributes.  The cover reads the extents alone; the DOT takes the context
+as well, for its names, and expands to objects only the classes each node
+introduces.
 
 Concept enumeration and the canonical implication basis both walk a
 Close-by-One tree (Kuznetsov 1993).  Rows and columns are kept as integer
@@ -231,43 +228,14 @@ def _resolve_scope(universe: tuple[str, ...], scope: Iterable[str] | None) -> tu
     return objects
 
 
-class Concept:
-    """An (extent, intent) pair fixed under mutual derivation.
+class Concept(NamedTuple):
+    """An (extent, intent) pair fixed under mutual derivation, as two masks:
+    ``extent`` over the object classes of its context, ``intent`` over its
+    attributes.  :func:`enumerate_concepts` builds each with
+    ``tuple.__new__``."""
 
-    A concept from :func:`enumerate_concepts` keeps its extent as a mask over
-    its context's object classes and its intent as an attribute mask; each
-    tuple of names is built when first read.  Equality, hashing and repr go
-    by the names, as for one built from them."""
-
-    __slots__ = ("_extent", "_intent", "_context", "_classes", "_mask")
-
-    def __init__(self, extent: tuple[str, ...], intent: tuple[str, ...]) -> None:
-        self._extent, self._intent, self._context = extent, intent, None
-
-    @property
-    def extent(self) -> tuple[str, ...]:
-        if self._extent is None:
-            context = self._context
-            self._extent = context.object_names(_class_objects(context._class_members,
-                                                               self._classes))
-        return self._extent
-
-    @property
-    def intent(self) -> tuple[str, ...]:
-        if self._intent is None:
-            self._intent = self._context.attr_names(self._mask)
-        return self._intent
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Concept):
-            return NotImplemented
-        return self.extent == other.extent and self.intent == other.intent
-
-    def __hash__(self) -> int:
-        return hash((self.extent, self.intent))
-
-    def __repr__(self) -> str:
-        return f"Concept(extent={self.extent!r}, intent={self.intent!r})"
+    extent: int
+    intent: int
 
 
 def _class_objects(members: Sequence[int], classes: int) -> int:
@@ -278,17 +246,6 @@ def _class_objects(members: Sequence[int], classes: int) -> int:
         out |= members[low.bit_length() - 1]
         classes ^= low
     return out
-
-
-def _lattice_masks(concepts: Sequence[Concept]) -> tuple[list[int], list[int], FormalContext]:
-    """Class-mask extents and attribute-mask intents of concepts that
-    ``enumerate_concepts`` made for one context, and that context.  Any
-    other list, empty, built by hand from names or mixing contexts, is a
-    TypeError."""
-    context = concepts[0]._context if concepts else None
-    if context is None or any(c._context is not context for c in concepts):
-        raise TypeError("expected concepts that enumerate_concepts made for one context")
-    return [c._classes for c in concepts], [c._mask for c in concepts], context
 
 
 MAX_CONCEPTS = 10_000
@@ -302,7 +259,7 @@ def enumerate_concepts(context: FormalContext) -> list[Concept]:
     top = (1 << n) - 1
     rows, cols = context._class_rows, context._class_cols
     concepts = []
-    new = Concept.__new__
+    new = tuple.__new__
     intent, held = top, 0
     for row in rows:
         intent &= row
@@ -319,10 +276,7 @@ def enumerate_concepts(context: FormalContext) -> list[Concept]:
         todo = stack.pop()
         intent = stack.pop()
         extent = stack.pop()
-        concept = new(Concept)
-        concept._extent = concept._intent = None
-        concept._context, concept._classes, concept._mask = context, extent, intent
-        concepts.append(concept)
+        concepts.append(new(Concept, (extent, intent)))
         if len(concepts) > MAX_CONCEPTS:
             raise ValueError(f"more than {MAX_CONCEPTS} concepts")
         while todo:  # pushed ascending, so popped descending
@@ -348,10 +302,11 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     pairs where the parent's extent covers the child's with nothing between.
 
     The parents of a concept are the minimal strict supersets of its extent.
-    Extents are read as class masks (``_lattice_masks``); a strict superset
-    holds strictly more classes.  Positions hold the concepts by ascending
-    extent size and are visited downward; ``containing[g]`` is a bitmask over
-    the positions visited so far whose extent holds class g.  The AND of
+    Extents are class masks, and the largest one sets the highest class bit
+    of any, so its bit length counts the classes; a strict superset holds
+    strictly more classes.  Positions hold the concepts by ascending extent
+    size and are visited downward; ``containing[g]`` is a bitmask over the
+    positions visited so far whose extent holds class g.  The AND of
     ``containing`` over an extent's classes marks the extents above it that
     contain it; dropping those of equal size, which equal it, gives
     ``up[p]``, the strict supersets of position p.  The lowest candidate is a
@@ -359,11 +314,11 @@ def lattice_cover(concepts: Sequence[Concept]) -> list[tuple[int, int]]:
     strict supersets leave the candidates.  A candidate that is left holds no
     parent found so far, so every candidate taken is minimal.
     """
-    masks, _, context = _lattice_masks(concepts)
+    masks = [c.extent for c in concepts]
     sizes = [mask.bit_count() for mask in masks]
     order = sorted(range(len(masks)), key=sizes.__getitem__)
     sizes.sort()  # now by position
-    containing = [0] * len(context._class_rows)
+    containing = [0] * max(masks, default=0).bit_length()
     above = 0  # the positions visited so far
     up = [0] * len(order)
     for p in range(len(order) - 1, -1, -1):
@@ -604,8 +559,10 @@ def context_to_csv(context: FormalContext) -> str:
 _DOT_ESCAPES = str.maketrans({c: "\\" + c for c in '\\"{}|<>'})
 
 
-def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]) -> str:
-    """DOT digraph with one node per concept and one edge per cover pair.
+def lattice_to_dot(context: FormalContext, concepts: Sequence[Concept],
+                   cover: Sequence[tuple[int, int]]) -> str:
+    """DOT digraph with one node per concept of the context and one edge per
+    cover pair.
 
     Nodes carry reduced labels: the attributes missing from every parent's
     intent and the objects missing from every child's extent.  In a lattice
@@ -618,7 +575,7 @@ def lattice_to_dot(concepts: Sequence[Concept], cover: Sequence[tuple[int, int]]
     classes a node introduces are expanded to their objects.  Names are
     backslash-escaped where DOT's record labels give a character a meaning.
     """
-    extents, intents, context = _lattice_masks(concepts)
+    extents, intents = [c.extent for c in concepts], [c.intent for c in concepts]
     order = sorted(range(len(concepts)), key=lambda i: extents[i].bit_count())
     own_classes = [0] * len(concepts)
     seen = 0

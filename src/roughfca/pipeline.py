@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .ordering import (
 )
 from .proximity import (
     IFProximityRelation,
-    ProximityViolation,
     build_proximity,
     membership_degree,
     nonmembership_degree,
@@ -266,7 +265,7 @@ class PipelineReport:
     config: PipelineConfig
     table: InformationTable
     relations: dict[str, IFProximityRelation]
-    violations: dict[str, Sequence[ProximityViolation]]
+    violations: dict[str, np.ndarray]  # per attribute, the k x 2 pairs that break mu + nu <= 1
     partitions: dict[str, Partition]
     ordered: OrderedTable
     ranks: RankTable
@@ -295,15 +294,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     violations = {name: validate_proximity(rel) for name, rel in relations.items()}
     total_violations = sum(len(v) for v in violations.values())
     provenance["stages"]["validate"] = {
-        "violations": {name: len(v) for name, v in sorted(violations.items()) if v},
+        "violations": {name: len(v) for name, v in sorted(violations.items()) if len(v)},
         "forced": bool(config.force and total_violations),
     }
     if total_violations and not config.force:
-        worst = next(v[0] for v in violations.values() if v)
+        name = next(name for name, v in violations.items() if len(v))
+        rel, (i, j) = relations[name], violations[name][0].tolist()
+        pair, total = (rel.objects[i], rel.objects[j]), rel.mu.item(i, j) + rel.nu.item(i, j)
         raise StageError(
             "validate",
-            f"{total_violations} proximity axiom violation(s), e.g. {worst.kind} at "
-            f"{worst.pair}: {worst.detail}; pass force to proceed",
+            f"{total_violations} proximity axiom violation(s), e.g. sum at "
+            f"{pair}: mu + nu = {total:.6g} > 1; pass force to proceed",
         )
 
     override_parts: dict[str, Partition] = {}
@@ -474,9 +475,9 @@ def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
       x for 0 < x < y, so a pair's nu is at least that of any pair nested
       in it.
     - The float nu is the exact one times (1 + d1)(1 + d3) / (1 + d2), each
-      |d| <= r = 2**-53 (subtraction, addition, division; doubling is
-      exact).  Values in [1, 2**500] keep every step clear of overflow and
-      underflow, so that bound holds.
+      |d| <= r = 2**-53 (subtraction, addition, division; the scalings by
+      1/4 and 1/2 are exact).  Values in [1, 2**500] keep every step clear
+      of overflow and underflow, so that bound holds.
     - Let (u_p, u_q) hold a pair P that holds (u_k, u_k+1) and clears the
       margin against it.  By the last two facts fl nu(u_p, u_q) >=
       fl nu(P) (1 - r)**3 / (1 + r)**3, and the margin, whose product
@@ -654,7 +655,8 @@ def _fca_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
     for analysis in report.analyses:
         prefix = f"cluster_{analysis.cluster.cluster_id}"
         yield f"{prefix}_context.csv", fca.context_to_csv(analysis.context)
-        yield f"{prefix}_lattice.dot", fca.lattice_to_dot(analysis.concepts, analysis.cover)
+        yield f"{prefix}_lattice.dot", fca.lattice_to_dot(analysis.context, analysis.concepts,
+                                                             analysis.cover)
         yield f"{prefix}_basis.txt", fca.basis_to_text(analysis.basis)
         yield f"{prefix}_basis.json", fca.basis_to_json(analysis.basis)
         yield f"{prefix}_frequencies.csv", fca.frequencies_to_csv(analysis.frequencies)

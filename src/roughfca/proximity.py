@@ -15,10 +15,9 @@ A relation is reflexive and symmetric with every degree in [0, 1]:
 :class:`IFProximityRelation` copies and checks matrices from anywhere else.
 The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
-therefore reported by :func:`validate_proximity` rather than clamped, and
-downstream consumers decide whether to proceed.  Its records are built
-only when read (:class:`ProximityViolations`), from the relation's own
-read-only matrices.
+therefore reported by :func:`validate_proximity`, as the index pairs of the
+objects that break it, rather than clamped, and downstream consumers decide
+whether to proceed.
 
 Reports print each degree rounded half up to three decimals, taken on the
 shortest decimal repr of the float (:func:`round_half_up`): 0.0045 prints as
@@ -35,10 +34,9 @@ several times the output text in temporaries.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import InitVar, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -54,8 +52,15 @@ def membership_degree(x: ArrayLike, y: ArrayLike, range_max: float) -> ArrayLike
 
 def nonmembership_degree(x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """The only definition of nu, |x-y| / (2(x+y)), on numbers or elementwise
-    on numpy arrays.  Zero on the diagonal, strictly below 1/2 otherwise."""
-    return abs(x - y) / (2.0 * (x + y))
+    on numpy arrays.  Zero on the diagonal, strictly below 1/2 otherwise in
+    exact arithmetic; in floats it rounds to 1/2 when one value dwarfs the
+    other, as 2**60 does 1.
+
+    It is computed as (|x-y| / 4) / (x/2 + y/2), which no value in [1, the
+    largest float] overflows.  Scaling by a power of two is exact there and
+    commutes with rounding, so wherever 2(x+y) is finite the result is the
+    plain expression's, bit for bit."""
+    return (abs(x - y) * 0.25) / (x * 0.5 + y * 0.5)
 
 
 def numeric_values(table: InformationTable, attribute: str) -> tuple[np.ndarray, float]:
@@ -118,64 +123,13 @@ def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelat
                                nonmembership_degree(x, y), _owned=True)
 
 
-@dataclass(frozen=True)
-class ProximityViolation:
-    """One pair that breaks mu + nu <= 1: kind is always "sum"."""
-
-    kind: str
-    pair: tuple[str, str]
-    detail: str
-
-
-class ProximityViolations(Sequence[ProximityViolation]):
-    """The violations of one relation, as :func:`validate_proximity` finds
-    them: the pairs' indices, each record built from the relation's
-    read-only matrices only when an item or slice is read.  Compares equal
-    to a list, or to another such sequence, that holds the same records in
-    the same order."""
-
-    __slots__ = ("_rel", "_rows", "_cols")
-
-    def __init__(self, rel: IFProximityRelation, rows: np.ndarray, cols: np.ndarray) -> None:
-        self._rel, self._rows, self._cols = rel, rows, cols
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index: int | slice) -> ProximityViolation | list[ProximityViolation]:
-        n = len(self._rows)
-        if isinstance(index, slice):
-            return [self._record(k) for k in range(*index.indices(n))]
-        k = operator.index(index)
-        if not -n <= k < n:
-            raise IndexError("violation index out of range")
-        return self._record(k % n)
-
-    def __iter__(self) -> Iterator[ProximityViolation]:
-        return map(self._record, range(len(self._rows)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, ProximityViolations)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def _record(self, k: int) -> ProximityViolation:
-        i, j = self._rows.item(k), self._cols.item(k)
-        total = self._rel.mu.item(i, j) + self._rel.nu.item(i, j)
-        objs = self._rel.objects
-        return ProximityViolation("sum", (objs[i], objs[j]), f"mu + nu = {total:.6g} > 1")
-
-
-def validate_proximity(rel: IFProximityRelation) -> ProximityViolations:
-    """The pairs i < j, in row-major order, that break mu + nu <= 1, the one
-    axiom a relation can fail, as a read-only sequence of
-    :class:`ProximityViolation` records, empty iff no pair does.  One pass
-    over the matrices finds the pairs; a record is built only when it is
-    read, so the count and the first example cost one record however many
-    pairs fail."""
+def validate_proximity(rel: IFProximityRelation) -> np.ndarray:
+    """The pairs (i, j), i < j, that break mu + nu <= 1, the one axiom a
+    relation can fail: a k x 2 array of object indices in row-major order,
+    with no row iff no pair does.  One pass over the matrices finds them."""
     rows, cols = np.nonzero(rel.mu + rel.nu > 1.0)
     upper = rows < cols
-    return ProximityViolations(rel, rows[upper], cols[upper])
+    return np.column_stack((rows[upper], cols[upper]))
 
 
 def round_half_up(x: float) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 
 from roughfca.approx import SimilarityGraph
 from roughfca.fca import (
-    Concept,
     FormalContext,
     FrequencyRow,
     FrequencyTable,
@@ -26,7 +25,7 @@ from roughfca.fca import (
 )
 from roughfca.ordering import OrderedColumn, OrderedTable, RankTable
 from roughfca.pipeline import CutSearchResult
-from roughfca.proximity import ProximityViolation, build_proximity, round_half_up
+from roughfca.proximity import build_proximity, round_half_up
 from roughfca.table import InformationTable, Partition, TableError
 
 
@@ -46,6 +45,16 @@ def object_mask(context: FormalContext, names) -> int:
     for name in names:
         mask |= 1 << context.objects.index(name)
     return mask
+
+
+def concept_names(context: FormalContext, concept) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A concept's (object names, attribute names), read off its class mask
+    and its attribute mask.  The classes are the context's distinct rows in
+    order of first appearance."""
+    classes = {row: k for k, row in enumerate(dict.fromkeys(context.rows))}
+    return (tuple(o for o, row in zip(context.objects, context.rows)
+                  if concept.extent >> classes[row] & 1),
+            tuple(a for k, a in enumerate(context.attributes) if concept.intent >> k & 1))
 
 
 def extent_of(context: FormalContext, mask: int) -> int:
@@ -157,30 +166,22 @@ def is_degree(x: float) -> bool:
 
 
 def validate_proximity_reference(rel):
-    """The library's former axiom scan, one numpy scalar at a time.  Its
-    reflexivity and symmetry records, which no relation can hold, check the
-    relations that ``build_proximity`` makes without the relation's check."""
-    out = []
-    objs = rel.objects
-    for i, x in enumerate(objs):
-        if rel.mu[i, i] != 1.0 or rel.nu[i, i] != 0.0:
-            out.append(ProximityViolation(
-                "reflexivity", (x, x),
-                f"diagonal is ({rel.mu[i, i]:.6g}, {rel.nu[i, i]:.6g}), expected (1, 0)"))
-    for i, x in enumerate(objs):
-        for j in range(i + 1, len(objs)):
-            y = objs[j]
-            if rel.mu[i, j] != rel.mu[j, i] or rel.nu[i, j] != rel.nu[j, i]:
-                out.append(ProximityViolation(
-                    "symmetry", (x, y),
-                    f"({rel.mu[i, j]:.6g}, {rel.nu[i, j]:.6g}) vs "
-                    f"({rel.mu[j, i]:.6g}, {rel.nu[j, i]:.6g})"))
-            total = rel.mu[i, j] + rel.nu[i, j]
-            if total > 1.0:
-                out.append(ProximityViolation(
-                    "sum", (x, y),
-                    f"mu + nu = {total:.6g} > 1"))
-    return out
+    """The library's former axiom scan, one numpy scalar at a time: the
+    pairs [i, j], i < j in row-major order, whose mu + nu exceeds 1."""
+    n = rel.size
+    return [[i, j] for i in range(n) for j in range(i + 1, n)
+            if rel.mu[i, j] + rel.nu[i, j] > 1.0]
+
+
+def is_reflexive_and_symmetric(rel) -> bool:
+    """The former scan's other two axioms, one numpy scalar at a time: the
+    diagonal is (1, 0) and each cell equals its mirror.  No relation can
+    break them, so they check the relations that ``build_proximity`` makes
+    without the relation's check."""
+    n = rel.size
+    return (all(rel.mu[i, i] == 1.0 and rel.nu[i, i] == 0.0 for i in range(n))
+            and all(rel.mu[i, j] == rel.mu[j, i] and rel.nu[i, j] == rel.nu[j, i]
+                    for i in range(n) for j in range(i + 1, n)))
 
 
 def cut_graph_reference(rel, params):
@@ -512,16 +513,17 @@ def hasse_edges_bruteforce(extents):
 
 
 def lattice_cover_reference(concepts):
-    """The library's former lattice cover.  Same contract as
-    ``roughfca.fca.lattice_cover``: (parent, child) index pairs, sorted.
-    For each concept it scans the strict supersets of its extent by
-    ascending size; one is minimal iff it strictly contains none of the
-    parents already kept.  About C^2/2 pair tests for C concepts."""
+    """The library's former lattice cover, over named concepts (object
+    names, attribute names).  Same contract as ``roughfca.fca.lattice_cover``:
+    (parent, child) index pairs, sorted.  For each concept it scans the
+    strict supersets of its extent by ascending size; one is minimal iff it
+    strictly contains none of the parents already kept.  About C^2/2 pair
+    tests for C concepts."""
     index: dict[str, int] = {}
     masks = []
-    for concept in concepts:
+    for extent, _ in concepts:
         mask = 0
-        for obj in concept.extent:
+        for obj in extent:
             mask |= 1 << index.setdefault(obj, len(index))
         masks.append(mask)
     by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
@@ -542,9 +544,10 @@ def lattice_cover_reference(concepts):
 
 
 def lattice_to_dot_reference(concepts, cover):
-    """The library's former DOT renderer: reduced labels from each concept's
-    parents and children in the cover, the attributes in no parent's intent
-    and the objects in no child's extent.  Same contract as
+    """The library's former DOT renderer, over named concepts (object names,
+    attribute names): reduced labels from each concept's parents and
+    children in the cover, the attributes in no parent's intent and the
+    objects in no child's extent.  Same contract as
     ``roughfca.fca.lattice_to_dot`` for names that need no escaping."""
     parents: dict[int, list[int]] = {}
     children: dict[int, list[int]] = {}
@@ -553,15 +556,15 @@ def lattice_to_dot_reference(concepts, cover):
         children.setdefault(p, []).append(c)
 
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=record];"]
-    for idx, concept in enumerate(concepts):
+    for idx, (extent, intent) in enumerate(concepts):
         inherited_attrs = set()
         for p in parents.get(idx, []):
-            inherited_attrs.update(concepts[p].intent)
+            inherited_attrs.update(concepts[p][1])
         passed_objs = set()
         for c in children.get(idx, []):
-            passed_objs.update(concepts[c].extent)
-        own_attrs = [a for a in concept.intent if a not in inherited_attrs]
-        own_objs = [o for o in concept.extent if o not in passed_objs]
+            passed_objs.update(concepts[c][0])
+        own_attrs = [a for a in intent if a not in inherited_attrs]
+        own_objs = [o for o in extent if o not in passed_objs]
         label = "{%s|%s}" % (" ".join(own_attrs), " ".join(own_objs))
         lines.append(f'  c{idx} [label="{label}"];')
     for p, c in cover:
@@ -603,14 +606,14 @@ def _next_closure_reference(mask: int, n: int, close) -> int | None:
 def enumerate_concepts_reference(context: FormalContext):
     """The library's former concept enumeration: Next-Closure over the
     intents, closing each candidate from scratch.  Same contract as
-    ``roughfca.fca.enumerate_concepts``: every concept once, in lectic order
-    of intents."""
+    ``roughfca.fca.enumerate_concepts``, every concept once in lectic order
+    of intents, each named: (object names, attribute names)."""
     n = len(context.attributes)
     concepts = []
     intent = intent_closure(context, 0)
     while intent is not None:
         extent = extent_of(context, intent)
-        concepts.append(Concept(context.object_names(extent), context.attr_names(intent)))
+        concepts.append((context.object_names(extent), context.attr_names(intent)))
         intent = _next_closure_reference(intent, n, lambda mask: intent_closure(context, mask))
     return concepts
 

@@ -15,7 +15,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from roughfca.approx import (
@@ -45,7 +45,14 @@ from roughfca.table import AttributeSpec, InformationTable, Partition
 
 import golden
 import oracles
-from oracles import attr_mask, extent_of, indiscernibility, intent_of, object_mask
+from oracles import (
+    attr_mask,
+    concept_names,
+    extent_of,
+    indiscernibility,
+    intent_of,
+    object_mask,
+)
 from conftest import DATA_DIR
 
 ACCEPTANCE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -401,8 +408,8 @@ def test_c8_galois_connection_laws(ctx, data):
 @ACCEPTANCE
 @given(ctx=random_contexts())
 def test_c8_concepts_equal_bruteforce(ctx):
-    fast = {(object_mask(ctx, c.extent), attr_mask(ctx, c.intent))
-            for c in enumerate_concepts(ctx)}
+    fast = {(object_mask(ctx, extent), attr_mask(ctx, intent))
+            for extent, intent in (concept_names(ctx, c) for c in enumerate_concepts(ctx))}
     assert fast == oracles.concepts_bruteforce_masks(ctx)
     assert len(fast) == len(enumerate_concepts(ctx))  # no duplicates
 
@@ -413,7 +420,8 @@ def test_c8_concepts_equal_bruteforce(ctx):
 def test_c8_concepts_match_reference_in_order(kind, data):
     # list equality: concept indices name the lattice's nodes and cover pairs
     ctx = data.draw(CONTEXT_KINDS[kind])
-    assert enumerate_concepts(ctx) == oracles.enumerate_concepts_reference(ctx)
+    named = [concept_names(ctx, c) for c in enumerate_concepts(ctx)]
+    assert named == oracles.enumerate_concepts_reference(ctx)
 
 
 @ACCEPTANCE
@@ -492,11 +500,12 @@ def test_c8_fca_matches_references_at_independent_workload_shape():
     ctx = _scaled_context(28, [4] * 8, random.Random(0).randrange)
     concepts = enumerate_concepts(ctx)
     assert len(concepts) > 200
-    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    named = [concept_names(ctx, c) for c in concepts]
+    assert named == oracles.enumerate_concepts_reference(ctx)
     basis = canonical_basis(ctx)
     assert len(basis) > 200
     assert basis == oracles.canonical_basis_reference(ctx)
-    assert lattice_cover(concepts) == oracles.lattice_cover_reference(concepts)
+    assert lattice_cover(concepts) == oracles.lattice_cover_reference(named)
 
 
 @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
@@ -505,7 +514,7 @@ def test_c8_fca_matches_references_at_independent_workload_shape():
 def test_c8_lattice_cover_matches_bruteforce(kind, data):
     ctx = data.draw(CONTEXT_KINDS[kind])
     concepts = enumerate_concepts(ctx)
-    extents = [frozenset(c.extent) for c in concepts]
+    extents = [frozenset(concept_names(ctx, c)[0]) for c in concepts]
     assert lattice_cover(concepts) == sorted(oracles.hasse_edges_bruteforce(extents))
 
 
@@ -524,29 +533,54 @@ def wide_random_contexts(draw):
 COVER_CONTEXT_KINDS = dict(CONTEXT_KINDS, wide=wide_random_contexts())
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: every draw is the one
+    context it holds."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def draw(self, strategy):
+        return self.ctx
+
+
+def _edge_contexts(test):
+    """``@example``s at the ends of the cover's class count, the bit length
+    of the top extent: a context with no object, one with no attribute and
+    one whose rows are all equal.  No kind draws the first two."""
+    for ctx in (FormalContext((), ("m0", "m1"), ()),
+                FormalContext(("g0", "g1"), (), (0, 0)),
+                FormalContext(("g0", "g1", "g2"), ("m0", "m1", "m2"), (0b101,) * 3)):
+        test = example(data=_Drawn(ctx))(test)
+    return test
+
+
 @pytest.mark.parametrize("kind", sorted(COVER_CONTEXT_KINDS))
 @ACCEPTANCE
 @given(data=st.data())
+@_edge_contexts
 def test_c8_lattice_cover_matches_reference(kind, data):
     # list equality: lattice_to_dot and the report digests read the pairs in order
     ctx = data.draw(COVER_CONTEXT_KINDS[kind])
     concepts = enumerate_concepts(ctx)
-    assert lattice_cover(concepts) == oracles.lattice_cover_reference(concepts)
+    named = [concept_names(ctx, c) for c in concepts]
+    assert lattice_cover(concepts) == oracles.lattice_cover_reference(named)
 
 
 @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
 @ACCEPTANCE
 @given(data=st.data())
+@_edge_contexts
 def test_c8_lattice_dot_matches_reference(kind, data):
     # reduced labels from attribute and object concepts equal those found
     # through each concept's parents and children in the cover; the oracle
-    # reads the reference concepts, so names built wrong on read show too
+    # reads the reference concepts, named by their own walk
     ctx = data.draw(CONTEXT_KINDS[kind])
     concepts = enumerate_concepts(ctx)
     reference = oracles.enumerate_concepts_reference(ctx)
     expected = oracles.lattice_to_dot_reference(reference,
                                                 oracles.lattice_cover_reference(reference))
-    assert lattice_to_dot(concepts, lattice_cover(concepts)) == expected
+    assert lattice_to_dot(ctx, concepts, lattice_cover(concepts)) == expected
 
 
 @ACCEPTANCE

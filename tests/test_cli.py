@@ -5,7 +5,10 @@ documents the registered subcommands."""
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,27 @@ def test_stage_command_writes_its_group_as_run_does(run_tree, tmp_path, capsys, 
     assert {p.name for p in out.iterdir()} == expected
     for name in expected:
         assert (out / name).read_bytes() == (run_tree / name).read_bytes(), name
+
+
+def test_values_near_the_largest_float_warn_nothing(tmp_path):
+    # 2(x + y) overflows here, so nu must be computed without it: 1/6, and
+    # nothing on stderr.  A subprocess, since pytest captures the warnings
+    # that numpy would print
+    top = sys.float_info.max
+    (tmp_path / "two.csv").write_text(f"object,a\nx,{top!r}\ny,{top / 2!r}\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": "two.csv", "alpha": 0.9, "beta": 0.05, "force": False,
+        "attributes": [{"name": "a", "kind": "numeric", "range_max": top}],
+        "rank_ranges": [[1, 2]]}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for command in ("partition", "proximity"):
+        done = subprocess.run([sys.executable, "-m", "roughfca.cli", command, "--config",
+                               tmp_path / "config.json", "--out", tmp_path / "out"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "out" / "proximity_a.csv").read_text(encoding="utf-8") == (
+        'a,x,y\nx,"1.000,0.000","0.500,0.167"\ny,"0.500,0.167","1.000,0.000"\n')
 
 
 def test_run_prints_the_cluster_summary(tmp_path, capsys):

@@ -39,7 +39,14 @@ from roughfca.table import Partition
 
 import golden
 import oracles
-from oracles import attr_mask, derive_attributes, derive_objects, extent_of, intent_of
+from oracles import (
+    attr_mask,
+    concept_names,
+    derive_attributes,
+    derive_objects,
+    extent_of,
+    intent_of,
+)
 from relation_strategies import json_names, labels, numeric_tables
 
 
@@ -180,62 +187,61 @@ def test_derive_objects_examples(cluster_contexts):
 # --- concepts and lattice ---------------------------------------------------
 
 def test_cluster3_concepts(cluster_contexts):
-    concepts = enumerate_concepts(cluster_contexts[3])
+    ctx = cluster_contexts[3]
+    concepts = [concept_names(ctx, c) for c in enumerate_concepts(ctx)]
     assert len(concepts) == 7
-    extents = {frozenset(c.extent) for c in concepts}
+    extents = {frozenset(extent) for extent, _ in concepts}
     assert extents == {
         frozenset(), frozenset({"i_8"}), frozenset({"i_9"}), frozenset({"i_10"}),
         frozenset({"i_8", "i_9"}), frozenset({"i_9", "i_10"}),
         frozenset({"i_8", "i_9", "i_10"}),
     }
-    top = next(c for c in concepts if len(c.extent) == 3)
-    assert set(top.intent) == {"A24", "A34"}
+    top = next(intent for extent, intent in concepts if len(extent) == 3)
+    assert set(top) == {"A24", "A34"}
 
 
 def test_concepts_match_bruteforce_on_clusters(cluster_contexts):
     for ctx in cluster_contexts.values():
-        fast = {(frozenset(c.extent), frozenset(c.intent)) for c in enumerate_concepts(ctx)}
+        fast = {tuple(map(frozenset, concept_names(ctx, c))) for c in enumerate_concepts(ctx)}
         assert fast == oracles.concepts_bruteforce(ctx)
 
 
 def test_concepts_unique_and_fixed_points(cluster_contexts):
     for ctx in cluster_contexts.values():
-        concepts = enumerate_concepts(ctx)
-        assert len({c.intent for c in concepts}) == len(concepts)
-        for c in concepts:
-            assert derive_attributes(ctx, c.extent) == c.intent
-            assert derive_objects(ctx, c.intent) == c.extent
+        concepts = [concept_names(ctx, c) for c in enumerate_concepts(ctx)]
+        assert len({intent for _, intent in concepts}) == len(concepts)
+        for extent, intent in concepts:
+            assert derive_attributes(ctx, extent) == intent
+            assert derive_objects(ctx, intent) == extent
 
 
 def test_empty_incidence_context():
     ctx = FormalContext(("g",), ("m",), (0,))
     concepts = enumerate_concepts(ctx)
-    assert {(c.extent, c.intent) for c in concepts} == {(("g",), ()), ((), ("m",))}
+    assert {concept_names(ctx, c) for c in concepts} == {(("g",), ()), ((), ("m",))}
 
 
 def test_full_incidence_context():
     ctx = FormalContext(("g", "h"), ("m", "n"), (0b11, 0b11))
     concepts = enumerate_concepts(ctx)
-    assert len(concepts) == 1
-    assert concepts[0] == (("g", "h"), ("m", "n")) or \
-        (concepts[0].extent, concepts[0].intent) == (("g", "h"), ("m", "n"))
+    assert [concept_names(ctx, c) for c in concepts] == [(("g", "h"), ("m", "n"))]
 
 
-def test_walk_concepts_compare_hash_and_print_as_built_from_names():
-    # g and k share a row, so one class; names are built on first read
+def test_walk_concepts_are_mask_pairs():
+    # g and k share a row, so they are class 0 and h is class 1
     ctx = FormalContext(("g", "h", "k"), ("m", "n"), (0b01, 0b11, 0b01))
     concepts = enumerate_concepts(ctx)
-    by_hand = [Concept(("g", "h", "k"), ("m",)), Concept(("h",), ("m", "n"))]
-    assert concepts == by_hand and by_hand == concepts
-    assert set(concepts) == set(by_hand)
-    assert repr(enumerate_concepts(ctx)[1]) == "Concept(extent=('h',), intent=('m', 'n'))"
-    assert '  c0 [label="{m|g k}"];' in lattice_to_dot(concepts, lattice_cover(concepts))
+    assert concepts == [Concept(extent=0b11, intent=0b01), Concept(extent=0b10, intent=0b11)]
+    assert [concept_names(ctx, c) for c in concepts] == [(("g", "h", "k"), ("m",)),
+                                                         (("h",), ("m", "n"))]
+    assert '  c0 [label="{m|g k}"];' in lattice_to_dot(ctx, concepts, lattice_cover(concepts))
 
 
 def test_lattice_cover_cluster3(cluster_contexts):
-    concepts = enumerate_concepts(cluster_contexts[3])
+    ctx = cluster_contexts[3]
+    concepts = enumerate_concepts(ctx)
     cover = lattice_cover(concepts)
-    exts = [frozenset(c.extent) for c in concepts]
+    exts = [frozenset(concept_names(ctx, c)[0]) for c in concepts]
     assert set(cover) == oracles.hasse_edges_bruteforce(exts)
     top = exts.index(frozenset({"i_8", "i_9", "i_10"}))
     children = {exts[c] for p, c in cover if p == top}
@@ -249,7 +255,7 @@ def test_lattice_cover_chain():
     concepts = enumerate_concepts(ctx)
     cover = lattice_cover(concepts)
     # chain of three nested concepts: two edges
-    assert [len(c.extent) for c in concepts] == [3, 2, 1]
+    assert [len(concept_names(ctx, c)[0]) for c in concepts] == [3, 2, 1]
     assert len(cover) == 2
 
 
@@ -258,8 +264,8 @@ def test_lattice_cover_single_concept():
     assert lattice_cover(enumerate_concepts(ctx)) == []
 
 
-# hand-built concept lists: the lattice kernels read the masks of one
-# concept walk, so they refuse these; the reference still reads the extents
+# hand-built concept lists over the classes {a} (bit 0) and {b} (bit 1): the
+# cover reads the extents alone, and its class count off the largest one
 @pytest.mark.parametrize("extents, expected", [
     # two concepts share the extent {a}: both sit under {a, b}, neither
     # under the other, and both cover the empty extent
@@ -271,23 +277,10 @@ def test_lattice_cover_single_concept():
     ([], []),
 ], ids=["duplicated-extent", "empty-extent", "one-concept", "one-empty-concept", "none"])
 def test_lattice_cover_hand_built_concepts(extents, expected):
-    concepts = [Concept(extent, ()) for extent in extents]
-    with pytest.raises(TypeError, match="enumerate_concepts made for one context"):
-        lattice_cover(concepts)
-    with pytest.raises(TypeError, match="enumerate_concepts made for one context"):
-        lattice_to_dot(concepts, expected)
-    assert oracles.lattice_cover_reference(concepts) == expected
-
-
-def test_lattice_kernels_refuse_concepts_of_two_contexts():
-    first, second = (enumerate_concepts(FormalContext(("g", "h"), ("m", "n"), (0b01, 0b11)))
-                     for _ in range(2))
-    assert first == second
-    for mixed in (first[:1] + second[1:], first + [Concept(("h",), ("m", "n"))]):
-        with pytest.raises(TypeError, match="enumerate_concepts made for one context"):
-            lattice_cover(mixed)
-        with pytest.raises(TypeError, match="enumerate_concepts made for one context"):
-            lattice_to_dot(mixed, [])
+    bits = {"a": 0b01, "b": 0b10}
+    concepts = [Concept(sum(map(bits.__getitem__, extent)), 0) for extent in extents]
+    assert lattice_cover(concepts) == expected
+    assert oracles.lattice_cover_reference([(extent, ()) for extent in extents]) == expected
 
 
 def test_galois_laws_on_cluster_contexts(cluster_contexts):
@@ -410,10 +403,11 @@ def test_basis_of_edge_contexts(name):
 def test_concept_walk_of_edge_contexts(name):
     ctx = EDGE_CONTEXTS[name][0]
     concepts = enumerate_concepts(ctx)
-    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    named = [concept_names(ctx, c) for c in concepts]
+    assert named == oracles.enumerate_concepts_reference(ctx)
     cover = lattice_cover(concepts)
-    assert cover == oracles.lattice_cover_reference(concepts)
-    assert lattice_to_dot(concepts, cover) == oracles.lattice_to_dot_reference(concepts, cover)
+    assert cover == oracles.lattice_cover_reference(named)
+    assert lattice_to_dot(ctx, concepts, cover) == oracles.lattice_to_dot_reference(named, cover)
     # the walk tries only attributes some object holds; the bottom (empty
     # extent, every attribute) comes last, and only when no object holds
     # every attribute ("no objects" is that bottom alone)
@@ -422,7 +416,7 @@ def test_concept_walk_of_edge_contexts(name):
                    "nominal scale of 12": True}[name]
     assert [i for i, c in enumerate(concepts) if not c.extent] == \
         ([len(concepts) - 1] if bottom_last else [])
-    assert concepts[-1].intent == ctx.attributes
+    assert named[-1][1] == ctx.attributes
 
 
 def test_basis_of_nominal_scale_has_one_unsupported_rule_per_pair():
@@ -580,9 +574,10 @@ def test_basis_json_peak_memory_stays_near_its_text():
 
 
 def test_lattice_dot(cluster_contexts):
-    concepts = enumerate_concepts(cluster_contexts[3])
+    ctx = cluster_contexts[3]
+    concepts = enumerate_concepts(ctx)
     cover = lattice_cover(concepts)
-    dot = lattice_to_dot(concepts, cover)
+    dot = lattice_to_dot(ctx, concepts, cover)
     assert dot.startswith("digraph concept_lattice {")
     assert dot.count("->") == len(cover)
     assert dot.count("label=") == len(concepts)
@@ -592,7 +587,7 @@ def test_lattice_dot_escapes_record_label_characters():
     # object names come verbatim from the data CSV's first column
     ctx = FormalContext(('a"b', "c|d", "e{f}"), ("m<1>",), (1, 0, 1))
     concepts = enumerate_concepts(ctx)
-    lines = lattice_to_dot(concepts, lattice_cover(concepts)).splitlines()
+    lines = lattice_to_dot(ctx, concepts, lattice_cover(concepts)).splitlines()
     assert lines[3:] == [
         '  c0 [label="{|c\\|d}"];',
         '  c1 [label="{m\\<1\\>|a\\"b e\\{f\\}}"];',
@@ -600,7 +595,7 @@ def test_lattice_dot_escapes_record_label_characters():
         "}",
     ]
     ctx = FormalContext(("g\\h",), ("m",), (1,))
-    assert '[label="{m|g\\\\h}"]' in lattice_to_dot(enumerate_concepts(ctx), [])
+    assert '[label="{m|g\\\\h}"]' in lattice_to_dot(ctx, enumerate_concepts(ctx), [])
 
 
 def test_frequencies_csv(cluster_contexts):
@@ -651,7 +646,7 @@ def test_kernels_walk_chains_deeper_than_the_recursion_limit():
         basis = canonical_basis(ctx)
     finally:
         sys.setrecursionlimit(limit)
-    assert concepts == oracles.enumerate_concepts_reference(ctx)
+    assert [concept_names(ctx, c) for c in concepts] == oracles.enumerate_concepts_reference(ctx)
     assert len(concepts) == 100
     assert basis == oracles.canonical_basis_reference(ctx)
 
@@ -683,9 +678,9 @@ def test_lattice_cover_of_contranominal_scale_13_in_bounded_time():
     cover = lattice_cover(concepts)
     assert time.perf_counter() - start < 2.0
     assert len(cover) == n << (n - 1)
-    for parent, child in cover:
-        above, below = set(concepts[parent].extent), set(concepts[child].extent)
-        assert below < above and len(above - below) == 1
+    for parent, child in cover:  # the rows are distinct: a class is one object
+        above, below = concepts[parent].extent, concepts[child].extent
+        assert below & ~above == 0 and (above & ~below).bit_count() == 1
 
 
 @pytest.mark.parametrize("n, budget", [(13, 1 << 13), (13, (1 << 13) - 1), (14, None)])
@@ -727,7 +722,7 @@ def test_fca_on_20k_objects_of_25_distinct_rows_in_bounded_time():
     concepts = enumerate_concepts(ctx)
     cover = lattice_cover(concepts)
     basis = canonical_basis(ctx)
-    dot = lattice_to_dot(concepts, cover)
+    dot = lattice_to_dot(ctx, concepts, cover)
     assert time.perf_counter() - start < 2.0
     # the clarified context: one object per row, the same lattice and rules
     small = FormalContext(tuple(f"r{r}" for r in range(25)), attrs, tuple(patterns))

@@ -38,6 +38,27 @@ def test_every_public_method_is_read_outside_the_tests():
     assert not unread, unread
 
 
+def test_no_class_defines_its_own_equality_or_sequence_protocol():
+    """No class in ``src/roughfca`` defines or assigns ``__eq__``,
+    ``__hash__``, ``__getitem__``, ``__iter__`` or ``__len__``.  A result is
+    plain data: a dataclass, a named tuple or an array, compared and read
+    as such, and not a view that builds its items or its equality itself."""
+    protocol = {"__eq__", "__hash__", "__getitem__", "__iter__", "__len__"}
+
+    def names(item):
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return [item.name]
+        targets = (item.targets if isinstance(item, ast.Assign)
+                   else [item.target] if isinstance(item, ast.AnnAssign) else [])
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
+    defined = [f"{path.name}: {cls.name}.{name}"
+               for path, tree in _parsed(LIBRARY)
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for item in cls.body for name in names(item) if name in protocol]
+    assert not defined, defined
+
+
 def test_every_private_module_name_is_read_outside_the_tests():
     """Each private function or constant defined at the top level of a
     module in ``src/roughfca`` must be read somewhere in the library or the

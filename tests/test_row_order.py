@@ -29,6 +29,8 @@ from roughfca.ordering import BLOCK_ORDERS
 from roughfca.pipeline import PipelineConfig, load_config_table, run_pipeline
 from roughfca.proximity import build_proximity, validate_proximity
 
+from oracles import concept_names
+
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))  # the benchmark's table generator
 import gen  # noqa: E402
 
@@ -66,8 +68,9 @@ def outcome(report, name=lambda label: label, code=lambda attribute: attribute):
         "violations": {attr: len(v) for attr, v in report.violations.items()},
         "ranks": {name(row.object): row.rank for row in report.ranks.rows},
         "clusters": [frozenset(map(name, cluster.members)) for cluster in report.clusters],
-        "concepts": [frozenset((frozenset(map(name, c.extent)), codes(c.intent))
-                               for c in a.concepts)
+        "concepts": [frozenset((frozenset(map(name, extent)), codes(intent))
+                               for extent, intent in (concept_names(a.context, c)
+                                                      for c in a.concepts))
                      for a in report.analyses],
         "rules": [frozenset((codes(r.premise), codes(r.conclusion), r.support)
                             for r in a.basis) for a in report.analyses],
