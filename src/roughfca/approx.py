@@ -15,8 +15,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .proximity import IFProximityRelation
 from .table import Partition, TableError
 
@@ -67,6 +65,8 @@ class SimilarityGraph:
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
     """Pairs passing both threshold tests at full precision.  The relation
     is symmetric, so the packed rows of the whole-matrix mask are too."""
+    import numpy as np
+
     keep = (rel.mu >= params.alpha) & (rel.nu <= params.beta)
     packed = np.packbits(keep, axis=1, bitorder="little")
     return SimilarityGraph(rel.objects, tuple(int.from_bytes(row, "little") for row in packed))

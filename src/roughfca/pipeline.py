@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import fca
 from .approx import CutParams, cut_graph, partition_from_cut, partition_to_json, partitions_from_json
@@ -47,6 +49,9 @@ from .proximity import (
     validate_proximity,
 )
 from .table import AttributeSpec, InformationTable, Partition, load_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UnionFind:
@@ -424,27 +429,28 @@ class CutSearchResult:
         return "".join(parts)
 
 
-def _hull(lo: np.ndarray, hi: np.ndarray,
+def _hull(lo: int, hi: list[int],
           levels: list[float]) -> tuple[float, float, float, float] | None:
-    """(alpha min, alpha max, beta min, beta max) of a region held as one
-    half-open interval [lo[i], hi[i]) of beta levels per alpha level i."""
-    rows = np.flatnonzero(lo < hi)
-    if not rows.size:
+    """(alpha min, alpha max, beta min, beta max) of a region held as the
+    half-open interval [lo, hi[i]) of beta levels at each alpha level i."""
+    first = next((i for i, high in enumerate(hi) if high > lo), None)
+    if first is None:
         return None
-    return (levels[rows[0]], levels[rows[-1]], levels[lo[rows].min()], levels[hi[rows].max() - 1])
+    last = len(hi) - next(i for i, high in enumerate(reversed(hi), 1) if high > lo)
+    return levels[first], levels[last], levels[lo], levels[max(hi) - 1]
 
 
-def _admissible_prefix(levels: np.ndarray) -> np.ndarray:
+def _admissible_prefix(levels: list[float]) -> list[int]:
     """For each alpha level, the number of beta levels in the admissible
     triangle, where ``alpha + beta <= SUM_BOUND`` as :class:`CutParams`
-    tests it.  Float addition is monotone, so they are a prefix of the
-    levels.  ``searchsorted`` on the rounded ``SUM_BOUND - alpha`` can
-    miss its end by one level (levels lie at least 0.001 apart, the rounding
-    is some 1e-16), and one exact test on each side of it mends that."""
-    bound, last = CutParams.SUM_BOUND, len(levels) - 1
-    top = levels.searchsorted(bound - levels, "right")
-    top += (top <= last) & (levels + levels[np.minimum(top, last)] <= bound)
-    top -= (top > 0) & (levels + levels[top - 1] > bound)
+    tests it.  Float addition is monotone in each operand, so they are a
+    prefix of the levels that shrinks as alpha grows: one pass moves its
+    end down, testing each sum exactly."""
+    bound, count, top = CutParams.SUM_BOUND, len(levels), []
+    for alpha in levels:
+        while count and alpha + levels[count - 1] > bound:
+            count -= 1
+        top.append(count)
     return top
 
 
@@ -453,12 +459,12 @@ def _admissible_prefix(levels: np.ndarray) -> np.ndarray:
 _ORDER_MARGIN = 1.0 + 2.0 ** -49
 
 
-def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
+def _undecided_spans(u: list[float]) -> list[tuple[int, int]]:
     """Disjoint ascending index ranges [start, stop) of the distinct sorted
     values ``u`` such that any pair whose float nu falls below that of an
     adjacent pair inside it lies within one of them: [] when an O(n) test
     settles every pair, the whole of ``u`` when it does not lie in
-    [1, 2**500].
+    [1, the largest float].
 
     The test asks each two-step pair (u_k-1, u_k+1) for a nu of at least
     :data:`_ORDER_MARGIN` times the larger adjacent nu inside it.  Why a
@@ -474,10 +480,14 @@ def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
     - Exactly, nu(x, y) = (y - x) / (2 (x + y)) rises with y and falls with
       x for 0 < x < y, so a pair's nu is at least that of any pair nested
       in it.
-    - The float nu is the exact one times (1 + d1)(1 + d3) / (1 + d2), each
-      |d| <= r = 2**-53 (subtraction, addition, division; the scalings by
-      1/4 and 1/2 are exact).  Values in [1, 2**500] keep every step clear
-      of overflow and underflow, so that bound holds.
+    - The float nu, (|x - y| / 4) / (x/2 + y/2), is the exact one times
+      (1 + d1)(1 + d3) / (1 + d2), each |d| <= r = 2**-53 (subtraction,
+      addition, division), wherever no step overflows or underflows.  For
+      1 <= x < y <= the largest float none does: x/2 + y/2 is at most the
+      largest float; x/2 and y/2 are at least 1/2 and |x - y| / 4 at least
+      2**-54, so the scalings by 1/4 and 1/2 are exact; and y - x is at
+      least x 2**-53, so nu is at least about 2**-56, far above the
+      subnormals.
     - Let (u_p, u_q) hold a pair P that holds (u_k, u_k+1) and clears the
       margin against it.  By the last two facts fl nu(u_p, u_q) >=
       fl nu(P) (1 - r)**3 / (1 + r)**3, and the margin, whose product
@@ -491,22 +501,22 @@ def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
     (u_k, u_hi) does.  A pair holding (u_k, u_k+1) that reaches lo or hi
     holds one of those two; every other lies in u_lo+1 .. u_hi-1.
     Overlapping ranges are merged."""
-    if len(u) < 3:
+    n = len(u)
+    if n < 3:
         return []  # no pair has an adjacent pair inside it
-    if not (u[0] >= 1.0 and u[-1] <= 2.0 ** 500):
-        return [(0, len(u))]
-    nu = nonmembership_degree(u[:-1], u[1:])
-    wide = nonmembership_degree(u[:-2], u[2:])
-    failing = np.flatnonzero(wide < _ORDER_MARGIN * np.maximum(nu[:-1], nu[1:]))
-    if not failing.size:
-        return []
+    if not (u[0] >= 1.0 and u[-1] <= sys.float_info.max):
+        return [(0, n)]
+    nu = list(map(nonmembership_degree, u, u[1:]))
+    failing = [k for k, (wide, left, right)
+               in enumerate(zip(map(nonmembership_degree, u, u[2:]), nu, nu[1:]))
+               if wide < _ORDER_MARGIN * left or wide < _ORDER_MARGIN * right]
     spans = []
-    for k in np.union1d(failing, failing + 1).tolist():  # window f holds pairs f and f + 1
+    for k in sorted({*failing, *(f + 1 for f in failing)}):  # window f holds pairs f and f + 1
         bound = _ORDER_MARGIN * nu[k]
         lo, hi = k - 1, k + 2
         while lo >= 0 and nonmembership_degree(u[lo], u[k + 1]) < bound:
             lo -= 1
-        while hi < len(u) and nonmembership_degree(u[k], u[hi]) < bound:
+        while hi < n and nonmembership_degree(u[k], u[hi]) < bound:
             hi += 1
         spans.append((lo + 1, hi))
     merged: list[tuple[int, int]] = []
@@ -518,66 +528,69 @@ def _undecided_spans(u: np.ndarray) -> list[tuple[int, int]]:
     return merged
 
 
-def _check_order(name: str, values: np.ndarray) -> None:
+def _check_order(name: str, values: list[float]) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
     below that of an adjacent pair inside it.  Only a pair of the distinct
     values (a repeat adds no nu of its own) within one of
     :func:`_undecided_spans` can, and almost every attribute has no span.
-    Each span's pairs are checked against the largest adjacent nu inside
-    them, on arrays the square of the span's length.  The spans are
-    disjoint and ascending, so the first break named is the first that a
-    check of every pair would find."""
-    distinct = np.ones(len(values), bool)
-    distinct[1:] = values[1:] != values[:-1]
-    values = values[distinct]
+    Each span's pairs are checked row by row against the largest adjacent
+    nu inside them.  The spans are disjoint and ascending, so the first
+    break named is the first that a check of every pair would find."""
+    values = [value for value, _ in groupby(values)]
     for start, stop in _undecided_spans(values):
-        span = values[start:stop]
-        n = len(span)
-        nu = nonmembership_degree(span[:, None], span)
-        inside = np.where(np.arange(n - 1) >= np.arange(n)[:, None], np.diagonal(nu, 1), -np.inf)
-        bad = np.argwhere(nu[:, 1:] < np.maximum.accumulate(inside, axis=1))  # [i, j - 1], i < j
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted values "
-                             f"{span[i:j + 2].tolist()}; near-duplicates break it by an ulp")
+        adjacent = list(map(nonmembership_degree, values[start:stop], values[start + 1:stop]))
+        for i in range(start, stop - 2):
+            row = map(nonmembership_degree, repeat(values[i]), values[i + 1:stop])
+            inside = accumulate(adjacent[i - start:], max)
+            for j, (nu, largest) in enumerate(zip(row, inside), i + 1):
+                if nu < largest:
+                    raise ValueError(f"cut search on {name!r}: nu is not monotone over the "
+                                     f"sorted values {[*map(float, values[i:j + 1])]}; "
+                                     "near-duplicates break it by an ulp")
 
 
 def _beta_intervals(table: InformationTable, name: str, target: Partition,
-                    levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cuts of ``name`` that give ``target``, as one half-open interval
-    [lo[i], hi[i]) of beta level indices per alpha level i (empty where
-    lo[i] >= hi[i]).
+                    levels: list[float], top: list[int]) -> tuple[int, list[int]]:
+    """The admissible cuts of ``name`` that give ``target``, as the half-open
+    interval [lo, hi[i]) of beta level indices at each alpha level i (empty
+    where lo >= hi[i]), hi cut to the admissible prefix ``top``.
 
     Along sorted values a pair's mu falls and its nu rises as it widens (in
     floats too: each step of mu rounds monotonically, and
     :func:`_check_order` makes sure of nu), so a cut's blocks are runs
     joined by the adjacent pairs that pass it, and each target block must
     be one run of the order by (value, target block).  An adjacent pair
-    inside a run needs alpha <= mu and beta >= nu; one at a boundary needs
-    beta < nu wherever alpha <= mu, so beta stays below a staircase: the
-    least nu among the boundary pairs with mu >= alpha.  Adjacent degrees
-    come from the degree functions, as :func:`build_proximity`'s cells do,
-    and each bound is found with ``searchsorted`` under the comparison a
-    mask over the levels would make."""
+    inside a run needs alpha <= mu and beta >= nu, so lo is one level for
+    every alpha.  One at a boundary needs beta < nu wherever alpha <= mu,
+    so beta stays below a staircase: the least nu among the boundary pairs
+    with mu >= alpha.  With the boundary pairs sorted by mu, hi is one run
+    of levels per step of that staircase, up to where the falling ``top``
+    drops below it.  Adjacent degrees come from the degree functions, as
+    :func:`build_proximity`'s cells do, and each bound is found by
+    bisection under the comparison a mask over the levels would make."""
     values, range_max = numeric_values(table, name)
-    blocks = np.array([target.block_of[o] for o in table.objects])
-    order = np.lexsort((blocks, values))
-    values, blocks = values[order], blocks[order]
+    pairs = sorted(zip(values, [target.block_of[o] for o in table.objects]))
+    values, blocks = [value for value, _ in pairs], [block for _, block in pairs]
     _check_order(name, values)
-    mu = membership_degree(values[:-1], values[1:], range_max)
-    nu = nonmembership_degree(values[:-1], values[1:])
-    inner = blocks[:-1] == blocks[1:]
-    if np.count_nonzero(~inner) >= len(target.blocks):  # a target block is not one run
-        none = np.zeros(len(levels), int)
-        return none, none
-    lo = np.full(len(levels), levels.searchsorted(nu[inner].max(initial=-np.inf)))
-    cross_mu, cross_nu = mu[~inner], nu[~inner]
-    by_mu = np.argsort(cross_mu)
+    inner = list(map(operator.eq, blocks, blocks[1:]))
+    if inner.count(False) >= len(target.blocks):  # a target block is not one run
+        return 0, [0] * len(levels)
+    mu = list(map(membership_degree, values, values[1:], repeat(range_max)))
+    nu = list(map(nonmembership_degree, values, values[1:]))
+    cross = sorted((mu[k], nu[k]) for k, same in enumerate(inner) if not same)
+    edges = [edge for edge, _ in cross] + [math.inf]
     # the least nu among the boundary pairs from each one up in mu order
-    stair = np.concatenate((np.minimum.accumulate(cross_nu[by_mu][::-1])[::-1], [np.inf]))
-    hi = levels.searchsorted(stair[cross_mu[by_mu].searchsorted(levels)])  # mu >= alpha, beta < nu
-    hi[levels.searchsorted(mu[inner].min(initial=np.inf), "right"):] = 0  # alpha <= mu
-    return lo, hi
+    stair = [*accumulate(reversed([least for _, least in cross]), min)][::-1] + [math.inf]
+    cutoff = bisect_right(levels, min(compress(mu, inner), default=math.inf))  # alpha <= mu
+    hi: list[int] = []
+    for edge, least in zip(edges, stair):
+        stop = min(bisect_right(levels, edge), cutoff)  # the alphas whose first mu >= alpha is edge
+        high = bisect_left(levels, least)  # beta < nu
+        cap = bisect_right(top, -high, len(hi), stop, key=operator.neg)  # top[cap] < high
+        hi += [high] * (cap - len(hi))
+        hi += top[cap:stop]
+    hi += [0] * (len(levels) - len(hi))
+    return bisect_left(levels, max(compress(nu, inner), default=-math.inf)), hi  # beta >= nu
 
 
 def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
@@ -589,10 +602,12 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
     Each target attribute is sorted once, and its region is read from its
     adjacent degrees as one interval of beta levels per alpha level
     (:func:`_beta_intervals`), cut to the admissible prefix of that level.
-    The joint region takes, per alpha level, the largest low end and the
-    smallest high end over the targets.  No n x n matrix is built unless an
-    attribute's near-duplicate values leave the O(n) order test undecided;
-    the pairwise check then raises ValueError if they break the order."""
+    The joint region takes the largest low end over the targets and, per
+    alpha level, the smallest high end.  It all runs on Python floats and
+    lists, so the search imports no numpy; no n x n table is built unless
+    an attribute's near-duplicate values leave the O(n) order test
+    undecided, and the pairwise check then raises ValueError if they break
+    the order."""
     if not 0.001 <= step <= 1:  # also rejects NaN
         raise ValueError(f"grid step must lie in (0, 1] and be at least 0.001, got {step}")
     if not targets:
@@ -602,20 +617,19 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
         if set(part.block_of) != set(table.objects):
             raise ValueError(f"target partition for {name!r} does not cover the universe")
 
-    levels = np.arange(round(1.0 / step) + 1) * step
+    levels = [i * step for i in range(round(1.0 / step) + 1)]
     top = _admissible_prefix(levels)
-    level_list = levels.tolist()
-    lo_all, hi_all = np.zeros_like(top), top
+    lo_all, his = 0, []
     per_attribute = {}
     for name, part in targets.items():
-        lo, hi = _beta_intervals(table, name, part, levels)
-        hi = np.minimum(hi, top)
-        per_attribute[name] = _hull(lo, hi, level_list)
-        lo_all, hi_all = np.maximum(lo_all, lo), np.minimum(hi_all, hi)
-    points: list[tuple[float, float]] = []
-    for alpha, low, high in zip(level_list, lo_all.tolist(), hi_all.tolist()):
-        points += zip(repeat(alpha), level_list[low:high])  # nothing where low >= high
-    return CutSearchResult(step=step, points=points, hull=_hull(lo_all, hi_all, level_list),
+        lo, hi = _beta_intervals(table, name, part, levels, top)
+        per_attribute[name] = _hull(lo, hi, levels)
+        lo_all = max(lo_all, lo)
+        his.append(hi)
+    hi_all = list(map(min, zip(*his)))
+    points = [(alpha, beta) for alpha, high in zip(levels, hi_all)
+              for beta in levels[lo_all:high]]  # nothing where lo_all >= high
+    return CutSearchResult(step=step, points=points, hull=_hull(lo_all, hi_all, levels),
                            per_attribute=per_attribute)
 
 

@@ -7,9 +7,12 @@ between two values x, y is the pair (mu, nu) with
     nu(x, y) = |x - y| / (2 (x + y))    (non-membership)
 
 Both are symmetric, the diagonal is (1, 0), and nu < 1/2 whenever x != y.
-:func:`membership_degree` and :func:`nonmembership_degree`, elementwise on
-numpy arrays, are their only definition: the dense matrices and the cut
-search's sorted passes share their float expressions bit for bit.
+:func:`membership_degree` and :func:`nonmembership_degree` are their only
+definition, on Python floats for the cut search's sorted passes and
+elementwise on numpy arrays for the dense matrices.  Python floats round
+``-``, ``abs``, ``*`` and ``/`` as numpy's float64 does, so both share
+their float expressions bit for bit.  Numpy is imported only where a dense
+n x n artifact is built: a relation, its validation and its CSV.
 A relation is reflexive and symmetric with every degree in [0, 1]:
 :func:`build_proximity` hands over matrices it makes so, and
 :class:`IFProximityRelation` copies and checks matrices from anywhere else.
@@ -34,14 +37,16 @@ several times the output text in temporaries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterator
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import TYPE_CHECKING, Iterator
 
 from .table import InformationTable, csv_field
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 
 def membership_degree(x: ArrayLike, y: ArrayLike, range_max: float) -> ArrayLike:
@@ -63,18 +68,19 @@ def nonmembership_degree(x: ArrayLike, y: ArrayLike) -> ArrayLike:
     return (abs(x - y) * 0.25) / (x * 0.5 + y * 0.5)
 
 
-def numeric_values(table: InformationTable, attribute: str) -> tuple[np.ndarray, float]:
-    """The attribute's float values in object order, and its range_max."""
+def numeric_values(table: InformationTable, attribute: str) -> tuple[list[float], float]:
+    """The attribute's values in object order as Python floats, and its
+    range_max."""
     spec = table.spec(attribute)
     if not spec.numeric:
         raise ValueError(f"attribute {attribute!r} is nominal, proximity needs numeric values")
-    return np.array(table.column(attribute), dtype=float), spec.range_max
+    return list(map(float, table.column(attribute))), spec.range_max
 
 
 #: The bits of 1.0.  As unsigned integers, the bits of a double order the
 #: doubles of [0, 1] among themselves and put -0.0, every other negative
 #: double, every double above 1, the infinities and NaN above this value.
-_ONE_BITS = np.float64(1.0).view(np.uint64)
+_ONE_BITS = 0x3FF0000000000000
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +100,8 @@ class IFProximityRelation:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned: bool) -> None:
+        import numpy as np
+
         n = len(self.objects)
         for field, diagonal in (("mu", 1.0), ("nu", 0.0)):
             matrix = getattr(self, field)
@@ -117,8 +125,11 @@ class IFProximityRelation:
 
 def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelation:
     """Full-precision proximity matrix for one numeric attribute."""
+    import numpy as np
+
     vals, range_max = numeric_values(table, attribute)
-    x, y = vals[:, None], vals
+    y = np.array(vals)
+    x = y[:, None]
     return IFProximityRelation(attribute, table.objects, membership_degree(x, y, range_max),
                                nonmembership_degree(x, y), _owned=True)
 
@@ -127,6 +138,8 @@ def validate_proximity(rel: IFProximityRelation) -> np.ndarray:
     """The pairs (i, j), i < j, that break mu + nu <= 1, the one axiom a
     relation can fail: a k x 2 array of object indices in row-major order,
     with no row iff no pair does.  One pass over the matrices finds them."""
+    import numpy as np
+
     rows, cols = np.nonzero(rel.mu + rel.nu > 1.0)
     upper = rows < cols
     return np.column_stack((rows[upper], cols[upper]))
@@ -138,22 +151,27 @@ def round_half_up(x: float) -> float:
     return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-def _cell_words() -> tuple[np.ndarray, ...]:
-    """The eight-byte words of a cell for the degrees k / 1000, k = 0 ..
-    1000, as little-endian integers: the mu words ``"d.ddd,,`` and the nu
-    words ``,d.ddd",``."""
+@functools.cache
+def _cell_layout() -> tuple[np.dtype, np.ndarray, np.ndarray]:
+    """The dtype of a rendered cell and the eight-byte words of a cell for
+    the degrees k / 1000, k = 0 .. 1000, as little-endian integers: the mu
+    words ``"d.ddd,,`` and the nu words ``,d.ddd",``.  Built on the first
+    render.
+
+    A rendered cell is 14 bytes, ``"mu,nu"`` and the comma after it, or the
+    newline that ends its row.  The mu word fills bytes 0-7, the nu word
+    bytes 6-13, so the nu word is written second: its comma overwrites the
+    unused last byte of the mu word."""
+    import numpy as np
+
+    cell = np.dtype({"names": ["mu", "nu"], "formats": ["<u8", "<u8"], "offsets": [0, 6],
+                     "itemsize": 14})
     texts = [f"{k // 1000}.{k % 1000:03d}" for k in range(1001)]
-    return tuple(np.frombuffer((first + (last + first).join(texts) + last).encode(), dtype="<u8")
-                 for first, last in (('"', ",,"), (",", '",')))
+    mu_words, nu_words = (
+        np.frombuffer((first + (last + first).join(texts) + last).encode(), dtype="<u8")
+        for first, last in (('"', ",,"), (",", '",')))
+    return cell, mu_words, nu_words
 
-
-#: A rendered cell is 14 bytes, ``"mu,nu"`` and the comma after it, or the
-#: newline that ends its row.  The mu word fills bytes 0-7, the nu word
-#: bytes 6-13, so the nu word is written second: its comma overwrites the
-#: unused last byte of the mu word.
-_CELL = np.dtype({"names": ["mu", "nu"], "formats": ["<u8", "<u8"], "offsets": [0, 6],
-                  "itemsize": 14})
-_MU_WORDS, _NU_WORDS = _cell_words()
 
 #: Cells rendered per numpy pass, in whole rows and at least one row.
 _BLOCK_CELLS = 4096
@@ -165,6 +183,8 @@ def _thousandths(block: np.ndarray) -> np.ndarray:
     so a product more than 1e-9 from a half-way point rounds to the nearest
     integer on the same side of the tie as that repr.  A near-tie goes
     through ``Decimal``."""
+    import numpy as np
+
     scaled = block * 1000.0
     codes = np.rint(scaled)
     scaled -= codes
@@ -178,15 +198,18 @@ def _row_blocks(rel: IFProximityRelation) -> Iterator[bytes]:
     """The rows of :func:`proximity_to_csv` in UTF-8, a block of rows at a
     time.  The row buffer lives as long as the iterator, so it is freed
     before the caller joins the blocks."""
-    n, size = rel.size, _CELL.itemsize
+    import numpy as np
+
+    cell, mu_words, nu_words = _cell_layout()
+    n, size = rel.size, cell.itemsize
     labels = [(csv_field(label) + ",").encode("utf-8", "surrogatepass") for label in rel.objects]
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     width = size * n
     buf = np.empty((min(rows, n), n, size), dtype=np.uint8)
-    cells, flat = buf.view(_CELL)[..., 0], memoryview(buf.reshape(-1))
+    cells, flat = buf.view(cell)[..., 0], memoryview(buf.reshape(-1))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        for field, words in (("mu", _MU_WORDS), ("nu", _NU_WORDS)):
+        for field, words in (("mu", mu_words), ("nu", nu_words)):
             np.take(words, _thousandths(getattr(rel, field)[start:stop]),
                     out=cells[field][:stop - start], mode="clip")
         buf[:, -1, -1] = ord("\n")  # in place of the last nu word's comma

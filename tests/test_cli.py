@@ -4,6 +4,7 @@ writes exactly its own group of report files, byte-identical to what
 documents the registered subcommands."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import sys
 
 import pytest
 
+import golden
 from conftest import DATA_DIR, REPO_ROOT
 from roughfca import fca, pipeline
 from roughfca.cli import build_parser, main
@@ -23,6 +25,12 @@ PROXIMITY_FILES = {f"proximity_{a}.csv" for a in ("IC", "IF", "PP", "RS", "SS", 
 FCA_FILES = {f"cluster_{k}_{suffix}" for k in (1, 2, 3)
              for suffix in ("context.csv", "lattice.dot", "basis.txt", "basis.json",
                             "frequencies.csv")}
+
+
+#: The environment of a child interpreter that imports the package from
+#: this checkout.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*argv):
@@ -62,15 +70,55 @@ def test_values_near_the_largest_float_warn_nothing(tmp_path):
         "data": "two.csv", "alpha": 0.9, "beta": 0.05, "force": False,
         "attributes": [{"name": "a", "kind": "numeric", "range_max": top}],
         "rank_ranges": [[1, 2]]}), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
     for command in ("partition", "proximity"):
         done = subprocess.run([sys.executable, "-m", "roughfca.cli", command, "--config",
                                tmp_path / "config.json", "--out", tmp_path / "out"],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=CHILD_ENV, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
     assert (tmp_path / "out" / "proximity_a.csv").read_text(encoding="utf-8") == (
         'a,x,y\nx,"1.000,0.000","0.500,0.167"\ny,"0.500,0.167","1.000,0.000"\n')
+
+
+#: Imports the package, or runs ``roughfca`` with the arguments it is
+#: given, then prints whether numpy is loaded and exits with the status.
+NUMPY_PROBE = """\
+import sys
+if sys.argv[1:]:
+    from roughfca.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+else:
+    import roughfca
+    code = 0
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),
+    (["--help"], 0),
+    (["run", "--config", CONFIG_PATH, "--alpha", "2"], 2),
+    (["search-cut", "--config", CONFIG_PATH, "--targets", TARGETS_PATH], 0),
+], ids=["import", "help", "load-refusal", "search-cut"])
+def test_commands_that_build_no_dense_artifact_never_load_numpy(argv, code):
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stderr.startswith("error [stage:load]") if code else not done.stderr
+
+
+def test_run_in_a_fresh_interpreter_writes_the_bundled_tree(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "roughfca.cli", "run", "--config", CONFIG_PATH,
+                           "--out", tmp_path], capture_output=True, text=True, env=CHILD_ENV,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+               if p.name not in ("report.json", "manifest.json")}
+    assert digests == golden.REPORT_TREE_SHA256
 
 
 def test_run_prints_the_cluster_summary(tmp_path, capsys):

@@ -7,13 +7,16 @@ traceback or an untagged ``error:``."""
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 from roughfca import fca
 from roughfca.cli import main
 
@@ -224,3 +227,49 @@ def test_exponential_lattice_is_refused_past_the_concept_budget(tmp_path, capsys
     else:
         assert code == 2
         assert err == f"error [stage:fca] cluster 1: more than {fca.MAX_CONCEPTS} concepts\n"
+
+
+#: Runs ``roughfca`` with the arguments it is given and prints its exit
+#: status, wall time and tracemalloc peak.  The address space is capped at
+#: 1 GiB, so that an n x n float table of many rows fails at once with a
+#: MemoryError rather than filling the machine's memory.
+MEASURED_CLI = """\
+import resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from roughfca.cli import main
+tracemalloc.start()
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_search_cut_on_20000_values_near_1e200_takes_linear_time_and_memory(tmp_path):
+    # nu = (|x-y|/4) / (x/2 + y/2) neither overflows nor underflows on
+    # [1, the largest float], so the O(n) order test decides these values;
+    # a pairwise check on all 20,000 would hold n x n float tables of
+    # 3.2 GB each
+    n = 20_000
+    values = [1e200 * (1 + i / n / 8) for i in range(n // 2)]  # two tiers in [1e200, 2e200]
+    values += [1e200 * (2 - i / n / 8) for i in range(n // 2)]
+    (tmp_path / "table.csv").write_text(
+        "object,a\n" + "".join(f"o{i},{v!r}\n" for i, v in enumerate(values)), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 1]],
+        "attributes": [{"name": "a", "range_max": 1e300}]}), encoding="utf-8")
+    (tmp_path / "targets.json").write_text(json.dumps([
+        {"attribute": "a", "blocks": [[f"o{i}" for i in range(n // 2)],
+                                      [f"o{i}" for i in range(n // 2, n)]]}]), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", MEASURED_CLI, "search-cut",
+                           "--config", tmp_path / "config.json",
+                           "--targets", tmp_path / "targets.json", "--step", "0.01",
+                           "--out", tmp_path / "cuts.json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, seconds, peak = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert float(seconds) < SECONDS
+    assert int(peak) < 32 * 2**20
+    assert json.loads((tmp_path / "cuts.json").read_text(encoding="utf-8"))["feasible_points"]

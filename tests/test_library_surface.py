@@ -130,3 +130,26 @@ def test_only_build_proximity_hands_over_unchecked_matrices():
                                                      and keyword.value.value is False)
                     for keyword in call.keywords)]
     assert [place[:2] for place in owned] == [("proximity.py", "build_proximity")], owned
+
+
+def test_numpy_is_imported_only_inside_functions():
+    """``src/roughfca`` imports numpy only inside a function body or under
+    ``if TYPE_CHECKING:``: importing the package must not load it, only
+    building a dense n x n artifact may."""
+    def eager_imports(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                yield from eager_imports(node.orelse)
+                continue
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(module.partition(".")[0] == "numpy" for module in modules):
+                yield node
+            yield from eager_imports(ast.iter_child_nodes(node))
+
+    eager = [f"{path.name}:{node.lineno}" for path, tree in _parsed(LIBRARY)
+             for node in eager_imports(tree.body)]
+    assert not eager, eager

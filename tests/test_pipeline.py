@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -346,9 +347,25 @@ def _two_object_case():
     return table, {"a": Partition.from_blocks([["o0"], ["o1"]], table.objects)}, 0.25
 
 
+def _cell_cut_case(values, range_max, i, j):
+    """The table of ``values`` under ``range_max`` and, as the target, the
+    cut on cell (i, j)'s (mu, nu), searched at a step of that nu."""
+    text = "object,a\n" + "".join(f"o{k},{v!r}\n" for k, v in enumerate(values))
+    table = load_table(text, [AttributeSpec("a", range_max=range_max)])
+    rel = build_proximity(table, "a")
+    mu, nu = rel.mu.item(i, j), rel.nu.item(i, j)
+    target = partition_from_cut(cut_graph(rel, CutParams(mu, min(nu, 1 - mu))))
+    return table, {"a": target}, max(nu, 0.01)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(search_cases())
 @example(_two_object_case())
+# an integer range_max above 2**53, which the degrees divide by as a float
+@example(_cell_cut_case([2**57, 2**58, 3 * 2**57, 2**59, 3 * 2**58 + 1, 2**60], 2**60 + 1, 3, 4))
+# values in [2**500, the largest float], where the O(n) order test decides
+@example(_cell_cut_case([1e300, 1.3e300, 1.7e300, 2.2e300, 1e307, sys.float_info.max],
+                        sys.float_info.max, 4, 5))
 def test_search_matches_grid_oracle(case):
     table, targets, step = case
     result = search_alpha_beta(table, targets, step=step)
@@ -423,25 +440,37 @@ FALLBACK_ACCEPTED = (2.0, 98.0, math.nextafter(98.0, math.inf))
 @st.composite
 def sorted_values(draw):
     """Sorted attribute values with repeats, neighbours a few doubles apart
-    and the near-duplicate triple."""
+    and the near-duplicate triple, at their size or scaled by a power of
+    two up to 2**1000, as a list of floats or a numpy array: the degree
+    functions round alike on both."""
     start = st.one_of(st.integers(1, 1000).map(float), st.floats(1, 1000),
                       st.sampled_from([float(v) for v in NEAR_DUPLICATES]))
+    scale = draw(st.sampled_from((1.0, 2.0**500, 2.0**1000)))
     values = []
     for value in draw(st.lists(start, min_size=1, max_size=8)):
+        value *= scale
         values += [value] * draw(st.integers(1, 3))
         for _ in range(draw(st.integers(0, 3))):
             value = math.nextafter(value, draw(st.sampled_from((0.0, math.inf))))
             values.append(value)
-    return np.sort(values)
+    return draw(st.sampled_from((list, np.array)))(sorted(values))
+
+
+def _distinct(values):
+    """The distinct values, ascending, in the container ``values`` came in."""
+    distinct = np.unique(values)
+    return distinct if isinstance(values, np.ndarray) else distinct.tolist()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(values=sorted_values())
 @example(values=np.array(FALLBACK_ACCEPTED))
+@example(values=list(FALLBACK_ACCEPTED))
 @example(values=np.array([float(v) for v in NEAR_DUPLICATES]))
+@example(values=[float(v) for v in NEAR_DUPLICATES])
 @example(values=np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]))
 def test_order_test_accepts_no_values_that_break_the_order(values):
-    distinct = np.unique(values)
+    distinct = _distinct(values)
     found = oracles.first_nu_break(distinct)
     if found is not None:
         i, j = found
@@ -452,7 +481,9 @@ def test_order_test_accepts_no_values_that_break_the_order(values):
 @given(values=sorted_values())
 @example(values=np.array(FALLBACK_ACCEPTED))
 @example(values=np.array([float(v) for v in NEAR_DUPLICATES]))
+@example(values=[float(v) for v in NEAR_DUPLICATES])
 @example(values=np.array([0.5, 0.5, 2.0, 3.0]))  # below 1: every pair is checked
+@example(values=[0.5, 0.5, 2.0, 3.0])
 def test_order_check_refuses_exactly_the_values_that_break_the_order(values):
     distinct = np.unique(values)
     found = oracles.first_nu_break(distinct)
@@ -533,9 +564,9 @@ def test_pairwise_check_stays_near_the_undecided_values():
 @given(step=st.floats(0.001, 1) | st.sampled_from((0.001, 0.005, 0.01, 0.3, 0.6,
                                                      NEAR_DUPLICATE_STEP)))
 def test_admissible_prefix_is_the_triangle_mask(step):
-    levels = np.arange(round(1.0 / step) + 1) * step
-    mask = levels[:, None] + levels <= 1.0 + 1e-12
-    assert np.array_equal(_admissible_prefix(levels), mask.sum(axis=1))
+    levels = [i * step for i in range(round(1.0 / step) + 1)]
+    mask = np.add.outer(levels, levels) <= 1.0 + 1e-12
+    assert _admissible_prefix(levels) == mask.sum(axis=1).tolist()
 
 
 def test_search_100k_objects_in_linear_time_and_memory():
