@@ -12,8 +12,8 @@ it came from a cut or from exact indiscernibility.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .proximity import IFProximityRelation
 from .table import Partition, TableError
@@ -36,8 +36,7 @@ class CutParams:
             raise ValueError(f"alpha + beta must not exceed 1, got {self}")
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
+class SimilarityGraph(NamedTuple):
     """Undirected graph over the universe as bitmask rows: bit j of
     ``rows[i]`` is set iff objects i and j are linked.  Rows are symmetric; a
     self-loop is set only where the diagonal passes the cut."""
@@ -49,7 +48,7 @@ class SimilarityGraph:
     def size(self) -> int:
         return len(self.objects)
 
-    @functools.cached_property
+    @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The links as index pairs (i, j) with i <= j."""
         out = []
@@ -129,8 +128,7 @@ def upper_approx(partition: Partition, target: set[str] | frozenset[str]) -> fro
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class RoughApproximation:
+class RoughApproximation(NamedTuple):
     lower: frozenset[str]
     upper: frozenset[str]
     boundary: frozenset[str]

@@ -114,7 +114,7 @@ def _cmd_proximity(args: argparse.Namespace) -> int:
     for name in names:
         if name not in report.relations:
             raise StageError("proximity", f"unknown attribute {name!r}")
-    selected = dataclasses.replace(report, relations={n: report.relations[n] for n in names})
+    selected = report._replace(relations={n: report.relations[n] for n in names})
     written = emit_group(selected, out, "proximity")
     flagged = {name: len(v) for name, v in report.violations.items() if len(v)}
     if flagged:

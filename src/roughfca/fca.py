@@ -490,8 +490,7 @@ def canonical_basis(context: FormalContext) -> list[Implication]:
     return out
 
 
-@dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(NamedTuple):
     """Score of one attribute: the support-weighted premise sizes of every
     rule concluding it, with the contributing premises kept for reporting
     (multiplicity equals the rule's support)."""
@@ -501,8 +500,7 @@ class FrequencyRow:
     contributors: tuple[tuple[tuple[str, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     rows: tuple[FrequencyRow, ...]
 
 

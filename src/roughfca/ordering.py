@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .table import InformationTable, Partition, TableError, csv_field
 
@@ -77,8 +77,7 @@ def default_ladder(k: int) -> LabelLadder:
     return LabelLadder(tuple(f"L{i}" for i in range(1, k + 1)), tuple(range(k, 0, -1)))
 
 
-@dataclass(frozen=True)
-class OrderedColumn:
+class OrderedColumn(NamedTuple):
     """One categorised attribute: object -> label, plus its ladder and the
     1-based position of the source attribute in the original table."""
 
@@ -94,8 +93,7 @@ class OrderedColumn:
             raise TableError(f"unknown object {obj!r}") from None
 
 
-@dataclass(frozen=True)
-class OrderedTable:
+class OrderedTable(NamedTuple):
     objects: tuple[str, ...]
     columns: tuple[OrderedColumn, ...]
     dropped: tuple[str, ...] = ()
@@ -166,8 +164,7 @@ def build_ordered_table(table: InformationTable, partitions: Mapping[str, Partit
     return OrderedTable(table.objects, tuple(columns), tuple(dropped))
 
 
-@dataclass(frozen=True)
-class RankRow:
+class RankRow(NamedTuple):
     object: str
     labels: tuple[str, ...]
     weights: tuple[int, ...]
@@ -175,8 +172,7 @@ class RankRow:
     rank: int
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     attributes: tuple[str, ...]
     rows: tuple[RankRow, ...]
 
@@ -198,8 +194,7 @@ def score_and_rank(ordered: OrderedTable) -> RankTable:
     )
 
 
-@dataclass(frozen=True)
-class RankCluster:
+class RankCluster(NamedTuple):
     cluster_id: int
     rank_range: tuple[int, int]
     members: tuple[str, ...]

@@ -12,7 +12,6 @@ violations are carried into the provenance instead.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import accumulate, chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import fca
 from .approx import CutParams, cut_graph, partition_from_cut, partition_to_json, partitions_from_json
@@ -254,8 +253,7 @@ class PipelineConfig:
         }
 
 
-@dataclass(frozen=True)
-class ClusterAnalysis:
+class ClusterAnalysis(NamedTuple):
     cluster: RankCluster
     context: fca.FormalContext
     concepts: list[fca.Concept]
@@ -265,8 +263,7 @@ class ClusterAnalysis:
     chief: list[tuple[int, tuple[str, ...]]]
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     config: PipelineConfig
     table: InformationTable
     relations: dict[str, IFProximityRelation]
@@ -380,8 +377,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 # cut parameter recovery
 
 
-@dataclass(frozen=True)
-class CutSearchResult:
+class CutSearchResult(NamedTuple):
     """Grid points of the admissible set reproducing every target partition,
     with the bounding box of the joint region and of each attribute's own
     feasible points."""
@@ -528,16 +524,47 @@ def _undecided_spans(u: list[float]) -> list[tuple[int, int]]:
     return merged
 
 
+def _left_end_break(u: list[float], start: int, stop: int) -> bool:
+    """Whether a pair of ``u[start:stop]`` has a float nu below that of an
+    adjacent pair inside it, in O(stop - start) steps on values in [1, the
+    largest float].
+
+    Float nu cannot fall as a pair's left end moves down: each rounded step
+    of it is monotone.  So if (u_i, u_j) falls below the adjacent nu_k,
+    i <= k < j, then so does (u_k, u_j): only pairs against the adjacent
+    pair at their own left end need checking.  Once (u_k, u_j) clears
+    :data:`_ORDER_MARGIN` against nu_k, every wider pair from u_k clears
+    nu_k (see :func:`_undecided_spans`), so the check of k stops there, a
+    few values on.  Outside [1, the largest float] that bound does not hold
+    and every pair from u_k is checked."""
+    in_range = u[0] >= 1.0 and u[-1] <= sys.float_info.max
+    for k in range(start, stop - 2):
+        adjacent = nonmembership_degree(u[k], u[k + 1])
+        clear = _ORDER_MARGIN * adjacent if in_range else math.inf
+        for j in range(k + 2, stop):
+            nu = nonmembership_degree(u[k], u[j])
+            if nu < adjacent:
+                return True
+            if nu >= clear:
+                break
+    return False
+
+
 def _check_order(name: str, values: list[float]) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
     below that of an adjacent pair inside it.  Only a pair of the distinct
     values (a repeat adds no nu of its own) within one of
     :func:`_undecided_spans` can, and almost every attribute has no span.
-    Each span's pairs are checked row by row against the largest adjacent
-    nu inside them.  The spans are disjoint and ascending, so the first
-    break named is the first that a check of every pair would find."""
+    :func:`_left_end_break` decides each span in linear time.  Only if one
+    breaks are the spans' pairs checked row by row against the largest
+    adjacent nu inside them, to name the first break: the spans are
+    disjoint and ascending, so it is the first that a check of every pair
+    would find."""
     values = [value for value, _ in groupby(values)]
-    for start, stop in _undecided_spans(values):
+    spans = _undecided_spans(values)
+    if not any(_left_end_break(values, start, stop) for start, stop in spans):
+        return
+    for start, stop in spans:
         adjacent = list(map(nonmembership_degree, values[start:stop], values[start + 1:stop]))
         for i in range(start, stop - 2):
             row = map(nonmembership_degree, repeat(values[i]), values[i + 1:stop])
@@ -700,7 +727,10 @@ REPORT_GROUPS: dict[str, Callable[[PipelineReport], Iterable[tuple[str, str]]]] 
 def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[dict]:
     """Create ``output_dir`` and write each (file name, text) pair into it.
     Returns one manifest entry per file with its content digest.  Any I/O
-    failure raises :class:`StageError` tagged ``emit``."""
+    failure raises :class:`StageError` tagged ``emit``.  ``hashlib`` is
+    imported here: a command that writes nothing never loads it."""
+    import hashlib
+
     out = Path(output_dir)
     with in_stage("emit", f"cannot create {out}: ", OSError):
         out.mkdir(parents=True, exist_ok=True)

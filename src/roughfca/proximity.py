@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import InitVar, dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterator
 
 from .table import InformationTable, csv_field
@@ -147,7 +146,10 @@ def validate_proximity(rel: IFProximityRelation) -> np.ndarray:
 
 def round_half_up(x: float) -> float:
     """Decimal round-half-up to three places, the convention used in emitted
-    reports."""
+    reports.  Only near-ties reach it from a render, so ``decimal`` is
+    imported here, on first use."""
+    from decimal import ROUND_HALF_UP, Decimal
+
     return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 

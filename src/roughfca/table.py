@@ -26,10 +26,10 @@ class TableError(ValueError):
 class AttributeSpec:
     """Declaration of a single column.
 
-    kind is "numeric" or "nominal".  Numeric columns require a finite
-    range_max >= 1 (a number, not a bool) and every cell must lie in
-    [1, range_max].  ladder optionally fixes the category order (best label
-    first) used when the column is categorised.
+    name is a string.  kind is "numeric" or "nominal".  Numeric columns
+    require a finite range_max >= 1 (a number, not a bool) and every cell
+    must lie in [1, range_max].  ladder optionally fixes the category order
+    (best label first) used when the column is categorised.
     drop_if_indiscernible controls whether a column whose similarity
     partition has a single block is dropped from ordered tables.
     """
@@ -41,6 +41,8 @@ class AttributeSpec:
     drop_if_indiscernible: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TableError(f"attribute name must be a string, got {self.name!r}")
         if self.kind not in ("numeric", "nominal"):
             raise TableError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == "numeric":

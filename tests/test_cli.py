@@ -79,9 +79,14 @@ def test_values_near_the_largest_float_warn_nothing(tmp_path):
         'a,x,y\nx,"1.000,0.000","0.500,0.167"\ny,"0.500,0.167","1.000,0.000"\n')
 
 
+#: Modules that no command loads unless it builds a dense artifact
+#: (numpy), writes a file (hashlib) or renders a near-tie (decimal).
+DEFERRED = ("numpy", "hashlib", "decimal")
+
 #: Imports the package, or runs ``roughfca`` with the arguments it is
-#: given, then prints whether numpy is loaded and exits with the status.
-NUMPY_PROBE = """\
+#: given, then prints which of :data:`DEFERRED` are loaded and exits with
+#: the status.
+DEFERRED_PROBE = f"""\
 import sys
 if sys.argv[1:]:
     from roughfca.cli import main
@@ -92,7 +97,7 @@ if sys.argv[1:]:
 else:
     import roughfca
     code = 0
-print("numpy" in sys.modules)
+print(sorted(name for name in {DEFERRED!r} if name in sys.modules))
 sys.exit(code)
 """
 
@@ -104,10 +109,12 @@ sys.exit(code)
     (["search-cut", "--config", CONFIG_PATH, "--targets", TARGETS_PATH], 0),
 ], ids=["import", "help", "load-refusal", "search-cut"])
 def test_commands_that_build_no_dense_artifact_never_load_numpy(argv, code):
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+    """Nor do they load hashlib or decimal: none of them writes a file or
+    renders a degree."""
+    done = subprocess.run([sys.executable, "-c", DEFERRED_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert done.returncode == code, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
     assert done.stderr.startswith("error [stage:load]") if code else not done.stderr
 
 
@@ -346,6 +353,13 @@ def _ss_ladder(name="SS", labels=("Excellent", "Very good", "Good"), weights=(5,
                    "weights": list(weights)}}
 
 
+def _ic_name(value):
+    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
+    attributes = doc["attributes"]
+    attributes[0] = dict(attributes[0], name=value)
+    return attributes
+
+
 def _ic_flag(value):
     doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
     attributes = doc["attributes"]
@@ -453,6 +467,10 @@ REFUSALS = [
              id="config-missing-key"),
     _refusal("load", "bad config: alpha must be a number, got '0.9'", config={"alpha": "0.9"},
              id="bad-config"),
+    _refusal("load", "bad config: attribute name must be a string, got 5",
+             config={"attributes": _ic_name(5)}, id="attribute-name-number"),
+    _refusal("load", "bad config: attribute name must be a string, got None",
+             config={"attributes": _ic_name(None)}, id="attribute-name-null"),
     _refusal("load", "header ['IC'] does not match declared attributes "
                      "['IC', 'IF', 'PP', 'RS', 'SS', 'ECA']",
              config={"data": "data.csv"}, files={"data.csv": "institution,IC\ni_1,1\n"},

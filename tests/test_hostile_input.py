@@ -273,3 +273,26 @@ def test_search_cut_on_20000_values_near_1e200_takes_linear_time_and_memory(tmp_
     assert float(seconds) < SECONDS
     assert int(peak) < 32 * 2**20
     assert json.loads((tmp_path / "cuts.json").read_text(encoding="utf-8"))["feasible_points"]
+
+
+def test_search_cut_on_a_ladder_of_near_duplicates_takes_linear_time(tmp_path):
+    # 1.2**k and the next double up for k = 0 .. 3889: 7,780 values in
+    # [1, the largest float] that leave the O(n) order test one undecided
+    # span of all of them.  A row-by-row check of its pairs took 10 s;
+    # each value's pairs need checking only until they clear the margin
+    values = [v for k in range(3890) for v in (1.2**k, math.nextafter(1.2**k, math.inf))]
+    (tmp_path / "table.csv").write_text(
+        "object,a\n" + "".join(f"o{i},{v!r}\n" for i, v in enumerate(values)), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 1]],
+        "attributes": [{"name": "a", "range_max": sys.float_info.max}]}), encoding="utf-8")
+    (tmp_path / "targets.json").write_text(json.dumps([
+        {"attribute": "a", "blocks": [[f"o{i}" for i in range(len(values))]]}]),
+        encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["search-cut", "--config", str(tmp_path / "config.json"),
+                 "--targets", str(tmp_path / "targets.json"), "--out", str(tmp_path / "cuts.json")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0
+    assert json.loads((tmp_path / "cuts.json").read_text(encoding="utf-8"))["feasible_points"]

@@ -1,9 +1,25 @@
 """The library keeps no method, and no private module-level function or
-constant, that only its tests read."""
+constant, that only its tests read; its records are immutable."""
 
 import ast
+import dataclasses
 
-from conftest import REPO_ROOT
+import pytest
+
+from conftest import DATA_DIR, REPO_ROOT
+from roughfca import (
+    PipelineConfig,
+    approx,
+    cut_graph,
+    fca,
+    ordering,
+    pipeline,
+    proximity,
+    rough_approximation,
+    run_pipeline,
+    search_alpha_beta,
+    table,
+)
 
 LIBRARY = sorted((REPO_ROOT / "src" / "roughfca").glob("*.py"))
 BENCHMARK = sorted(path for path in (REPO_ROOT / "perfbench").glob("*.py")
@@ -132,10 +148,16 @@ def test_only_build_proximity_hands_over_unchecked_matrices():
     assert [place[:2] for place in owned] == [("proximity.py", "build_proximity")], owned
 
 
+#: Modules that ``src/roughfca`` loads only where it needs them: numpy to
+#: build a dense n x n artifact, hashlib to write a file and decimal to
+#: round a near-tie.
+DEFERRED = ("numpy", "hashlib", "decimal")
+
+
 def test_numpy_is_imported_only_inside_functions():
-    """``src/roughfca`` imports numpy only inside a function body or under
-    ``if TYPE_CHECKING:``: importing the package must not load it, only
-    building a dense n x n artifact may."""
+    """``src/roughfca`` imports numpy, hashlib and decimal only inside a
+    function body or under ``if TYPE_CHECKING:``: importing the package
+    must not load them."""
     def eager_imports(nodes):
         for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -146,10 +168,49 @@ def test_numpy_is_imported_only_inside_functions():
                 continue
             modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(module.partition(".")[0] == "numpy" for module in modules):
+            if any(module.partition(".")[0] in DEFERRED for module in modules):
                 yield node
             yield from eager_imports(ast.iter_child_nodes(node))
 
     eager = [f"{path.name}:{node.lineno}" for path, tree in _parsed(LIBRARY)
              for node in eager_imports(tree.body)]
     assert not eager, eager
+
+
+#: Every record class of the library by name: a dataclass or a named tuple.
+RECORDS = {name: value for module in (approx, fca, ordering, pipeline, proximity, table)
+           for name, value in vars(module).items()
+           if isinstance(value, type) and value.__module__ == module.__name__
+           and (dataclasses.is_dataclass(value) or issubclass(value, tuple))}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record, by class name, from a bundled run."""
+    config = PipelineConfig.from_file(DATA_DIR / "institutions_config.json")
+    report = run_pipeline(config)
+    analysis = report.analyses[0]
+    name, partition = next(iter(report.partitions.items()))
+    relation = report.relations[name]
+    found = [report, config, config.cut, config.attributes[0], report.table, relation, partition,
+             report.ordered, report.ordered.columns[0], report.ordered.columns[0].ladder,
+             report.ranks, report.ranks.rows[0], report.clusters[0], analysis, analysis.context,
+             analysis.concepts[0], analysis.basis[0], analysis.frequencies,
+             analysis.frequencies.rows[0], cut_graph(relation, config.cut),
+             rough_approximation(partition, set(partition.blocks[0])),
+             search_alpha_beta(report.table, {name: partition}, step=0.1)]
+    return {type(record).__name__: record for record in found}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_every_record_is_immutable(records, name):
+    """Assigning any field of a record, named tuple or frozen dataclass,
+    raises AttributeError."""
+    record = records[name]
+    assert type(record) is RECORDS[name]
+    fields = (record._fields if isinstance(record, tuple)
+              else [field.name for field in dataclasses.fields(record)])
+    assert fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

@@ -435,6 +435,11 @@ def test_search_refuses_a_nominal_target(tmp_path, capsys):
 #: less than the O(n) test's margin, so the values lie in an undecided span
 #: and the pairwise check decides, and finds no break.
 FALLBACK_ACCEPTED = (2.0, 98.0, math.nextafter(98.0, math.inf))
+#: nu from the first value rises above the first adjacent nu at the next
+#: double up, falls back to it and then below it: a check of each value's
+#: pairs may stop only once they clear the margin, not on the first rise.
+RISE_THEN_BREAK = (137.33858426173856, 1912.103823763307, 1912.1038237633072,
+                   1912.1038237633074, 1912.1038237633077)
 
 
 @st.composite
@@ -484,6 +489,7 @@ def test_order_test_accepts_no_values_that_break_the_order(values):
 @example(values=[float(v) for v in NEAR_DUPLICATES])
 @example(values=np.array([0.5, 0.5, 2.0, 3.0]))  # below 1: every pair is checked
 @example(values=[0.5, 0.5, 2.0, 3.0])
+@example(values=list(RISE_THEN_BREAK))
 def test_order_check_refuses_exactly_the_values_that_break_the_order(values):
     distinct = np.unique(values)
     found = oracles.first_nu_break(distinct)
@@ -493,6 +499,14 @@ def test_order_check_refuses_exactly_the_values_that_break_the_order(values):
         i, j = found
         with pytest.raises(ValueError, match=re.escape(str(distinct[i:j + 1].tolist()))):
             _check_order("a", values)
+
+
+def test_order_check_checks_every_pair_from_a_value_below_1():
+    # among subnormals the scalings inside nu round, so a pair can clear the
+    # margin against the adjacent nu and a wider pair still fall below it
+    values = [k * 5e-324 for k in (1, 14, 15, 19)]
+    with pytest.raises(ValueError, match=re.escape(str(values))):
+        _check_order("a", values)
 
 
 def test_search_decides_by_the_pairwise_check_where_the_order_test_cannot():
