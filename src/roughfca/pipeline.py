@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -450,130 +449,57 @@ def _admissible_prefix(levels: list[float]) -> list[int]:
     return top
 
 
-#: A two-step pair's nu must clear the larger adjacent nu inside it by this
-#: factor, 1 + 8 machine epsilons.
+#: Once a pair's nu clears the adjacent nu at its left end by this factor,
+#: 1 + 8 machine epsilons, no wider pair from that end falls below it.
 _ORDER_MARGIN = 1.0 + 2.0 ** -49
-
-
-def _undecided_spans(u: list[float]) -> list[tuple[int, int]]:
-    """Disjoint ascending index ranges [start, stop) of the distinct sorted
-    values ``u`` such that any pair whose float nu falls below that of an
-    adjacent pair inside it lies within one of them: [] when an O(n) test
-    settles every pair, the whole of ``u`` when it does not lie in
-    [1, the largest float].
-
-    The test asks each two-step pair (u_k-1, u_k+1) for a nu of at least
-    :data:`_ORDER_MARGIN` times the larger adjacent nu inside it.  Why a
-    pair that clears the margin against an adjacent pair is safe in every
-    wider pair:
-
-    - A pair of equal values has nu 0.  A pair of neighbouring distinct
-      values has the same nu wherever its ends sit among repeats.  So the
-      only pairs that can break the order are (u_p, u_q) with q >= p + 2,
-      against an adjacent (u_k, u_k+1) with p <= k < q.  Repeats must be
-      skipped: with v[k-1] == v[k] < v[k+1] the two-step nu equals the
-      adjacent one exactly and never clears the margin.
-    - Exactly, nu(x, y) = (y - x) / (2 (x + y)) rises with y and falls with
-      x for 0 < x < y, so a pair's nu is at least that of any pair nested
-      in it.
-    - The float nu, (|x - y| / 4) / (x/2 + y/2), is the exact one times
-      (1 + d1)(1 + d3) / (1 + d2), each |d| <= r = 2**-53 (subtraction,
-      addition, division), wherever no step overflows or underflows.  For
-      1 <= x < y <= the largest float none does: x/2 + y/2 is at most the
-      largest float; x/2 and y/2 are at least 1/2 and |x - y| / 4 at least
-      2**-54, so the scalings by 1/4 and 1/2 are exact; and y - x is at
-      least x 2**-53, so nu is at least about 2**-56, far above the
-      subnormals.
-    - Let (u_p, u_q) hold a pair P that holds (u_k, u_k+1) and clears the
-      margin against it.  By the last two facts fl nu(u_p, u_q) >=
-      fl nu(P) (1 - r)**3 / (1 + r)**3, and the margin, whose product
-      rounds once, gives fl nu(P) >= (1 + 16 r)(1 - r) fl nu(u_k, u_k+1).
-      (1 + 16 r)(1 - r)**4 / (1 + r)**3 > 1.
-
-    Every wider pair holding (u_k, u_k+1) holds one of the windows
-    (u_k-1, u_k+1) and (u_k, u_k+2), so k is safe if both pass.  For each
-    other k, the left end lo < k is moved down until (u_lo, u_k+1) clears
-    the margin against nu_k, and the right end hi > k + 1 up until
-    (u_k, u_hi) does.  A pair holding (u_k, u_k+1) that reaches lo or hi
-    holds one of those two; every other lies in u_lo+1 .. u_hi-1.
-    Overlapping ranges are merged."""
-    n = len(u)
-    if n < 3:
-        return []  # no pair has an adjacent pair inside it
-    if not (u[0] >= 1.0 and u[-1] <= sys.float_info.max):
-        return [(0, n)]
-    nu = list(map(nonmembership_degree, u, u[1:]))
-    failing = [k for k, (wide, left, right)
-               in enumerate(zip(map(nonmembership_degree, u, u[2:]), nu, nu[1:]))
-               if wide < _ORDER_MARGIN * left or wide < _ORDER_MARGIN * right]
-    spans = []
-    for k in sorted({*failing, *(f + 1 for f in failing)}):  # window f holds pairs f and f + 1
-        bound = _ORDER_MARGIN * nu[k]
-        lo, hi = k - 1, k + 2
-        while lo >= 0 and nonmembership_degree(u[lo], u[k + 1]) < bound:
-            lo -= 1
-        while hi < n and nonmembership_degree(u[k], u[hi]) < bound:
-            hi += 1
-        spans.append((lo + 1, hi))
-    merged: list[tuple[int, int]] = []
-    for start, stop in sorted(spans):
-        if merged and start < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
-        else:
-            merged.append((start, stop))
-    return merged
-
-
-def _left_end_break(u: list[float], start: int, stop: int) -> bool:
-    """Whether a pair of ``u[start:stop]`` has a float nu below that of an
-    adjacent pair inside it, in O(stop - start) steps on values in [1, the
-    largest float].
-
-    Float nu cannot fall as a pair's left end moves down: each rounded step
-    of it is monotone.  So if (u_i, u_j) falls below the adjacent nu_k,
-    i <= k < j, then so does (u_k, u_j): only pairs against the adjacent
-    pair at their own left end need checking.  Once (u_k, u_j) clears
-    :data:`_ORDER_MARGIN` against nu_k, every wider pair from u_k clears
-    nu_k (see :func:`_undecided_spans`), so the check of k stops there, a
-    few values on.  Outside [1, the largest float] that bound does not hold
-    and every pair from u_k is checked."""
-    in_range = u[0] >= 1.0 and u[-1] <= sys.float_info.max
-    for k in range(start, stop - 2):
-        adjacent = nonmembership_degree(u[k], u[k + 1])
-        clear = _ORDER_MARGIN * adjacent if in_range else math.inf
-        for j in range(k + 2, stop):
-            nu = nonmembership_degree(u[k], u[j])
-            if nu < adjacent:
-                return True
-            if nu >= clear:
-                break
-    return False
 
 
 def _check_order(name: str, values: list[float]) -> None:
     """Raise ValueError if a pair of the sorted ``values`` has a float nu
-    below that of an adjacent pair inside it.  Only a pair of the distinct
-    values (a repeat adds no nu of its own) within one of
-    :func:`_undecided_spans` can, and almost every attribute has no span.
-    :func:`_left_end_break` decides each span in linear time.  Only if one
-    breaks are the spans' pairs checked row by row against the largest
-    adjacent nu inside them, to name the first break: the spans are
-    disjoint and ascending, so it is the first that a check of every pair
-    would find."""
-    values = [value for value, _ in groupby(values)]
-    spans = _undecided_spans(values)
-    if not any(_left_end_break(values, start, stop) for start, stop in spans):
-        return
-    for start, stop in spans:
-        adjacent = list(map(nonmembership_degree, values[start:stop], values[start + 1:stop]))
-        for i in range(start, stop - 2):
-            row = map(nonmembership_degree, repeat(values[i]), values[i + 1:stop])
-            inside = accumulate(adjacent[i - start:], max)
-            for j, (nu, largest) in enumerate(zip(row, inside), i + 1):
-                if nu < largest:
-                    raise ValueError(f"cut search on {name!r}: nu is not monotone over the "
-                                     f"sorted values {[*map(float, values[i:j + 1])]}; "
-                                     "near-duplicates break it by an ulp")
+    below that of an adjacent pair inside it, naming the first such pair
+    in row-major order, in O(n log n) steps on the n distinct values u.
+
+    - A pair of equal values has nu 0, and a pair of neighbouring distinct
+      values has the same nu wherever its ends sit among repeats, so only
+      pairs (u_i, u_j) with j >= i + 2 can break the order.
+    - Float nu, (|x - y| / 4) / (x/2 + y/2), cannot fall as a pair's left
+      end moves down: each rounded step is monotone.  So if (u_i, u_j)
+      falls below the adjacent nu_k, i <= k < j, so does (u_k, u_j), a
+      break at its own left end, and the left ends of the pairs to u_j
+      that fall below nu_k are one run [i0, k], found by bisection.  Every
+      break lies in such a run, so the least (i0, j) is the first break.
+    - Exactly, nu(x, y) = (y - x) / (2 (x + y)) rises with y for
+      0 < x < y.  The float nu is the exact one times (1 + d1)(1 + d3) /
+      (1 + d2), each |d| <= r = 2**-53 (subtraction, addition, division),
+      wherever no step overflows or underflows.  For 1 <= x < y <= the
+      largest float, which :class:`InformationTable` guarantees, none
+      does: x/2 + y/2 is at most the largest float; x/2 and y/2 are at
+      least 1/2 and |x - y| / 4 at least 2**-54, so the scalings by 1/4
+      and 1/2 are exact; and y - x is at least x 2**-53, so nu is at least
+      about 2**-56, far above the subnormals.
+    - So once fl nu(u_k, u_j) clears :data:`_ORDER_MARGIN` times nu_k,
+      whose product rounds once, every wider pair from u_k has a float nu
+      of at least nu_k (1 + 16 r)(1 - r)**4 / (1 + r)**3 > nu_k.  Each
+      k's pairs are checked only until they clear it, which the two-step
+      pair (u_k, u_k+2) almost always does."""
+    u = [value for value, _ in groupby(values)]
+    adjacent = list(map(nonmembership_degree, u, u[1:]))
+    breaks = []
+    for k, two_step in enumerate(map(nonmembership_degree, u, u[2:])):
+        nu_k = adjacent[k]
+        if two_step >= _ORDER_MARGIN * nu_k:
+            continue
+        for j in range(k + 2, len(u)):
+            nu = nonmembership_degree(u[k], u[j])
+            if nu >= _ORDER_MARGIN * nu_k:
+                break
+            if nu < nu_k:
+                breaks.append((bisect_left(u, True, 0, k, key=lambda x: (
+                    nonmembership_degree(x, u[j]) < nu_k)), j))
+    if breaks:
+        i, j = min(breaks)
+        raise ValueError(f"cut search on {name!r}: nu is not monotone over the sorted "
+                         f"values {[*map(float, u[i:j + 1])]}; near-duplicates break it by an ulp")
 
 
 def _beta_intervals(table: InformationTable, name: str, target: Partition,
@@ -631,10 +557,10 @@ def search_alpha_beta(table: InformationTable, targets: Mapping[str, Partition],
     (:func:`_beta_intervals`), cut to the admissible prefix of that level.
     The joint region takes the largest low end over the targets and, per
     alpha level, the smallest high end.  It all runs on Python floats and
-    lists, so the search imports no numpy; no n x n table is built unless
-    an attribute's near-duplicate values leave the O(n) order test
-    undecided, and the pairwise check then raises ValueError if they break
-    the order."""
+    lists, so the search imports no numpy and builds no n x n table.  One
+    scan of each attribute's distinct sorted values (:func:`_check_order`)
+    raises ValueError, naming the values, if near-duplicates among them
+    break the order of nu."""
     if not 0.001 <= step <= 1:  # also rejects NaN
         raise ValueError(f"grid step must lie in (0, 1] and be at least 0.001, got {step}")
     if not targets:

@@ -61,9 +61,12 @@ def nonmembership_degree(x: ArrayLike, y: ArrayLike) -> ArrayLike:
     other, as 2**60 does 1.
 
     It is computed as (|x-y| / 4) / (x/2 + y/2), which no value in [1, the
-    largest float] overflows.  Scaling by a power of two is exact there and
-    commutes with rounding, so wherever 2(x+y) is finite the result is the
-    plain expression's, bit for bit."""
+    largest float] overflows.  On that range, which every table
+    guarantees, scaling by a power of two is exact and commutes with
+    rounding, so wherever 2(x+y) is finite the result is the plain
+    expression's, bit for bit.  Below the normal range the scalings round:
+    nu(5.712163413475e-311, 5.7121634134754e-311) is 0.0, where the plain
+    expression gives 2.16e-14."""
     return (abs(x - y) * 0.25) / (x * 0.5 + y * 0.5)
 
 

@@ -71,6 +71,9 @@ class InformationTable:
 
     objects keeps the universe order; values maps (object label, attribute
     name) to a float (numeric columns) or token string (nominal columns).
+    A numeric cell must be a real number, not a bool, in [1, range_max]:
+    the degree functions and the cut search's order proof hold there, so a
+    table is refused, naming its first bad cell, unless every cell is.
     """
 
     objects: tuple[str, ...]
@@ -87,6 +90,15 @@ class InformationTable:
             for attr in self.attributes:
                 if (obj, attr.name) not in self.values:
                     raise TableError(f"missing cell ({obj}, {attr.name})")
+                if attr.numeric:
+                    value = self.values[(obj, attr.name)]
+                    if type(value) is not float and (isinstance(value, bool)
+                                                     or not isinstance(value, Real)):
+                        raise TableError(f"row {obj!r}, column {attr.name!r}: "
+                                         f"value {value!r} is not a number")
+                    if not 1 <= value <= attr.range_max:  # also rejects NaN
+                        raise TableError(f"row {obj!r}, column {attr.name!r}: value {value!r} "
+                                         f"outside [1, {attr.range_max:g}]")
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -179,10 +191,11 @@ def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
 def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) -> InformationTable:
     """Read a comma-separated table: header row, one row per object, first
     column the object label.  Column names after the label column must match
-    the declared attribute names in order.  Numeric cells are validated
-    against [1, range_max]; errors name the offending row and column, the
-    line a record starts on, or the line of a record the CSV reader refuses,
-    such as an oversized cell.
+    the declared attribute names in order.  Numeric cells are read as
+    floats, which :class:`InformationTable` checks against [1, range_max].
+    Errors name the offending row and column, the line a record starts on,
+    or the line of a record the CSV reader refuses, such as an oversized
+    cell.
     """
     stream = io.StringIO(csv_text) if isinstance(csv_text, str) else csv_text
     reader = _records(csv.reader(stream))
@@ -219,11 +232,6 @@ def load_table(csv_text: str | io.TextIOBase, specs: Sequence[AttributeSpec]) ->
                     raise TableError(
                         f"row {label!r}, column {spec.name!r}: non-numeric value {token!r}"
                     ) from None
-                if not 1 <= num <= spec.range_max:
-                    raise TableError(
-                        f"row {label!r}, column {spec.name!r}: value {token} outside "
-                        f"[1, {spec.range_max:g}]"
-                    )
                 values[(label, spec.name)] = num
             else:
                 values[(label, spec.name)] = token

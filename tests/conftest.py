@@ -50,6 +50,13 @@ INSTITUTION_SPECS = (
     AttributeSpec("ECA", range_max=80),
 )
 
+#: Sorted values that break the order of nu: nu from the first value rises
+#: above the first adjacent nu at the next double up, falls back to it and
+#: then below it, so a check of each value's pairs may stop only once they
+#: clear the margin, not on the first rise.
+RISE_THEN_BREAK = (137.33858426173856, 1912.103823763307, 1912.1038237633072,
+                   1912.1038237633074, 1912.1038237633077)
+
 # six-object nominal/numeric example used by the scaling and ordering tests
 RND_CSV = """\
 object,rd,art,marketing,profit

@@ -365,9 +365,11 @@ def search_alpha_beta_grid_reference(table, targets, step=0.005):
 def first_nu_break(values):
     """The cut search's pairwise order check, as the library ran it on every
     attribute: the first pair (i, j), i < j, of the sorted ``values`` in
-    row-major order whose nu, computed as :func:`build_proximity` computes
-    a cell, lies below the largest adjacent nu between them; None if no
-    pair does."""
+    row-major order whose nu lies below the largest adjacent nu between
+    them; None if no pair does.  nu is the plain |x - y| / (2 (x + y)):
+    for values in [1, the largest float], as every table holds, with
+    2 (x + y) finite, it is the library's nu bit for bit, but not below
+    the normal range, where the library's scalings round."""
     values = [float(v) for v in values]
 
     def nu(x, y):

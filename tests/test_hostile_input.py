@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, RISE_THEN_BREAK
 from roughfca import fca
 from roughfca.cli import main
 
@@ -246,9 +246,9 @@ print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
 
 def test_search_cut_on_20000_values_near_1e200_takes_linear_time_and_memory(tmp_path):
     # nu = (|x-y|/4) / (x/2 + y/2) neither overflows nor underflows on
-    # [1, the largest float], so the O(n) order test decides these values;
-    # a pairwise check on all 20,000 would hold n x n float tables of
-    # 3.2 GB each
+    # [1, the largest float], so the order check's margin decides these
+    # values at each two-step pair; a pairwise check on all 20,000 would
+    # hold n x n float tables of 3.2 GB each
     n = 20_000
     values = [1e200 * (1 + i / n / 8) for i in range(n // 2)]  # two tiers in [1e200, 2e200]
     values += [1e200 * (2 - i / n / 8) for i in range(n // 2)]
@@ -277,9 +277,10 @@ def test_search_cut_on_20000_values_near_1e200_takes_linear_time_and_memory(tmp_
 
 def test_search_cut_on_a_ladder_of_near_duplicates_takes_linear_time(tmp_path):
     # 1.2**k and the next double up for k = 0 .. 3889: 7,780 values in
-    # [1, the largest float] that leave the O(n) order test one undecided
-    # span of all of them.  A row-by-row check of its pairs took 10 s;
-    # each value's pairs need checking only until they clear the margin
+    # [1, the largest float], every other one with a two-step pair that
+    # does not clear the order check's margin.  A row-by-row check of all
+    # pairs took 10 s; each value's pairs need checking only until they
+    # clear the margin
     values = [v for k in range(3890) for v in (1.2**k, math.nextafter(1.2**k, math.inf))]
     (tmp_path / "table.csv").write_text(
         "object,a\n" + "".join(f"o{i},{v!r}\n" for i, v in enumerate(values)), encoding="utf-8")
@@ -296,3 +297,32 @@ def test_search_cut_on_a_ladder_of_near_duplicates_takes_linear_time(tmp_path):
     assert code == 0
     assert elapsed < 2.0
     assert json.loads((tmp_path / "cuts.json").read_text(encoding="utf-8"))["feasible_points"]
+
+
+def test_search_cut_names_a_break_above_a_ladder_of_near_duplicates_in_n_log_n_time(
+        tmp_path, capsys):
+    # 1.2**k and the next double up for k < 3000, then five values that
+    # break the order, scaled by 2**800 above the ladder: 6,005 values.  A
+    # row-major scan of every pair to name the first break took 6 s; one
+    # scan of each value's own pairs, bisecting each break's least left
+    # end, names it without one
+    ladder = [v for k in range(3000) for v in (1.2**k, math.nextafter(1.2**k, math.inf))]
+    breaking = [v * 2.0**800 for v in RISE_THEN_BREAK]
+    values = ladder + breaking
+    (tmp_path / "table.csv").write_text(
+        "object,a\n" + "".join(f"o{i},{v!r}\n" for i, v in enumerate(values)), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 1]],
+        "attributes": [{"name": "a", "range_max": sys.float_info.max}]}), encoding="utf-8")
+    (tmp_path / "targets.json").write_text(json.dumps([
+        {"attribute": "a", "blocks": [[f"o{i}" for i in range(len(values))]]}]),
+        encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["search-cut", "--config", str(tmp_path / "config.json"),
+                 "--targets", str(tmp_path / "targets.json")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error [stage:partition] cut search on 'a': ")
+    assert f"sorted values {breaking}" in captured.err
+    assert elapsed < 2.0

@@ -4,6 +4,7 @@ import pytest
 
 from roughfca.table import (
     AttributeSpec,
+    InformationTable,
     Partition,
     TableError,
     csv_field,
@@ -46,6 +47,18 @@ def test_load_rejects_below_one():
 def test_load_rejects_non_numeric_token():
     with pytest.raises(TableError, match="non-numeric"):
         load_table("object,a\nx,high\n", [AttributeSpec("a", range_max=10)])
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.5, 5e-324, float("nan"), float("inf"), 2000.0,
+                                   "5", True])
+def test_hand_built_table_refuses_a_numeric_cell_outside_its_range(value):
+    # the degree functions and the cut search's order proof hold on
+    # [1, range_max] only: nu divides by zero at -x, its scalings round
+    # among the subnormals, and above range_max mu falls below 0
+    objects = ("o0", "o1")
+    with pytest.raises(TableError, match=r"^row 'o1', column 'a': value .* (outside|not a number)"):
+        InformationTable(objects, (AttributeSpec("a", range_max=1000),),
+                         {("o0", "a"): 3.0, ("o1", "a"): value})
 
 
 def test_load_rejects_duplicate_labels():
