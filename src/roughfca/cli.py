@@ -11,11 +11,11 @@ Subcommands::
 
 Every command takes --config (a JSON document) and --data, which beats the
 config value.  --out is the output directory, beating the config value, or
-for search-cut the output file (stdout when omitted).  Every command but
-search-cut, which reads only the data and its attributes, also takes
---alpha, --beta and --override stage=file, and every one but search-cut
-and proximity, which always proceeds, takes --force.  Exit status is 0 on
-success, 2 on a stage failure (reported as ``error [stage:<name>] ...``).
+for search-cut the output file (stdout when omitted).  Each command runs
+only the stages it writes.  run, partition, rank and fca also take --alpha,
+--beta, --force and --override stage=file, partition for partitions only;
+proximity and search-cut take none of them.  Exit status is 0 on success,
+2 on a stage failure (reported as ``error [stage:<name>] ...``).
 """
 
 from __future__ import annotations
@@ -28,11 +28,15 @@ from pathlib import Path
 from .approx import CutParams, partitions_from_json
 from .pipeline import (
     PipelineConfig,
+    REPORT_GROUPS,
     StageError,
-    emit_group,
     emit_reports,
+    fca_stage,
     in_stage,
     load_config_table,
+    partition_stage,
+    proximity_stage,
+    rank_stage,
     read_input,
     run_pipeline,
     search_alpha_beta,
@@ -47,11 +51,14 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="data CSV, overrides the config value")
 
 
-def _add_cut(parser: argparse.ArgumentParser) -> None:
+def _add_cut(parser: argparse.ArgumentParser, stages: tuple[str, ...]) -> None:
     parser.add_argument("--alpha", type=float, help="cut membership threshold")
     parser.add_argument("--beta", type=float, help="cut non-membership threshold")
     parser.add_argument("--override", action="append", default=[], metavar="STAGE=FILE",
-                        help=f"stage override, STAGE one of {', '.join(_OVERRIDE_STAGES)}")
+                        help=f"stage override, STAGE one of {', '.join(stages)}")
+    parser.add_argument("--force", action="store_true",
+                        help="proceed past proximity validation failures")
+    parser.set_defaults(override_stages=stages)
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
@@ -59,20 +66,20 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     updates: dict = {}
     if args.data:
         updates["data_path"] = Path(args.data)
-    if args.alpha is not None or args.beta is not None:
-        alpha = args.alpha if args.alpha is not None else config.cut.alpha
-        beta = args.beta if args.beta is not None else config.cut.beta
+    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", None)
+    if alpha is not None or beta is not None:
         with in_stage("load"):
-            updates["cut"] = CutParams(alpha, beta)
+            updates["cut"] = CutParams(config.cut.alpha if alpha is None else alpha,
+                                       config.cut.beta if beta is None else beta)
     if args.out:
         updates["output_dir"] = Path(args.out)
-    if args.force:
+    if getattr(args, "force", False):
         updates["force"] = True
-    for spec in args.override:
+    for spec in getattr(args, "override", ()):
         stage, _, path = spec.partition("=")
-        if stage not in _OVERRIDE_STAGES or not path:
+        if stage not in args.override_stages or not path:
             raise StageError("load", f"bad override {spec!r}, expected STAGE=FILE with "
-                                     f"STAGE in {_OVERRIDE_STAGES}")
+                                     f"STAGE in {args.override_stages}")
         key = "partitions_override" if stage == "partitions" else "ordered_override"
         updates[key] = Path(path)
     return dataclasses.replace(config, **updates) if updates else config
@@ -108,15 +115,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_proximity(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    report = run_pipeline(config)
+    report = proximity_stage(config)
     out = _output_dir(config)
-    names = args.attribute or sorted(report.relations)
+    names = args.attribute or ()
     for name in names:
         if name not in report.relations:
             raise StageError("proximity", f"unknown attribute {name!r}")
-    selected = report._replace(relations={n: report.relations[n] for n in names})
-    written = emit_group(selected, out, "proximity")
-    flagged = {name: len(v) for name, v in report.violations.items() if len(v)}
+    written = write_files(out, REPORT_GROUPS["proximity"](report, names))
+    flagged = report.provenance["stages"]["validate"]["violations"]
     if flagged:
         print(f"validation violations: {flagged}")
     print(f"wrote {len(written)} proximity matrices to {out}")
@@ -125,17 +131,17 @@ def _cmd_proximity(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    report = run_pipeline(config)
+    report = partition_stage(proximity_stage(config))
     out = _output_dir(config)
-    emit_group(report, out, "partition")
+    write_files(out, REPORT_GROUPS["partition"](report))
     print(f"wrote partitions.json ({len(report.partitions)} attributes) to {out}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    report = run_pipeline(config)
-    emit_group(report, _output_dir(config), "rank")
+    report = rank_stage(partition_stage(proximity_stage(config)))
+    write_files(_output_dir(config), REPORT_GROUPS["rank"](report))
     for row in report.ranks.rows:
         print(f"{row.object}: total {row.total}, rank {row.rank}")
     return 0
@@ -143,8 +149,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_fca(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    report = run_pipeline(config)
-    emit_group(report, _output_dir(config), "fca")
+    report = fca_stage(rank_stage(partition_stage(proximity_stage(config))))
+    write_files(_output_dir(config), REPORT_GROUPS["fca"](report))
     for analysis in report.analyses:
         chief = ", ".join(analysis.chief[0][1]) if analysis.chief else "-"
         print(f"cluster_{analysis.cluster.cluster_id}: {len(analysis.concepts)} concepts, "
@@ -183,13 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
                         (p_rank, _cmd_rank), (p_fca, _cmd_fca)):
         _add_config(p_cmd)
         p_cmd.add_argument("--out", help="output directory, overrides the config value")
-        _add_cut(p_cmd)
         p_cmd.set_defaults(func=func)
+    # proximity stops before the cut and the validation refusal, partition
+    # before the ordered table
     for p_cmd in (p_run, p_part, p_rank, p_fca):
-        p_cmd.add_argument("--force", action="store_true",
-                           help="proceed past proximity validation failures")
-    # proximity always proceeds past violations: it reports them
-    p_prox.set_defaults(force=True)
+        _add_cut(p_cmd, _OVERRIDE_STAGES[:1] if p_cmd is p_part else _OVERRIDE_STAGES)
     p_prox.add_argument("--attribute", action="append", help="restrict to one attribute")
 
     p_search = sub.add_parser("search-cut", help="recover feasible cut parameters")
@@ -199,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="target partitions (JSON list of partition documents)")
     p_search.add_argument("--step", type=float, default=0.005, help="grid resolution")
     # search-cut reads only the data and its attributes: no cut flags, no force
-    p_search.set_defaults(func=_cmd_search_cut, alpha=None, beta=None, override=[],
-                          force=False)
+    p_search.set_defaults(func=_cmd_search_cut)
     return parser
 
 

@@ -6,8 +6,8 @@ an override (partitions, ordered-table labels) instead of its computed
 value; overridden stages are recorded in the report's provenance block.
 
 A non-empty proximity validation report (pairs with mu + nu > 1 are the
-realistic case) stops the run unless ``force`` is set, in which case the
-violations are carried into the provenance instead.
+realistic case) stops :func:`partition_stage` unless ``force`` is set, in
+which case the violations are carried into the provenance instead.
 """
 
 from __future__ import annotations
@@ -263,16 +263,20 @@ class ClusterAnalysis(NamedTuple):
 
 
 class PipelineReport(NamedTuple):
+    """The results of the stages run so far.  :func:`proximity_stage` fills
+    the first five fields, and each later stage adds its entry to provenance;
+    a stage not yet run leaves its own fields empty: {}, None or []."""
+
     config: PipelineConfig
     table: InformationTable
     relations: dict[str, IFProximityRelation]
     violations: dict[str, np.ndarray]  # per attribute, the k x 2 pairs that break mu + nu <= 1
-    partitions: dict[str, Partition]
-    ordered: OrderedTable
-    ranks: RankTable
-    clusters: list[RankCluster]
-    analyses: list[ClusterAnalysis]
     provenance: dict
+    partitions: dict[str, Partition] = {}
+    ordered: OrderedTable | None = None
+    ranks: RankTable | None = None
+    clusters: list[RankCluster] = []
+    analyses: list[ClusterAnalysis] = []
 
 
 def load_config_table(config: PipelineConfig) -> InformationTable:
@@ -282,62 +286,58 @@ def load_config_table(config: PipelineConfig) -> InformationTable:
         return load_table(csv_text, config.attributes)
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineReport:
-    """Execute every stage in order, honouring overrides, and return the
-    full report.  Raises :class:`StageError` with the failing stage name."""
-    provenance: dict = {"config": config.echo(), "stages": {}}
+def proximity_stage(config: PipelineConfig) -> PipelineReport:
+    """Load the table, then build and validate each numeric attribute's relation."""
     table = load_config_table(config)
-
-    numeric = [a.name for a in table.attributes if a.numeric]
     with in_stage("proximity"):
-        relations = {name: build_proximity(table, name) for name in numeric}
-
+        relations = {a.name: build_proximity(table, a.name) for a in table.attributes if a.numeric}
     violations = {name: validate_proximity(rel) for name, rel in relations.items()}
-    total_violations = sum(len(v) for v in violations.values())
-    provenance["stages"]["validate"] = {
-        "violations": {name: len(v) for name, v in sorted(violations.items()) if len(v)},
-        "forced": bool(config.force and total_violations),
-    }
-    if total_violations and not config.force:
-        name = next(name for name, v in violations.items() if len(v))
-        rel, (i, j) = relations[name], violations[name][0].tolist()
+    flagged = {name: len(v) for name, v in sorted(violations.items()) if len(v)}
+    validate = {"violations": flagged, "forced": bool(config.force and flagged)}
+    return PipelineReport(config, table, relations, violations,
+                          {"config": config.echo(), "stages": {"validate": validate}})
+
+
+def partition_stage(report: PipelineReport) -> PipelineReport:
+    """Refuse unforced proximity violations, then partition by the override or the cut."""
+    config, relations = report.config, report.relations
+    flagged = report.provenance["stages"]["validate"]["violations"]
+    if flagged and not config.force:
+        name = next(name for name, v in report.violations.items() if len(v))
+        rel, (i, j) = relations[name], report.violations[name][0].tolist()
         pair, total = (rel.objects[i], rel.objects[j]), rel.mu.item(i, j) + rel.nu.item(i, j)
-        raise StageError(
-            "validate",
-            f"{total_violations} proximity axiom violation(s), e.g. sum at "
-            f"{pair}: mu + nu = {total:.6g} > 1; pass force to proceed",
-        )
+        raise StageError("validate", f"{sum(flagged.values())} proximity axiom violation(s), "
+                         f"e.g. sum at {pair}: mu + nu = {total:.6g} > 1; pass force to proceed")
 
     override_parts: dict[str, Partition] = {}
     if config.partitions_override is not None:
         doc = read_input(config.partitions_override, "override", "partition")
         with in_stage("partition", "bad partition override: "):
-            override_parts = partitions_from_json(doc, table.objects)
+            override_parts = partitions_from_json(doc, report.table.objects)
         for name in override_parts:
             if name not in relations:
                 raise StageError("partition", f"override names unknown attribute {name!r}")
-    partitions = {}
-    for name in numeric:
-        if name in override_parts:
-            partitions[name] = override_parts[name]
-        else:
-            partitions[name] = partition_from_cut(cut_graph(relations[name], config.cut))
-    provenance["stages"]["partition"] = {
-        name: ("override" if name in override_parts else "computed") for name in numeric
-    }
+    partitions = {name: override_parts[name] if name in override_parts
+                  else partition_from_cut(cut_graph(rel, config.cut))
+                  for name, rel in relations.items()}
+    report.provenance["stages"]["partition"] = {
+        name: "override" if name in override_parts else "computed" for name in relations}
+    return report._replace(partitions=partitions)
 
+
+def rank_stage(report: PipelineReport) -> PipelineReport:
+    """Label the blocks, or take the ordered-table override, then rank and cluster."""
+    config = report.config
     with in_stage("order"):
-        ordered = build_ordered_table(table, partitions, config.ladders, config.block_order)
+        ordered = build_ordered_table(report.table, report.partitions, config.ladders,
+                                      config.block_order)
+    doc = {}  # the ordered-table override, if any
     if config.ordered_override is not None:
         doc = read_input(config.ordered_override, "override", "order")
         if not isinstance(doc, dict):
             raise StageError("order", "ordered-table override must map attributes to label maps")
         with in_stage("order", "bad ordered-table override: "):
             ordered = ordered_table_override(ordered, doc)
-        provenance["stages"]["order"] = {"override": sorted(doc)}
-    else:
-        provenance["stages"]["order"] = {"override": []}
-    provenance["stages"]["order"]["dropped"] = list(ordered.dropped)
 
     ranks = score_and_rank(ordered)
     with in_stage("cluster"):
@@ -346,30 +346,30 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         if not cluster.members:
             lo, hi = cluster.rank_range
             raise StageError("cluster", f"rank range [{lo}, {hi}] holds no object")
+    report.provenance["stages"]["order"] = {"override": sorted(doc),
+                                            "dropped": list(ordered.dropped)}
+    return report._replace(ordered=ordered, ranks=ranks, clusters=clusters)
 
+
+def fca_stage(report: PipelineReport) -> PipelineReport:
+    """Analyse each cluster: context, concepts, cover, basis, frequencies."""
     analyses = []
-    for cluster in clusters:
+    for cluster in report.clusters:
         with in_stage("fca", f"cluster {cluster.cluster_id}: "):
-            context = fca.build_context(ordered, cluster.members)
+            context = fca.build_context(report.ordered, cluster.members)
             concepts = fca.enumerate_concepts(context)
             cover = fca.lattice_cover(concepts)
             basis = fca.canonical_basis(context)
             freqs = fca.implication_frequencies(basis)
             chief = fca.chief_attributes(freqs)
         analyses.append(ClusterAnalysis(cluster, context, concepts, cover, basis, freqs, chief))
+    return report._replace(analyses=analyses)
 
-    return PipelineReport(
-        config=config,
-        table=table,
-        relations=relations,
-        violations=violations,
-        partitions=partitions,
-        ordered=ordered,
-        ranks=ranks,
-        clusters=clusters,
-        analyses=analyses,
-        provenance=provenance,
-    )
+
+def run_pipeline(config: PipelineConfig) -> PipelineReport:
+    """Execute every stage in order, honouring overrides, and return the
+    full report.  Raises :class:`StageError` with the failing stage name."""
+    return fca_stage(rank_stage(partition_stage(proximity_stage(config))))
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +596,9 @@ def _json_text(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _proximity_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
-    for name in sorted(report.relations):
+def _proximity_files(report: PipelineReport,
+                     names: Iterable[str] = ()) -> Iterator[tuple[str, str]]:
+    for name in sorted(set(names) or report.relations):
         yield f"proximity_{name}.csv", proximity_to_csv(report.relations[name])
 
 
@@ -642,7 +643,7 @@ def _summary_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
     yield "report.json", _json_text(report.provenance)
 
 
-REPORT_GROUPS: dict[str, Callable[[PipelineReport], Iterable[tuple[str, str]]]] = {
+REPORT_GROUPS: dict[str, Callable[..., Iterable[tuple[str, str]]]] = {
     "proximity": _proximity_files,
     "partition": _partition_files,
     "rank": _rank_files,
@@ -670,11 +671,6 @@ def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> lis
         entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
         del data  # hold one rendered file at a time, not two, while the next renders
     return entries
-
-
-def emit_group(report: PipelineReport, output_dir: str | Path, group: str) -> list[dict]:
-    """Write the files of one :data:`REPORT_GROUPS` group, and no other."""
-    return write_files(output_dir, REPORT_GROUPS[group](report))
 
 
 def emit_reports(report: PipelineReport, output_dir: str | Path) -> list[dict]:

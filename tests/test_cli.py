@@ -5,18 +5,25 @@ documents the registered subcommands."""
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from conftest import DATA_DIR, REPO_ROOT
 from roughfca import fca, pipeline
 from roughfca.cli import build_parser, main
+from roughfca.ordering import BLOCK_ORDERS
 
 CONFIG_PATH = DATA_DIR / "institutions_config.json"
 TARGETS_PATH = DATA_DIR / "target_partitions.json"
@@ -280,9 +287,14 @@ def test_negative_number_after_its_option_is_read_as_its_value(tmp_path, capsys,
     ["search-cut", "--targets", TARGETS_PATH, "--alpha", "0.5"],
     ["search-cut", "--targets", TARGETS_PATH, "--force"],
     ["proximity", "--force"],
-], ids=["search-cut-alpha", "search-cut-force", "proximity-force"])
+    ["proximity", "--alpha", "0.5"],
+    ["proximity", "--beta", "0.1"],
+    ["proximity", "--override", f"partitions={DATA_DIR / 'eca_partition_override.json'}"],
+], ids=["search-cut-alpha", "search-cut-force", "proximity-force", "proximity-alpha",
+        "proximity-beta", "proximity-override"])
 def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv):
-    # search-cut reads only the data and its attributes; proximity always forces
+    # search-cut reads only the data and its attributes; proximity stops
+    # before the cut and the validation refusal
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--config", CONFIG_PATH, "--out", tmp_path / "out")
     assert exc.value.code == 2
@@ -424,15 +436,95 @@ def test_malformed_config_is_a_load_error(tmp_path, capsys, changes, message):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report file
 
 
-@pytest.mark.parametrize("command", ["run", "partition", "rank", "fca"])
-def test_a_rank_range_no_rank_reaches_is_a_cluster_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, written", [
+    ("proximity", PROXIMITY_FILES),
+    ("partition", {"partitions.json"}),
+    ("rank", None),
+    ("fca", None),
+    ("run", None),
+], ids=["proximity", "partition", "rank", "fca", "run"])
+def test_a_rank_range_no_rank_reaches_is_a_cluster_error(tmp_path, capsys, command, written):
+    # only the commands that reach the cluster stage fail in it
     config = _config_with(tmp_path, rank_ranges=[[1, 3], [4, 6], [7, 9], [10, 12]],
                           overrides={"partitions": str(DATA_DIR / "eca_partition_override.json")})
     code = run_cli(command, "--config", config, "--out", tmp_path / "out")
     captured = capsys.readouterr()
+    if written:
+        assert (code, captured.err) == (0, "")
+        assert {p.name for p in (tmp_path / "out").iterdir()} == written
+        return
     assert code == 2 and captured.out == ""
     assert captured.err == "error [stage:cluster] rank range [10, 12] holds no object\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_proximity_prints_the_violations_that_stop_the_later_stages(tmp_path, capsys):
+    # REFUSALS pins the validate line of run, partition, rank and fca
+    config = _config_with(tmp_path, force=False)
+    assert run_cli("proximity", "--config", config, "--out", tmp_path / "out") == 0
+    assert "validation violations: {'ECA': 6}" in capsys.readouterr().out.splitlines()
+
+
+#: The files of each stage command's group, by name.
+GROUP_OF = {"proximity": lambda name: name.startswith("proximity_"),
+            "partition": lambda name: name == "partitions.json",
+            "rank": lambda name: name in ("ordered_table.csv", "rank_table.csv", "clusters.json"),
+            "fca": lambda name: name.startswith("cluster_")}
+
+
+@st.composite
+def small_configs(draw):
+    """A config document and its CSV: at most 12 objects, some rows
+    repeated, and 1 to 4 numeric attributes; either block order, a cut and
+    force drawn, and contiguous rank ranges from 1 that may leave a rank
+    uncovered or hold no object."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(1, 60), min_size=width, max_size=width)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=12))
+    names = [f"a{k}" for k in range(width)]
+    csv = "".join(",".join(map(str, [f"o{i}", *values])) + "\n" for i, values in enumerate(rows))
+    bounds = [0, *accumulate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))]
+    alpha, beta = draw(st.sampled_from([(0.9, 0.05), (0.8, 0.1), (0.95, 0.02), (0.5, 0.5)]))
+    return {"data": "data.csv", "alpha": alpha, "beta": beta, "force": draw(st.booleans()),
+            "block_order": draw(st.sampled_from(BLOCK_ORDERS)),
+            "attributes": [{"name": name, "range_max": 60} for name in names],
+            "rank_ranges": [[lo + 1, hi] for lo, hi in zip(bounds, bounds[1:])],
+            "output_dir": "out"}, ",".join(["object", *names]) + "\n" + csv
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("stages")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=small_configs())
+def test_each_stage_command_writes_what_run_writes_or_fails_as_run_does(scratch, case):
+    doc, csv = case
+    shutil.rmtree(scratch)
+    scratch.mkdir()
+    (scratch / "data.csv").write_text(csv, encoding="utf-8")
+    (scratch / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    results = {}
+    for command in ("run", *GROUP_OF):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(command, "--config", scratch / "config.json",
+                           "--out", scratch / command)
+        results[command] = code, err.getvalue()
+    run_code, run_err = results["run"]
+    for command, in_group in GROUP_OF.items():
+        code, err = results[command]
+        if run_code == 0:
+            assert (code, err) == (0, ""), command
+            expected = {p.name for p in (scratch / "run").iterdir() if in_group(p.name)}
+            assert {p.name for p in (scratch / command).iterdir()} == expected, command
+            for name in expected:
+                assert ((scratch / command / name).read_bytes()
+                        == (scratch / "run" / name).read_bytes()), name
+        elif code:
+            assert (run_code, run_err) == (code, err), command
 
 
 @pytest.mark.parametrize("changes", [
@@ -480,13 +572,20 @@ REFUSALS = [
     _refusal("load", "bad override 'bogus=x', expected STAGE=FILE with "
                      "STAGE in ('partitions', 'ordered_table')",
              argv=RUN + ["--override", "bogus=x"], id="override-spec"),
+    _refusal("load", "bad override 'ordered_table={d}/ordered.json', expected STAGE=FILE with "
+                     "STAGE in ('partitions',)",
+             argv=["partition", "--config", "{d}/config.json", "--out", "{d}/out",
+                   "--override", "ordered_table={d}/ordered.json"],
+             files={"ordered.json": {}}, id="partition-ordered-override"),
     _refusal("proximity", "patched", patch=(pipeline, "build_proximity"), id="proximity"),
     _refusal("proximity", "unknown attribute 'XX'",
              argv=["proximity", "--config", "{d}/config.json", "--out", "{d}/out",
                    "--attribute", "XX"], id="proximity-attribute"),
-    _refusal("validate", "6 proximity axiom violation(s), e.g. sum at ('i_6', 'i_8'): "
-                         "mu + nu = 1.025 > 1; pass force to proceed",
-             config={"force": False}, id="validate"),
+    *(_refusal("validate", "6 proximity axiom violation(s), e.g. sum at ('i_6', 'i_8'): "
+                           "mu + nu = 1.025 > 1; pass force to proceed",
+               argv=[command, *RUN[1:]], config={"force": False},
+               id="validate" if command == "run" else f"validate-{command}")
+      for command in ("run", "partition", "rank", "fca")),
     _refusal("partition", "bad partition override: object 'nope' not in the universe",
              argv=RUN + ["--override", "partitions={d}/parts.json"],
              files={"parts.json": [{"attribute": "IC", "blocks": [["nope"]]}]},

@@ -144,9 +144,10 @@ def run_with(directory, contents: dict[str, bytes], command: str, capsys, step=0
     argv = [command, "--config", str(directory / "config.json")]
     if command == "search-cut":
         argv += ["--targets", str(directory / "targets.json"), f"--step={step!r}"]
-    else:
-        argv += ["--out", str(directory / "out"),
-                 "--override", f"ordered_table={directory / 'ordered.json'}"]
+    else:  # only the commands that reach the order stage take its override
+        argv += ["--out", str(directory / "out")]
+        if command in ("run", "rank", "fca"):
+            argv += ["--override", f"ordered_table={directory / 'ordered.json'}"]
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
