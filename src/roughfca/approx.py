@@ -4,8 +4,9 @@ A cut (alpha, beta) of a proximity relation keeps the pairs with
 mu >= alpha and nu <= beta.  The cut relation is reflexive and symmetric but
 not transitive; its transitive closure is an equivalence relation whose
 classes are exactly the connected components of the cut graph.  The graph
-keeps one bitmask row per object, built from whole-matrix masks, and its
-components come from a breadth-first search that ORs in each row once.
+keeps one bitmask row per object, packed from the masks of the relation's
+row blocks, and its components come from a breadth-first search that ORs in
+each row once.
 Rough lower/upper approximations are taken against any partition, whether
 it came from a cut or from exact indiscernibility.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .proximity import IFProximityRelation
+from .proximity import IFProximityRelation, _row_spans
 from .table import Partition, TableError
 
 
@@ -62,13 +63,18 @@ class SimilarityGraph(NamedTuple):
 
 
 def cut_graph(rel: IFProximityRelation, params: CutParams) -> SimilarityGraph:
-    """Pairs passing both threshold tests at full precision.  The relation
-    is symmetric, so the packed rows of the whole-matrix mask are too."""
+    """Pairs passing both threshold tests at full precision.  The degrees
+    are computed a block of rows at a time, masked and packed, and never
+    held.  The relation is symmetric, so the packed rows are too."""
     import numpy as np
 
-    keep = (rel.mu >= params.alpha) & (rel.nu <= params.beta)
-    packed = np.packbits(keep, axis=1, bitorder="little")
-    return SimilarityGraph(rel.objects, tuple(int.from_bytes(row, "little") for row in packed))
+    rows: list[int] = []
+    for start, stop in _row_spans(rel.size):
+        mu, nu = rel.rows(start, stop)
+        packed = np.packbits((mu >= params.alpha) & (nu <= params.beta), axis=1, bitorder="little")
+        data, width = packed.tobytes(), packed.shape[1]
+        rows += [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return SimilarityGraph(rel.objects, tuple(rows))
 
 
 def partition_from_cut(graph: SimilarityGraph) -> Partition:

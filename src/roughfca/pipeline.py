@@ -305,7 +305,9 @@ def partition_stage(report: PipelineReport) -> PipelineReport:
     if flagged and not config.force:
         name = next(name for name, v in report.violations.items() if len(v))
         rel, (i, j) = relations[name], report.violations[name][0].tolist()
-        pair, total = (rel.objects[i], rel.objects[j]), rel.mu.item(i, j) + rel.nu.item(i, j)
+        x, y = rel.values[i].item(), rel.values[j].item()
+        total = membership_degree(x, y, rel.range_max) + nonmembership_degree(x, y)
+        pair = (rel.objects[i], rel.objects[j])
         raise StageError("validate", f"{sum(flagged.values())} proximity axiom violation(s), "
                          f"e.g. sum at {pair}: mu + nu = {total:.6g} > 1; pass force to proceed")
 

@@ -7,15 +7,20 @@ between two values x, y is the pair (mu, nu) with
     nu(x, y) = |x - y| / (2 (x + y))    (non-membership)
 
 Both are symmetric, the diagonal is (1, 0), and nu < 1/2 whenever x != y.
-:func:`membership_degree` and :func:`nonmembership_degree` are their only
-definition, on Python floats for the cut search's sorted passes and
-elementwise on numpy arrays for the dense matrices.  Python floats round
-``-``, ``abs``, ``*`` and ``/`` as numpy's float64 does, so both share
-their float expressions bit for bit.  Numpy is imported only where a dense
-n x n artifact is built: a relation, its validation and its CSV.
-A relation is reflexive and symmetric with every degree in [0, 1]:
-:func:`build_proximity` hands over matrices it makes so, and
-:class:`IFProximityRelation` copies and checks matrices from anywhere else.
+:func:`membership_degree` and :func:`nonmembership_degree` define them, on
+Python floats for the cut search's sorted passes and elementwise on numpy
+arrays.  Python floats round ``-``, ``abs``, ``*`` and ``/`` as numpy's
+float64 does, so both share their float expressions bit for bit.
+An :class:`IFProximityRelation` holds its attribute's value column, not
+its n x n degrees: every degree is a function of two values, so
+:func:`validate_proximity`, :func:`~roughfca.approx.cut_graph` and
+:func:`proximity_to_csv` compute the degrees where they read them, a block
+of ``_BLOCK_CELLS`` cells of whole rows at a time
+(:meth:`IFProximityRelation.rows`, the same float expressions with
+|x - y| computed once for both), and hold none.  With every value in
+[1, R] the relation is reflexive and symmetric with every degree in
+[0, 1].  Numpy is imported only where a value column is held or its
+degrees computed.
 The intuitionistic constraint mu + nu <= 1 is NOT guaranteed by these
 formulas: it fails exactly when x != y and x + y < R / 2.  Violations are
 therefore reported by :func:`validate_proximity`, as the index pairs of the
@@ -38,7 +43,7 @@ several times the output text in temporaries.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .table import InformationTable, csv_field
@@ -49,13 +54,13 @@ if TYPE_CHECKING:
 
 
 def membership_degree(x: ArrayLike, y: ArrayLike, range_max: float) -> ArrayLike:
-    """The only definition of mu, 1 - |x-y|/range_max for values in [1,
+    """The definition of mu, 1 - |x-y|/range_max for values in [1,
     range_max], on numbers or elementwise on numpy arrays."""
     return 1.0 - abs(x - y) / range_max
 
 
 def nonmembership_degree(x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """The only definition of nu, |x-y| / (2(x+y)), on numbers or elementwise
+    """The definition of nu, |x-y| / (2(x+y)), on numbers or elementwise
     on numpy arrays.  Zero on the diagonal, strictly below 1/2 otherwise in
     exact arithmetic; in floats it rounds to 1/2 when one value dwarfs the
     other, as 2**60 does 1.
@@ -79,72 +84,87 @@ def numeric_values(table: InformationTable, attribute: str) -> tuple[list[float]
     return list(map(float, table.column(attribute))), spec.range_max
 
 
-#: The bits of 1.0.  As unsigned integers, the bits of a double order the
-#: doubles of [0, 1] among themselves and put -0.0, every other negative
-#: double, every double above 1, the infinities and NaN above this value.
-_ONE_BITS = 0x3FF0000000000000
-
-
 @dataclass(frozen=True, eq=False)
 class IFProximityRelation:
-    """Dense symmetric matrix of (mu, nu) degrees for one attribute, held
-    read-only.  Matrices from outside are copied as float64, out of reach of
-    the caller's arrays, and refused, naming the matrix and its first bad
-    cell, unless every degree lies in [0, 1] (-0.0 and NaN excluded), the
-    diagonal is (1, 0) and both are symmetric.  ``_owned`` hands over the
-    matrices that ``build_proximity`` made so: they are marked read-only in
-    place, neither copied nor checked."""
+    """The (mu, nu) relation of one attribute, held as its value column in
+    object order: a read-only float64 vector, copied out of reach of the
+    caller's array and refused unless it holds one value in [1,
+    ``range_max``] per object.  :meth:`rows` computes a block of rows of
+    the degrees; ``mu`` and ``nu`` compute the whole matrices on each read,
+    for tests and counts: the library reads neither."""
 
     attribute: str
     objects: tuple[str, ...]
-    mu: np.ndarray
-    nu: np.ndarray
-    _owned: InitVar[bool] = False
+    values: np.ndarray
+    range_max: float
 
-    def __post_init__(self, _owned: bool) -> None:
+    def __post_init__(self) -> None:
         import numpy as np
 
-        n = len(self.objects)
-        for field, diagonal in (("mu", 1.0), ("nu", 0.0)):
-            matrix = getattr(self, field)
-            if not _owned:
-                matrix = np.array(matrix, dtype=np.float64)
-                if matrix.shape != (n, n):
-                    raise ValueError("degree matrices must be |U| x |U|")
-                bad = np.argwhere((matrix.view(np.uint64) > _ONE_BITS) | (matrix != matrix.T)
-                                  | np.diag(np.diagonal(matrix) != diagonal))
-                if len(bad):
-                    i, j = bad[0].tolist()
-                    raise ValueError(f"{field}[{i}, {j}] = {matrix.item(i, j)!r}: a degree matrix "
-                                     f"is symmetric, in [0, 1] and {diagonal!r} on its diagonal")
-            matrix.setflags(write=False)
-            object.__setattr__(self, field, matrix)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (len(self.objects),) or not (
+                (values >= 1.0) & (values <= self.range_max)).all():  # also refuses NaN
+            raise ValueError("a relation holds one value in [1, range_max] per object")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
         return len(self.objects)
 
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (mu, nu) degrees of objects ``start`` to ``stop`` against every
+        object: two (stop - start) x n arrays.  They are the degree
+        functions' float expressions with |x - y| computed once for both,
+        so every degree has the bits those functions give it."""
+        x, y = self.values[start:stop, None], self.values
+        gap = abs(x - y)
+        return 1.0 - gap / self.range_max, (gap * 0.25) / (x * 0.5 + y * 0.5)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The n x n membership matrix, computed on each read."""
+        return membership_degree(self.values[:, None], self.values, self.range_max)
+
+    @property
+    def nu(self) -> np.ndarray:
+        """The n x n non-membership matrix, computed on each read."""
+        return nonmembership_degree(self.values[:, None], self.values)
+
 
 def build_proximity(table: InformationTable, attribute: str) -> IFProximityRelation:
-    """Full-precision proximity matrix for one numeric attribute."""
-    import numpy as np
-
+    """The proximity relation of one numeric attribute: its value column."""
     vals, range_max = numeric_values(table, attribute)
-    y = np.array(vals)
-    x = y[:, None]
-    return IFProximityRelation(attribute, table.objects, membership_degree(x, y, range_max),
-                               nonmembership_degree(x, y), _owned=True)
+    return IFProximityRelation(attribute, table.objects, vals, range_max)
+
+
+#: Degrees computed per block: whole rows, at least one.
+_BLOCK_CELLS = 4096
+
+
+def _row_spans(n: int) -> Iterator[tuple[int, int]]:
+    """The [start, stop) spans of rows, ``_BLOCK_CELLS`` cells of n-cell
+    rows each and at least one row, that cover n rows in order."""
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
 
 
 def validate_proximity(rel: IFProximityRelation) -> np.ndarray:
     """The pairs (i, j), i < j, that break mu + nu <= 1, the one axiom a
     relation can fail: a k x 2 array of object indices in row-major order,
-    with no row iff no pair does.  One pass over the matrices finds them."""
+    with no row iff no pair does.  One pass over the row blocks finds them."""
     import numpy as np
 
-    rows, cols = np.nonzero(rel.mu + rel.nu > 1.0)
-    upper = rows < cols
-    return np.column_stack((rows[upper], cols[upper]))
+    n = rel.size
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for start, stop in _row_spans(n):
+        mu, nu = rel.rows(start, stop)
+        rows, cols = np.divmod(np.flatnonzero(mu + nu > 1.0), n)
+        rows += start
+        upper = rows < cols
+        found.append(np.column_stack((rows[upper], cols[upper])))
+    return np.concatenate(found)
 
 
 def round_half_up(x: float) -> float:
@@ -178,10 +198,6 @@ def _cell_layout() -> tuple[np.dtype, np.ndarray, np.ndarray]:
     return cell, mu_words, nu_words
 
 
-#: Cells rendered per numpy pass, in whole rows and at least one row.
-_BLOCK_CELLS = 4096
-
-
 def _thousandths(block: np.ndarray) -> np.ndarray:
     """``round_half_up(x) * 1000`` of each degree x in [0, 1] of a 2-D block.
     ``x * 1000`` is within about 2e-13 of the shortest repr of x times 1000,
@@ -193,8 +209,8 @@ def _thousandths(block: np.ndarray) -> np.ndarray:
     scaled = block * 1000.0
     codes = np.rint(scaled)
     scaled -= codes
-    for i, j in zip(*np.nonzero(np.abs(scaled, out=scaled) >= 0.5 - 1e-9)):
-        codes[i, j] = round(round_half_up(block[i, j].item()) * 1000)
+    for k in np.flatnonzero(np.abs(scaled, out=scaled) >= 0.5 - 1e-9).tolist():
+        codes.flat[k] = round(round_half_up(block.flat[k].item()) * 1000)
     del scaled  # before the cast allocates its copy
     return codes.astype(np.intp)
 
@@ -208,15 +224,13 @@ def _row_blocks(rel: IFProximityRelation) -> Iterator[bytes]:
     cell, mu_words, nu_words = _cell_layout()
     n, size = rel.size, cell.itemsize
     labels = [(csv_field(label) + ",").encode("utf-8", "surrogatepass") for label in rel.objects]
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
     width = size * n
-    buf = np.empty((min(rows, n), n, size), dtype=np.uint8)
+    _, rows = next(_row_spans(n), (0, 0))  # the first block is the largest
+    buf = np.empty((rows, n, size), dtype=np.uint8)
     cells, flat = buf.view(cell)[..., 0], memoryview(buf.reshape(-1))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        for field, words in (("mu", mu_words), ("nu", nu_words)):
-            np.take(words, _thousandths(getattr(rel, field)[start:stop]),
-                    out=cells[field][:stop - start], mode="clip")
+    for start, stop in _row_spans(n):
+        for field, words, degrees in zip(("mu", "nu"), (mu_words, nu_words), rel.rows(start, stop)):
+            np.take(words, _thousandths(degrees), out=cells[field][:stop - start], mode="clip")
         buf[:, -1, -1] = ord("\n")  # in place of the last nu word's comma
         # each row's label field, then its slice of the buffer
         yield b"".join([piece for i in range(stop - start)

@@ -151,9 +151,10 @@ def proximity_to_csv_reference(rel):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([rel.attribute, *rel.objects])
+    mu, nu = rel.mu, rel.nu  # each read computes the whole matrix
     for i, x in enumerate(rel.objects):
         cells = [
-            f"{round_half_up(float(rel.mu[i, j])):.3f},{round_half_up(float(rel.nu[i, j])):.3f}"
+            f"{round_half_up(float(mu[i, j])):.3f},{round_half_up(float(nu[i, j])):.3f}"
             for j in range(rel.size)
         ]
         writer.writerow([x, *cells])
@@ -168,30 +169,29 @@ def is_degree(x: float) -> bool:
 def validate_proximity_reference(rel):
     """The library's former axiom scan, one numpy scalar at a time: the
     pairs [i, j], i < j in row-major order, whose mu + nu exceeds 1."""
-    n = rel.size
-    return [[i, j] for i in range(n) for j in range(i + 1, n)
-            if rel.mu[i, j] + rel.nu[i, j] > 1.0]
+    n, mu, nu = rel.size, rel.mu, rel.nu
+    return [[i, j] for i in range(n) for j in range(i + 1, n) if mu[i, j] + nu[i, j] > 1.0]
 
 
 def is_reflexive_and_symmetric(rel) -> bool:
     """The former scan's other two axioms, one numpy scalar at a time: the
-    diagonal is (1, 0) and each cell equals its mirror.  No relation can
-    break them, so they check the relations that ``build_proximity`` makes
-    without the relation's check."""
-    n = rel.size
-    return (all(rel.mu[i, i] == 1.0 and rel.nu[i, i] == 0.0 for i in range(n))
-            and all(rel.mu[i, j] == rel.mu[j, i] and rel.nu[i, j] == rel.nu[j, i]
+    diagonal is (1, 0) and each cell equals its mirror.  A relation of
+    values keeps them by construction, which they check on the degrees
+    that ``build_proximity``'s relations compute."""
+    n, mu, nu = rel.size, rel.mu, rel.nu
+    return (all(mu[i, i] == 1.0 and nu[i, i] == 0.0 for i in range(n))
+            and all(mu[i, j] == mu[j, i] and nu[i, j] == nu[j, i]
                     for i in range(n) for j in range(i + 1, n)))
 
 
 def cut_graph_reference(rel, params):
     """The library's former cut test, pair by pair over i <= j, each link
     set in both objects' rows."""
-    n = rel.size
+    n, mu, nu = rel.size, rel.mu, rel.nu
     rows = [0] * n
     for i in range(n):
         for j in range(i, n):
-            if rel.mu[i, j] >= params.alpha and rel.nu[i, j] <= params.beta:
+            if mu[i, j] >= params.alpha and nu[i, j] <= params.beta:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return SimilarityGraph(rel.objects, tuple(rows))
@@ -310,9 +310,9 @@ def search_alpha_beta_grid_reference(table, targets, step=0.005):
     per_attr = {}
     for name in targets:
         rel = build_proximity(table, name)
-        mu = np.array([rel.mu[i, j] for i, j in pair_index])
-        nu = np.array([rel.nu[i, j] for i, j in pair_index])
-        per_attr[name] = (mu, nu)
+        mu, nu = rel.mu, rel.nu
+        per_attr[name] = (np.array([mu[i, j] for i, j in pair_index]),
+                          np.array([nu[i, j] for i, j in pair_index]))
 
     steps = round(1.0 / step)
     levels = [i * step for i in range(steps + 1)]

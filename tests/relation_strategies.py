@@ -2,13 +2,17 @@
 
 ``table_relations`` builds the relation of one numeric column read through
 ``load_table``, as a pipeline run does, and ``numeric_tables`` a table of
-a few such columns.  ``hand_built_relations`` fills both symmetric
-matrices, off the (1, 0) diagonal, with degrees that are hard to round or
-to compare: exact decimal ties, ties one ulp off, 0.0 and 1.0.
+a few such columns.  ``DenseRelation`` is the test double of a relation
+held as two hand-built degree matrices, for cells that no value column
+gives.  ``hand_built_relations`` fills both of its symmetric matrices, off
+the (1, 0) diagonal, with degrees that are hard to round or to compare:
+exact decimal ties, ties one ulp off, 0.0 and 1.0.
 ``perturbed_relations`` replaces a few pairs of a table relation, so that
 most pairs pass validation and a few fail.  ``json_names`` draws the
 attribute and object names that the JSON documents must escape.
-``spread_relation`` is the fixed relation of the scale guards.
+``boundary_cuts`` draws a relation of any of these kinds, or the empty one,
+with a cut on one of its cells or one ulp from it.  ``spread_relation`` is
+the fixed relation of the scale guards.
 """
 
 import math
@@ -16,6 +20,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from roughfca.approx import CutParams
 from roughfca.proximity import IFProximityRelation, build_proximity
 from roughfca.table import AttributeSpec, InformationTable, load_table
 
@@ -84,6 +89,46 @@ def numeric_tables(draw, max_objects: int = 8, max_attributes: int = 3) -> Infor
     return load_table("object," + ",".join(names) + "\n" + rows, specs)
 
 
+#: The bits of 1.0.  As unsigned integers, the bits of a double order the
+#: doubles of [0, 1] among themselves and put -0.0, every other negative
+#: double, every double above 1, the infinities and NaN above this value.
+_ONE_BITS = 0x3FF0000000000000
+
+
+class DenseRelation:
+    """A relation held as two n x n degree matrices, with the read surface
+    of ``IFProximityRelation``: ``attribute``, ``objects``, ``size``,
+    ``mu``, ``nu`` and ``rows``.  So hand-built cells reach the renderer,
+    the validation and the cut as a relation's degrees do.  The matrices
+    are copied as float64, out of reach of the caller's arrays, and refused,
+    naming the matrix and its first bad cell, unless every degree lies in
+    [0, 1] (-0.0 and NaN excluded), the diagonal is (1, 0) and both are
+    symmetric: the three axioms that every relation of values keeps."""
+
+    def __init__(self, attribute: str, objects: tuple[str, ...], mu, nu) -> None:
+        self.attribute, self.objects = attribute, objects
+        n = len(objects)
+        for field, diagonal, matrix in (("mu", 1.0, mu), ("nu", 0.0, nu)):
+            matrix = np.array(matrix, dtype=np.float64)
+            if matrix.shape != (n, n):
+                raise ValueError("degree matrices must be |U| x |U|")
+            bad = np.argwhere((matrix.view(np.uint64) > _ONE_BITS) | (matrix != matrix.T)
+                              | np.diag(np.diagonal(matrix) != diagonal))
+            if len(bad):
+                i, j = bad[0].tolist()
+                raise ValueError(f"{field}[{i}, {j}] = {matrix.item(i, j)!r}: a degree matrix "
+                                 f"is symmetric, in [0, 1] and {diagonal!r} on its diagonal")
+            matrix.setflags(write=False)
+            setattr(self, field, matrix)
+
+    @property
+    def size(self) -> int:
+        return len(self.objects)
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.mu[start:stop], self.nu[start:stop]
+
+
 def _symmetric(n: int, diagonal: float, cells: list[float]) -> np.ndarray:
     """The n x n matrix with ``diagonal`` on its diagonal and ``cells``, in
     row-major order, above it and mirrored below it."""
@@ -94,27 +139,55 @@ def _symmetric(n: int, diagonal: float, cells: list[float]) -> np.ndarray:
 
 
 @st.composite
-def hand_built_relations(draw, max_objects: int = 6) -> IFProximityRelation:
+def hand_built_relations(draw, max_objects: int = 6) -> DenseRelation:
     """Arbitrary degrees, symmetric and with a (1, 0) diagonal."""
     n = draw(st.integers(1, max_objects))
     objects = draw(st.lists(labels, min_size=n, max_size=n, unique=True))
     pairs = n * (n - 1) // 2
     mu, nu = (_symmetric(n, diagonal, draw(st.lists(cell_values, min_size=pairs, max_size=pairs)))
               for diagonal in (1.0, 0.0))
-    return IFProximityRelation("a", tuple(objects), mu, nu)
+    return DenseRelation("a", tuple(objects), mu, nu)
 
 
 @st.composite
-def perturbed_relations(draw) -> IFProximityRelation:
-    """A table relation with a few pairs off the diagonal replaced, each
-    cell written at (i, j) and (j, i)."""
+def perturbed_relations(draw) -> DenseRelation:
+    """A table relation's degrees with a few pairs off the diagonal
+    replaced, each cell written at (i, j) and (j, i)."""
     rel = draw(table_relations())
-    mu, nu = np.array(rel.mu), np.array(rel.nu)
+    mu, nu = rel.mu, rel.nu  # computed on read: writeable copies
     for _ in range(draw(st.integers(1, 4)) if rel.size > 1 else 0):
         matrix = mu if draw(st.booleans()) else nu
         i, j = draw(st.lists(st.integers(0, rel.size - 1), min_size=2, max_size=2, unique=True))
         matrix[i, j] = matrix[j, i] = draw(cell_values)
-    return IFProximityRelation(rel.attribute, rel.objects, mu, nu)
+    return DenseRelation(rel.attribute, rel.objects, mu, nu)
+
+
+def _one_ulp_around(values, low, high):
+    """Each value in [low, high] and its neighbours one ulp either side,
+    kept inside [low, high]."""
+    out = set()
+    for v in values:
+        if low <= v <= high:
+            out.update(min(max(w, low), high)
+                       for w in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(out)
+
+
+#: A relation over the empty universe.
+EMPTY_RELATION = IFProximityRelation("a", (), (), 1.0)
+
+
+@st.composite
+def boundary_cuts(draw):
+    """A relation, from a table, hand-built or perturbed, with a cut whose
+    thresholds lie on a cell's mu or nu or one ulp either side of it."""
+    rel = draw(st.one_of(table_relations(), hand_built_relations(), perturbed_relations(),
+                         st.just(EMPTY_RELATION)))
+    alphas = _one_ulp_around(np.asarray(rel.mu).ravel().tolist(), 0.0, 1.0)
+    alpha = draw(st.sampled_from(alphas) if alphas else st.floats(0.0, 1.0), label="alpha")
+    betas = _one_ulp_around(np.asarray(rel.nu).ravel().tolist(), 0.0, 1.0 - alpha)
+    beta = draw(st.sampled_from(betas) if betas else st.floats(0.0, 1.0 - alpha), label="beta")
+    return rel, CutParams(alpha, beta)
 
 
 def spread_relation(n: int) -> IFProximityRelation:

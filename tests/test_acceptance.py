@@ -65,9 +65,10 @@ def test_c1_matrices_match_reference_tables(relations):
     checked = 0
     for attr, cells in golden.REFERENCE_PROXIMITY.items():
         rel = relations[attr]
+        mus, nus = rel.mu, rel.nu
         for (x, y), (mu_ref, nu_ref) in cells.items():
             i, j = rel.objects.index(x), rel.objects.index(y)
-            mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
+            mu, nu = mus.item(i, j), nus.item(i, j)
             assert abs(mu - mu_ref) <= golden.PROXIMITY_TOL, (attr, x, y, mu, mu_ref)
             assert abs(nu - nu_ref) <= golden.PROXIMITY_TOL, (attr, x, y, nu, nu_ref)
             checked += 1
@@ -78,7 +79,7 @@ def test_c1_exact_three_decimal_pins(relations):
     for (attr, x, y), (mu_ref, nu_ref) in golden.PROXIMITY_EXACT.items():
         rel = relations[attr]
         i, j = rel.objects.index(x), rel.objects.index(y)
-        mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
+        mu, nu = rel.mu.item(i, j), rel.nu.item(i, j)
         assert round_half_up(mu) == mu_ref, (attr, x, y)
         assert round_half_up(nu) == nu_ref, (attr, x, y)
 

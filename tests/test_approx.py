@@ -1,12 +1,10 @@
 import json
-import math
 import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from roughfca.approx import (
     CutParams,
@@ -19,17 +17,11 @@ from roughfca.approx import (
     rough_approximation,
     upper_approx,
 )
-from roughfca.proximity import IFProximityRelation
 from roughfca.table import Partition, TableError
 
 import golden
 import oracles
-from relation_strategies import (
-    hand_built_relations,
-    perturbed_relations,
-    spread_relation,
-    table_relations,
-)
+from relation_strategies import DenseRelation, boundary_cuts, spread_relation
 
 
 def test_cut_params_admissible_set():
@@ -97,40 +89,11 @@ def test_zero_nonmembership_cut_depends_on_alpha_alone(relations):
     # with the non-membership side identically zero the relation degrades to
     # a plain fuzzy proximity relation: beta stops mattering
     rel = relations["ECA"]
-    fuzzy = IFProximityRelation(rel.attribute, rel.objects,
-                                np.array(rel.mu), np.zeros_like(rel.nu))
+    fuzzy = DenseRelation(rel.attribute, rel.objects, rel.mu, np.zeros((rel.size, rel.size)))
     for alpha in (0.0, 0.6, 0.92, 1.0):
         admissible = (0.0, (1.0 - alpha) / 2, 1.0 - alpha)
         edge_sets = [cut_graph(fuzzy, CutParams(alpha, b)).edges for b in admissible]
         assert edge_sets[0] == edge_sets[1] == edge_sets[2]
-
-
-def _one_ulp_around(values, low, high):
-    """Each value in [low, high] and its neighbours one ulp either side,
-    kept inside [low, high]."""
-    out = set()
-    for v in values:
-        if low <= v <= high:
-            out.update(min(max(w, low), high)
-                       for w in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
-    return sorted(out)
-
-
-#: A relation over the empty universe.
-EMPTY_RELATION = IFProximityRelation("a", (), np.zeros((0, 0)), np.zeros((0, 0)))
-
-
-@st.composite
-def boundary_cuts(draw):
-    """A relation, from a table, hand-built or perturbed, with a cut whose
-    thresholds lie on a cell's mu or nu or one ulp either side of it."""
-    rel = draw(st.one_of(table_relations(), hand_built_relations(), perturbed_relations(),
-                         st.just(EMPTY_RELATION)))
-    alphas = _one_ulp_around(np.asarray(rel.mu).ravel().tolist(), 0.0, 1.0)
-    alpha = draw(st.sampled_from(alphas) if alphas else st.floats(0.0, 1.0), label="alpha")
-    betas = _one_ulp_around(np.asarray(rel.nu).ravel().tolist(), 0.0, 1.0 - alpha)
-    beta = draw(st.sampled_from(betas) if betas else st.floats(0.0, 1.0 - alpha), label="beta")
-    return rel, CutParams(alpha, beta)
 
 
 BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -160,9 +123,10 @@ def test_cut_graph_rows_are_symmetric(case):
 
 def test_graph_without_a_self_loop_comes_from_no_relation():
     # an object without a self-loop is still a block of its own, but no
-    # relation has one: its diagonal is (1, 0), which every cut keeps
+    # relation has one: its diagonal is (1, 0), which every cut keeps, and
+    # the dense test double refuses any other
     with pytest.raises(ValueError, match=re.escape("mu[0, 0] = 0.0:")):
-        IFProximityRelation("a", ("x",), np.array([[0.0]]), np.array([[1.0]]))
+        DenseRelation("a", ("x",), np.array([[0.0]]), np.array([[1.0]]))
     graph = SimilarityGraph(("x",), (0,))
     assert partition_from_cut(graph) == oracles.partition_from_cut_reference(graph)
     assert partition_from_cut(graph).blocks == (("x",),)

@@ -276,6 +276,49 @@ def test_search_cut_on_20000_values_near_1e200_takes_linear_time_and_memory(tmp_
     assert json.loads((tmp_path / "cuts.json").read_text(encoding="utf-8"))["feasible_points"]
 
 
+#: Runs ``roughfca`` with the arguments it is given and prints its exit
+#: status and wall time.  Its address space is capped at 256 MiB above what
+#: the interpreter, numpy and the library take at start (Linux ``statm``).
+CAPPED_CLI = """\
+import os, resource, sys, time
+import numpy
+from roughfca.cli import main
+with open("/proc/self/statm") as statm:
+    cap = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_partition_of_4000_objects_holds_no_dense_degree_matrix(tmp_path):
+    # 4,000 objects x 2 attributes, every value in [R/4, R], so that no pair
+    # breaks mu + nu <= 1 and the partition stage runs without force.  Dense
+    # (mu, nu) matrices of both attributes would hold 512 MB; a relation
+    # holds its value column, and validation and the cut compute the
+    # degrees a block of rows at a time
+    n = 4000
+    (tmp_path / "table.csv").write_text("object,a,b\n" + "".join(
+        f"o{i},{250 + i * 7919 % 751},{250 + i * 104729 % 751}\n" for i in range(n)),
+        encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": "table.csv", "alpha": 0.9, "beta": 0.05, "rank_ranges": [[1, 1]],
+        "attributes": [{"name": "a", "range_max": 1000}, {"name": "b", "range_max": 1000}]}),
+        encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, "partition",
+                           "--config", tmp_path / "config.json", "--out", tmp_path / "out"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, seconds = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert float(seconds) < SECONDS
+    docs = json.loads((tmp_path / "out" / "partitions.json").read_text(encoding="utf-8"))
+    assert [(doc["attribute"], sum(map(len, doc["blocks"]))) for doc in docs] == [("a", n), ("b", n)]
+
+
 def test_search_cut_on_a_ladder_of_near_duplicates_takes_linear_time(tmp_path):
     # 1.2**k and the next double up for k = 0 .. 3889: 7,780 values in
     # [1, the largest float], every other one with a two-step pair that

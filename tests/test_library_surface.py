@@ -124,33 +124,20 @@ def test_only_in_stage_turns_a_failure_into_a_stage_error():
     assert not converting, converting
 
 
-def _calls_by_function(node, owner=None):
-    """Each call under ``node``, with the name of the innermost function
-    that makes it (None at module level)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _calls_by_function(child, child.name)
-            continue
-        if isinstance(child, ast.Call):
-            yield owner, child
-        yield from _calls_by_function(child, owner)
-
-
-def test_only_build_proximity_hands_over_unchecked_matrices():
-    """A relation checks the matrices it is given unless a call passes
-    ``_owned=True``, which ``build_proximity`` alone may do: its matrices
-    are reflexive, symmetric and in [0, 1] by construction."""
-    owned = [(path.name, owner, call.lineno) for path, tree in _parsed(LIBRARY)
-             for owner, call in _calls_by_function(tree)
-             if any(keyword.arg == "_owned" and not (isinstance(keyword.value, ast.Constant)
-                                                     and keyword.value.value is False)
-                    for keyword in call.keywords)]
-    assert [place[:2] for place in owned] == [("proximity.py", "build_proximity")], owned
+def test_no_library_code_reads_a_dense_degree_matrix():
+    """``src/roughfca`` reads no ``.mu`` or ``.nu`` attribute.  A relation's
+    ``mu`` and ``nu`` compute the n x n matrices on each read, for the tests
+    and the benchmark's count; the library reads degrees through ``rows``, a
+    block of rows at a time, and so holds no n x n array."""
+    reads = [f"{path.name}:{node.lineno}" for path, tree in _parsed(LIBRARY)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("mu", "nu")]
+    assert not reads, reads
 
 
 #: Modules that ``src/roughfca`` loads only where it needs them: numpy to
-#: build a dense n x n artifact, hashlib to write a file and decimal to
-#: round a near-tie.
+#: hold a relation's value column or compute its degrees, hashlib to write
+#: a file and decimal to round a near-tie.
 DEFERRED = ("numpy", "hashlib", "decimal")
 
 

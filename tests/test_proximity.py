@@ -13,6 +13,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from roughfca import proximity
+from roughfca.approx import CutParams, cut_graph
 from roughfca.proximity import (
     IFProximityRelation,
     build_proximity,
@@ -28,6 +29,8 @@ import golden
 import oracles
 from relation_strategies import (
     ODD_CELLS,
+    DenseRelation,
+    boundary_cuts,
     cell_values,
     hand_built_relations,
     json_names,
@@ -79,16 +82,17 @@ def test_monotonicity():
 
 def test_build_proximity_diagonal_and_symmetry(relations):
     rel = relations["IC"]
+    mu, nu = rel.mu, rel.nu
     for i in range(rel.size):
-        assert (rel.mu[i, i], rel.nu[i, i]) == (1.0, 0.0)
+        assert (mu[i, i], nu[i, i]) == (1.0, 0.0)
     i, j = rel.objects.index("i_1"), rel.objects.index("i_4")
-    assert (rel.mu[i, j], rel.nu[i, j]) == (rel.mu[j, i], rel.nu[j, i])
+    assert (mu[i, j], nu[i, j]) == (mu[j, i], nu[j, i])
 
 
 def test_build_proximity_spot_values(relations):
     rel = relations["SS"]
     i, j = rel.objects.index("i_4"), rel.objects.index("i_9")
-    mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
+    mu, nu = rel.mu.item(i, j), rel.nu.item(i, j)
     assert round_half_up(mu) == 0.983
     assert nu == pytest.approx(1 / 162, abs=1e-15)
 
@@ -97,20 +101,46 @@ def test_build_proximity_single_object():
     table = load_table("object,a\nx,5\n", [AttributeSpec("a", range_max=10)])
     rel = build_proximity(table, "a")
     assert rel.size == 1
-    assert (rel.mu[0, 0], rel.nu[0, 0]) == (1.0, 0.0)
+    assert (rel.mu.item(0, 0), rel.nu.item(0, 0)) == (1.0, 0.0)
 
 
-def test_build_proximity_keeps_the_matrices_it_makes(monkeypatch):
-    # the relation takes over the degree matrices just made for it: no copy
-    made = {}
-    for name in ("membership_degree", "nonmembership_degree"):
-        degree = getattr(proximity, name)
-        monkeypatch.setattr(proximity, name,
-                            lambda *args, _name=name, _degree=degree:
-                            made.setdefault(_name, _degree(*args)))
-    rel = spread_relation(5)
-    assert rel.mu is made["membership_degree"] and rel.nu is made["nonmembership_degree"]
-    assert not rel.mu.flags.writeable and not rel.nu.flags.writeable
+def test_build_proximity_holds_its_value_column_alone():
+    # 100,000 values: their two dense degree matrices would take 160 GB.
+    # The relation holds one float64 per object, and the build's peak is a
+    # few more, from the column it reads
+    n = 100_000
+    table = load_table("object,a\n" + "".join(f"o{i},{i % 1000 + 1}\n" for i in range(n)),
+                       [AttributeSpec("a", range_max=1000)])
+    build_proximity(table, "a")  # a first build loads what it needs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rel = build_proximity(table, "a")
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert rel.values.shape == (n,) and rel.values[-1] == 1000.0
+    assert held < 9 * n
+    assert peak < 32 * n
+
+
+def test_relation_copies_its_value_column():
+    # a view or an owner: a later write to the caller's array does not
+    # reach the relation, whose column is read-only
+    values = np.array([1.0, 5.0, 9.0])
+    for given in (values, values[:]):
+        rel = IFProximityRelation("a", ("x", "y", "z"), given, 10)
+        values[1] = 2.0
+        assert rel.values.tolist() == [1.0, 5.0, 9.0]
+        assert not rel.values.flags.writeable
+        values[1] = 5.0
+
+
+@pytest.mark.parametrize("values", [[0.5, 2.0], [1.0, 10.5], [1.0, math.nan], [1.0, math.inf],
+                                    [-0.0, 1.0], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_relation_refuses_a_column_that_is_not_one_value_in_range_per_object(values):
+    with pytest.raises(ValueError, match=re.escape("one value in [1, range_max] per object")):
+        IFProximityRelation("a", ("x", "y"), values, 10)
 
 
 def test_build_proximity_rejects_nominal(rnd_table):
@@ -136,16 +166,16 @@ def test_validation_flags_low_value_sums(relations):
 def test_validation_flags_broken_reflexivity(relations):
     # a relation checks its diagonal when it is built, before any validation
     rel = relations["IC"]
-    mu = np.array(rel.mu)
+    mu = rel.mu
     mu[0, 0] = 0.9
     with pytest.raises(ValueError, match=re.escape("mu[0, 0] = 0.9: ")):
-        IFProximityRelation(rel.attribute, rel.objects, mu, np.array(rel.nu))
+        DenseRelation(rel.attribute, rel.objects, mu, rel.nu)
 
 
 def test_validation_sum_violation_example():
     table = load_table("object,a\nx,1\ny,3\n", [AttributeSpec("a", range_max=250)])
     rel = build_proximity(table, "a")
-    mu, nu = float(rel.mu[0, 1]), float(rel.nu[0, 1])  # objects x, y
+    mu, nu = rel.mu.item(0, 1), rel.nu.item(0, 1)  # objects x, y
     assert round_half_up(mu) == 0.992
     assert nu == 0.25
     assert validate_proximity(rel).tolist() == [[0, 1]]
@@ -170,9 +200,10 @@ def test_reference_table_cells_within_tolerance(relations):
     total = 0
     for attr, cells in golden.REFERENCE_PROXIMITY.items():
         rel = relations[attr]
+        mus, nus = rel.mu, rel.nu
         for (x, y), (mu_ref, nu_ref) in cells.items():
             i, j = rel.objects.index(x), rel.objects.index(y)
-            mu, nu = float(rel.mu[i, j]), float(rel.nu[i, j])
+            mu, nu = mus.item(i, j), nus.item(i, j)
             assert abs(mu - mu_ref) <= golden.PROXIMITY_TOL, (attr, x, y)
             assert abs(nu - nu_ref) <= golden.PROXIMITY_TOL, (attr, x, y)
             total += 1
@@ -214,7 +245,7 @@ def test_relation_on_views_ignores_later_writes():
     # would read a write to the base, and records built later would too
     mu = np.array([[1.0, 0.9], [0.9, 1.0]])
     nu = np.array([[0.0, 0.1], [0.1, 0.0]])
-    rel = IFProximityRelation("a", ("x", "y"), mu[:], nu[:])
+    rel = DenseRelation("a", ("x", "y"), mu[:], nu[:])
     before = validate_proximity(rel)
     mu[0, 1] = 0.95
     nu[1, 0] = 0.3
@@ -229,7 +260,7 @@ def test_relation_copies_matrices_that_own_their_data():
     mu = np.array([[1.0, 0.9], [0.9, 1.0]])
     nu = np.array([[0.0, 0.1], [0.1, 0.0]])
     mu_view, nu_view = mu[:], nu[:]
-    rel = IFProximityRelation("a", ("x", "y"), mu, nu)
+    rel = DenseRelation("a", ("x", "y"), mu, nu)
     mu_view[0, 1] = 0.95
     nu_view[1, 0] = 0.3
     assert rel.mu[0, 1] == 0.9 and rel.nu[1, 0] == 0.1
@@ -245,15 +276,15 @@ def test_relation_copies_matrices_that_own_their_data():
     (1.0, "1.000"), (0.0, "0.000"),
 ])
 def test_csv_cell_text_at_ties_and_outside_unit_interval(value, text):
-    rel = IFProximityRelation("a", ("x", "y"), np.array([[1.0, value], [value, 1.0]]),
-                              np.array([[0.0, 0.5], [0.5, 0.0]]))
+    rel = DenseRelation("a", ("x", "y"), np.array([[1.0, value], [value, 1.0]]),
+                        np.array([[0.0, 0.5], [0.5, 0.0]]))
     assert proximity_to_csv(rel) == (f'a,x,y\nx,"1.000,0.000","{text},0.500"\n'
                                      f'y,"{text},0.500","1.000,0.000"\n')
     assert proximity_to_csv(rel) == oracles.proximity_to_csv_reference(rel)
 
 
 def _pair_relation(mu, nu):
-    return IFProximityRelation("a", ("x", "y"), np.array(mu), np.array(nu))
+    return DenseRelation("a", ("x", "y"), mu, nu)
 
 
 def test_relation_refuses_broken_matrices():
@@ -321,17 +352,66 @@ def test_nonmembership_is_the_doubled_expression_wherever_that_is_finite(pair):
     assert abs(Fraction(nu) - exact) <= exact * Fraction(1, 2**51)
 
 
+@st.composite
+def value_relations(draw):
+    """The relation of a table column; of near-duplicates, a few ulps
+    apart; of values up to the largest float; or of values under an
+    integer range_max above 2**53, which the division rounds."""
+    kind = draw(st.sampled_from(["table", "near-duplicates", "largest", "integer range"]))
+    if kind == "table":
+        return draw(table_relations())
+    n = draw(st.integers(1, 8))
+    if kind == "near-duplicates":
+        base = draw(st.floats(1.0, 1000.0))
+        values = [max(base + k * math.ulp(base), 1.0)
+                  for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+        range_max = draw(st.floats(1001.0, 1e6))
+    elif kind == "largest":
+        values = draw(st.lists(st.floats(1.0, TOP), min_size=n, max_size=n))
+        range_max = TOP
+    else:
+        values = draw(st.lists(st.floats(1.0, 2.0**53), min_size=n, max_size=n))
+        range_max = draw(st.integers(2**53 + 1, 2**70))
+    return IFProximityRelation("a", tuple(f"o{i}" for i in range(n)), values, range_max)
+
+
+@DIFFERENTIAL
+@given(rel=value_relations())
+@example(rel=build_proximity(NEAR_TOP, "a"))
+@example(rel=build_proximity(HUGE_RANGE, "a"))
+def test_row_blocks_are_the_degree_functions_bit_for_bit(rel):
+    # the blocks on each side of every split, against the degree functions
+    # on the whole matrices and on Python floats, as the cut search calls them
+    n, values = rel.size, rel.values.tolist()
+    with np.errstate(over="raise"):
+        mu, nu = rel.mu, rel.nu
+    assert mu.tobytes() == np.array([membership_degree(x, y, rel.range_max)
+                                     for x in values for y in values]).tobytes()
+    assert nu.tobytes() == np.array([nonmembership_degree(x, y)
+                                     for x in values for y in values]).tobytes()
+    for split in range(n + 1):
+        for start, stop in ((0, split), (split, n)):
+            with np.errstate(over="raise"):
+                blocks = rel.rows(start, stop)
+            for block, whole in zip(blocks, (mu, nu)):
+                assert block.shape == (stop - start, n)
+                assert block.tobytes() == whole[start:stop].tobytes()
+
+
 @DIFFERENTIAL
 @given(table=numeric_tables())
 @example(table=HUGE_RANGE)
 @example(table=NEAR_TOP)
 def test_build_proximity_makes_only_relations_that_pass_the_check(table):
-    # the relation skips the check for what build_proximity makes
+    # a relation holds no matrix to check: the degrees it computes keep the
+    # axioms that the dense test double checks
     for name in table.attribute_names:
+        rel = build_proximity(table, name)
         with np.errstate(over="raise"):
-            rel = build_proximity(table, name)
+            mu, nu = rel.mu, rel.nu
         assert oracles.is_reflexive_and_symmetric(rel)
-        assert all(map(oracles.is_degree, [*rel.mu.ravel().tolist(), *rel.nu.ravel().tolist()]))
+        assert all(map(oracles.is_degree, [*mu.ravel().tolist(), *nu.ravel().tolist()]))
+        DenseRelation(rel.attribute, rel.objects, mu, nu)
 
 
 def test_render_and_validate_1000_objects_in_time():
@@ -366,7 +446,8 @@ def test_violation_count_and_first_pair_of_1000_objects():
     assert time.perf_counter() - start < 0.1
     assert count == 62_001
     assert (rel.objects[i], rel.objects[j]) == ("o0", "o7")
-    assert f"{rel.mu.item(i, j) + rel.nu.item(i, j):.6g}" == "1.0647"
+    mu, nu = rel.rows(i, i + 1)
+    assert f"{mu.item(0, j) + nu.item(0, j):.6g}" == "1.0647"
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -377,16 +458,35 @@ def test_violation_count_and_first_pair_of_1000_objects():
     assert held < 2 * 2**20
 
 
-# --- block rendering: rows are rendered _BLOCK_CELLS cells per numpy pass ---
+# --- row blocks: degrees are computed, and rows rendered, _BLOCK_CELLS cells at a time ---
 
 
-@pytest.mark.parametrize("block_cells", [1, 5, 7])
+@pytest.mark.parametrize("block_cells", [1, 5, 7, "n - 1", "n", "n + 1"])
 @DIFFERENTIAL
-@given(rel=st.one_of(table_relations(), hand_built_relations()))
-def test_csv_matches_oracle_across_block_boundaries(block_cells, rel):
-    # one-row blocks, several-row blocks and a partial last block
+@given(case=boundary_cuts())
+def test_csv_matches_oracle_across_block_boundaries(block_cells, case):
+    # one-row blocks, several-row blocks and a partial last block; blocks
+    # of one cell short of a row, one row and one cell past it.  The CSV,
+    # the validation and the cut each read the relation block by block
+    rel, params = case
+    n = rel.size
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(proximity, "_BLOCK_CELLS", block_cells)
+        patch.setattr(proximity, "_BLOCK_CELLS",
+                      {"n - 1": n - 1, "n": n, "n + 1": n + 1}.get(block_cells, block_cells))
+        assert proximity_to_csv(rel) == oracles.proximity_to_csv_reference(rel)
+        assert validate_proximity(rel).tolist() == oracles.validate_proximity_reference(rel)
+        assert cut_graph(rel, params).rows == oracles.cut_graph_reference(rel, params).rows
+
+
+def test_empty_and_one_object_relations_keep_their_shapes():
+    empty = IFProximityRelation("a", (), (), 1.0)
+    one = build_proximity(load_table("object,a\nx,5\n", [AttributeSpec("a", range_max=10)]), "a")
+    cut = CutParams(0.9, 0.05)
+    assert validate_proximity(empty).shape == validate_proximity(one).shape == (0, 2)
+    assert cut_graph(empty, cut).rows == () and cut_graph(one, cut).rows == (1,)
+    assert empty.mu.shape == empty.rows(0, 0)[1].shape == (0, 0)
+    assert one.nu.shape == one.rows(0, 1)[0].shape == (1, 1)
+    for rel in (empty, one):
         assert proximity_to_csv(rel) == oracles.proximity_to_csv_reference(rel)
 
 
@@ -396,13 +496,13 @@ def test_csv_matches_oracle_with_odd_cells_in_first_and_last_block():
     rows = proximity._BLOCK_CELLS // 97
     last = 96 // rows * rows  # the first row of the last block
     assert 1 < rows <= last < 96  # two or more blocks, each end block two rows or more
-    mu, nu = np.array(rel.mu), np.array(rel.nu)
+    mu, nu = rel.mu, rel.nu
     cells = ((mu, 3, 0.0015, "0.002,"), (nu, 5, near_tie(4, 1), ",0.005"),
              (mu, 40, near_tie(499, -1), "0.499,"), (nu, 90, 0.0125, ",0.013"))
     for row in (0, rows - 1, last, 96):
         for matrix, col, value, _ in cells:
             matrix[row, col] = matrix[col, row] = value
-    odd = IFProximityRelation(rel.attribute, rel.objects, mu, nu)
+    odd = DenseRelation(rel.attribute, rel.objects, mu, nu)
     text = proximity_to_csv(odd)
     assert text == oracles.proximity_to_csv_reference(odd)
     table = list(csv.reader(io.StringIO(text)))
@@ -422,13 +522,13 @@ def block_spanning_relations(draw):
     n = draw(st.integers(n, n + 20))
     rows = max(1, proximity._BLOCK_CELLS // n)
     rel = spread_relation(n)
-    mu, nu = np.array(rel.mu), np.array(rel.nu)
+    mu, nu = rel.mu, rel.nu
     matrix = mu if draw(st.booleans()) else nu
     i = draw(st.integers(rows, 2 * rows - 1))
     j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
     matrix[i, j] = matrix[j, i] = draw(cell_values)
     labels = draw(st.lists(json_names, min_size=n, max_size=n))
-    return IFProximityRelation(draw(json_names), tuple(labels), mu, nu)
+    return DenseRelation(draw(json_names), tuple(labels), mu, nu)
 
 
 # a failure reports its first relation unshrunk: shrinking a hundred labels
