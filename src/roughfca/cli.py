@@ -21,7 +21,6 @@ proximity and search-cut take none of them.  Exit status is 0 on success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -82,7 +81,7 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
                                      f"STAGE in {args.override_stages}")
         key = "partitions_override" if stage == "partitions" else "ordered_override"
         updates[key] = Path(path)
-    return dataclasses.replace(config, **updates) if updates else config
+    return config._replace(**updates)
 
 
 def _output_dir(config: PipelineConfig) -> Path:

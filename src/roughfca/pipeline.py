@@ -16,11 +16,11 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import accumulate, chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import fca
 from .approx import CutParams, cut_graph, partition_from_cut, partition_to_json, partitions_from_json
@@ -138,19 +138,26 @@ def _json_number(value: object, what: str) -> float:
         raise ValueError(f"{what} must be a number, got an integer too large for a float") from None
 
 
+def _known_keys(doc: dict, keys: str, where: str = "") -> None:
+    """Refuse the keys of ``doc`` outside the space-separated ``keys``: a
+    misspelt key would otherwise be read as absent."""
+    unknown = sorted(set(doc) - set(keys.split()))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}{where}")
+
+
 def _json_labels(value: object, what: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise TypeError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     data_path: Path
     attributes: tuple[AttributeSpec, ...]
     cut: CutParams
     rank_ranges: tuple[tuple[int, int], ...]
-    ladders: Mapping[str, LabelLadder] = field(default_factory=dict)
+    ladders: Mapping[str, LabelLadder] = MappingProxyType({})
     block_order: str = "appearance"
     partitions_override: Path | None = None
     ordered_override: Path | None = None
@@ -165,7 +172,8 @@ class PipelineConfig:
         and rank bounds JSON integers, alpha and beta JSON numbers, labels
         lists of strings and ladder weights integers; ladders must name
         declared numeric attributes and block_order one of
-        :data:`BLOCK_ORDERS`."""
+        :data:`BLOCK_ORDERS`.  So does a key that no field is read from, at
+        the top level or in an attribute, a ladder or ``overrides``."""
         base = Path(base_dir) if base_dir else Path.cwd()
 
         def resolve(p: str | None) -> Path | None:
@@ -205,7 +213,7 @@ class PipelineConfig:
             overrides = doc.get("overrides", {})
             if not isinstance(doc["data"], str):  # resolve would read null as no path
                 raise TypeError(f"data must be a path string, got {doc['data']!r}")
-            return cls(
+            config = cls(
                 data_path=resolve(doc["data"]),
                 attributes=specs,
                 cut=cut,
@@ -217,6 +225,15 @@ class PipelineConfig:
                 output_dir=resolve(doc.get("output_dir")),
                 force=_json_bool(doc.get("force", False), "force"),
             )
+            _known_keys(doc, "data alpha beta attributes rank_ranges ladders block_order "
+                             "overrides output_dir force")
+            for a in doc["attributes"]:
+                _known_keys(a, "name kind range_max ladder drop_if_indiscernible",
+                            f" in attribute {a['name']!r}")
+            for name, spec in doc.get("ladders", {}).items():
+                _known_keys(spec, "labels weights", f" in ladder {name!r}")
+            _known_keys(overrides, "partitions ordered_table", " in overrides")
+        return config
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -228,21 +245,9 @@ class PipelineConfig:
             "data": str(self.data_path),
             "alpha": self.cut.alpha,
             "beta": self.cut.beta,
-            "attributes": [
-                {
-                    "name": a.name,
-                    "kind": a.kind,
-                    "range_max": a.range_max,
-                    "ladder": list(a.ladder) if a.ladder else None,
-                    "drop_if_indiscernible": a.drop_if_indiscernible,
-                }
-                for a in self.attributes
-            ],
-            "rank_ranges": [list(r) for r in self.rank_ranges],
-            "ladders": {
-                name: {"labels": list(l.labels), "weights": list(l.weights)}
-                for name, l in sorted(self.ladders.items())
-            },
+            "attributes": [vars(a) | {"ladder": a.ladder or None} for a in self.attributes],
+            "rank_ranges": self.rank_ranges,
+            "ladders": {name: vars(l).copy() for name, l in sorted(self.ladders.items())},
             "block_order": self.block_order,
             "overrides": {
                 "partitions": str(self.partitions_override) if self.partitions_override else None,
@@ -264,19 +269,21 @@ class ClusterAnalysis(NamedTuple):
 
 class PipelineReport(NamedTuple):
     """The results of the stages run so far.  :func:`proximity_stage` fills
-    the first five fields, and each later stage adds its entry to provenance;
-    a stage not yet run leaves its own fields empty: {}, None or []."""
+    the first five fields.  Each later stage returns a new report with its
+    own fields filled and its entry added to a new provenance, and writes
+    nothing into the report it was given.  A stage not yet run leaves its
+    fields read-only empties: an empty mapping, None or ()."""
 
     config: PipelineConfig
     table: InformationTable
     relations: dict[str, IFProximityRelation]
     violations: dict[str, np.ndarray]  # per attribute, the k x 2 pairs that break mu + nu <= 1
     provenance: dict
-    partitions: dict[str, Partition] = {}
+    partitions: Mapping[str, Partition] = MappingProxyType({})
     ordered: OrderedTable | None = None
     ranks: RankTable | None = None
-    clusters: list[RankCluster] = []
-    analyses: list[ClusterAnalysis] = []
+    clusters: Sequence[RankCluster] = ()
+    analyses: Sequence[ClusterAnalysis] = ()
 
 
 def load_config_table(config: PipelineConfig) -> InformationTable:
@@ -322,9 +329,10 @@ def partition_stage(report: PipelineReport) -> PipelineReport:
     partitions = {name: override_parts[name] if name in override_parts
                   else partition_from_cut(cut_graph(rel, config.cut))
                   for name, rel in relations.items()}
-    report.provenance["stages"]["partition"] = {
-        name: "override" if name in override_parts else "computed" for name in relations}
-    return report._replace(partitions=partitions)
+    stages = {**report.provenance["stages"], "partition": {
+        name: "override" if name in override_parts else "computed" for name in relations}}
+    return report._replace(partitions=partitions,
+                           provenance={**report.provenance, "stages": stages})
 
 
 def rank_stage(report: PipelineReport) -> PipelineReport:
@@ -348,9 +356,10 @@ def rank_stage(report: PipelineReport) -> PipelineReport:
         if not cluster.members:
             lo, hi = cluster.rank_range
             raise StageError("cluster", f"rank range [{lo}, {hi}] holds no object")
-    report.provenance["stages"]["order"] = {"override": sorted(doc),
-                                            "dropped": list(ordered.dropped)}
-    return report._replace(ordered=ordered, ranks=ranks, clusters=clusters)
+    stages = {**report.provenance["stages"],
+              "order": {"override": sorted(doc), "dropped": list(ordered.dropped)}}
+    return report._replace(ordered=ordered, ranks=ranks, clusters=clusters,
+                           provenance={**report.provenance, "stages": stages})
 
 
 def fca_stage(report: PipelineReport) -> PipelineReport:
@@ -615,10 +624,7 @@ def _partition_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
 def _rank_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
     yield "ordered_table.csv", ordered_table_to_csv(report.ordered)
     yield "rank_table.csv", rank_table_to_csv(report.ranks)
-    yield "clusters.json", _json_text([
-        {"cluster_id": c.cluster_id, "rank_range": list(c.rank_range), "members": list(c.members)}
-        for c in report.clusters
-    ])
+    yield "clusters.json", _json_text([c._asdict() for c in report.clusters])
 
 
 def _fca_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
@@ -635,7 +641,7 @@ def _fca_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
 def _summary_files(report: PipelineReport) -> Iterator[tuple[str, str]]:
     chief_doc = {}
     for analysis in report.analyses:
-        groups = [{"frequency": f, "attributes": list(attrs)} for f, attrs in analysis.chief]
+        groups = [{"frequency": f, "attributes": attrs} for f, attrs in analysis.chief]
         chief_doc[f"cluster_{analysis.cluster.cluster_id}"] = {
             "groups": groups,
             "chief": groups[0]["attributes"] if groups else [],
@@ -656,19 +662,20 @@ REPORT_GROUPS: dict[str, Callable[..., Iterable[tuple[str, str]]]] = {
 def write_files(output_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[dict]:
     """Create ``output_dir`` and write each (file name, text) pair into it.
     Returns one manifest entry per file with its content digest.  Any I/O
-    failure raises :class:`StageError` tagged ``emit``.  ``hashlib`` is
-    imported here: a command that writes nothing never loads it."""
+    failure, or a path that no file can have (one holding a NUL byte),
+    raises :class:`StageError` tagged ``emit``.  ``hashlib`` is imported
+    here: a command that writes nothing never loads it."""
     import hashlib
 
     out = Path(output_dir)
-    with in_stage("emit", f"cannot create {out}: ", OSError):
+    with in_stage("emit", f"cannot create {out}: ", (OSError, ValueError)):
         out.mkdir(parents=True, exist_ok=True)
     entries = []
     for name, text in files:
         path = out / name
         data = text.encode("utf-8")
         del text
-        with in_stage("emit", f"cannot write {path}: ", OSError):
+        with in_stage("emit", f"cannot write {path}: ", (OSError, ValueError)):
             path.write_bytes(data)  # untranslated newlines: the file is the hashed bytes
         entries.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
         del data  # hold one rendered file at a time, not two, while the next renders

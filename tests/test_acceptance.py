@@ -9,7 +9,6 @@ value the printed rules give, summed here by hand, not against the printed
 totals (see tests/golden.py).
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -617,7 +616,7 @@ def test_c8_partition_validity_after_every_construction(table, data):
 def test_c9_identical_runs_byte_identical_trees(tmp_path):
     config = PipelineConfig.from_file(DATA_DIR / "institutions_config.json")
     for sub in ("first", "second"):
-        report = run_pipeline(dataclasses.replace(config))
+        report = run_pipeline(config._replace())
         emit_reports(report, tmp_path / sub)
     first = sorted(p.name for p in (tmp_path / "first").iterdir())
     second = sorted(p.name for p in (tmp_path / "second").iterdir())

@@ -346,17 +346,11 @@ def _config_with(tmp_path, omit=(), **changes):
     return path
 
 
-def _ic_range(value):
+def _ic_with(**fields):
+    """The bundled config's attributes, IC's entry with ``fields`` set."""
     doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
     attributes = doc["attributes"]
-    attributes[0] = dict(attributes[0], range_max=value)
-    return attributes
-
-
-def _ic_ladder(value):
-    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
-    attributes = doc["attributes"]
-    attributes[0] = dict(attributes[0], ladder=value)
+    attributes[0] = dict(attributes[0], **fields)
     return attributes
 
 
@@ -365,37 +359,24 @@ def _ss_ladder(name="SS", labels=("Excellent", "Very good", "Good"), weights=(5,
                    "weights": list(weights)}}
 
 
-def _ic_name(value):
-    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
-    attributes = doc["attributes"]
-    attributes[0] = dict(attributes[0], name=value)
-    return attributes
-
-
-def _ic_flag(value):
-    doc = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
-    attributes = doc["attributes"]
-    attributes[0] = dict(attributes[0], drop_if_indiscernible=value)
-    return attributes
-
-
 #: A JSON ``\ud800`` escape parses to a lone surrogate, which no report can
 #: hold: the config is refused as it is read (REFUSALS pins the whole line).
 SURROGATE = "config.json: 'utf-8' codec can't encode character '\\ud800'"
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"attributes": _ic_range("250")}, "attribute 'IC': range_max must be a number"),
-    ({"attributes": _ic_range(True)}, "attribute 'IC': range_max must be a number"),
-    ({"attributes": _ic_range(float("inf"))}, "attribute 'IC': range_max must be finite"),
-    ({"attributes": _ic_range(10**400)}, "attribute 'IC': range_max must be finite"),
+    ({"attributes": _ic_with(range_max="250")}, "attribute 'IC': range_max must be a number"),
+    ({"attributes": _ic_with(range_max=True)}, "attribute 'IC': range_max must be a number"),
+    ({"attributes": _ic_with(range_max=float("inf"))}, "attribute 'IC': range_max must be finite"),
+    ({"attributes": _ic_with(range_max=10**400)}, "attribute 'IC': range_max must be finite"),
     ({"attributes": 5}, "not iterable"),
-    ({"attributes": _ic_range(float("nan"))}, "range_max must be >= 1"),
+    ({"attributes": _ic_with(range_max=float("nan"))}, "range_max must be >= 1"),
     ({"attributes": [5]}, "not subscriptable"),
     ({"rank_ranges": [[1, "three"]]}, "rank bounds must be integers"),
     ({"overrides": 5}, "has no attribute"),
     ({"force": "false"}, "force must be true or false"),
-    ({"attributes": _ic_flag("false")}, "drop_if_indiscernible must be true or false"),
+    ({"attributes": _ic_with(drop_if_indiscernible="false")},
+     "drop_if_indiscernible must be true or false"),
     ({"rank_ranges": [[1, 3.9], [4, 6], [7, 9]]}, "rank bounds must be integers"),
     ({"rank_ranges": [[float("inf"), 2]]},
      "rank bounds must be integers, two per range, got [[inf, 2]]"),
@@ -410,7 +391,7 @@ SURROGATE = "config.json: 'utf-8' codec can't encode character '\\ud800'"
     ({"beta": 10**400}, "beta must be a number, got an integer too large for a float"),
     ({"ladders": _ss_ladder(labels="abc")}, "labels of ladder 'SS' must be a list of strings"),
     ({"ladders": _ss_ladder(labels=("Excellent", 4, "Good"))}, "must be a list of strings"),
-    ({"attributes": _ic_ladder("abc")}, "ladder must be a list of strings"),
+    ({"attributes": _ic_with(ladder="abc")}, "ladder must be a list of strings"),
     ({"ladders": _ss_ladder(weights=(6.5, 4, 3))}, "ladder weights must be integers"),
     ({"ladders": _ss_ladder(weights=(True, False, False))}, "ladder weights must be integers"),
     ({"ladders": _ss_ladder(name="XX")}, "ladders for undeclared or nominal attributes: ['XX']"),
@@ -528,7 +509,7 @@ def test_each_stage_command_writes_what_run_writes_or_fails_as_run_does(scratch,
 
 
 @pytest.mark.parametrize("changes", [
-    {"alpha": 10**400}, {"beta": 10**400}, {"attributes": _ic_range(10**400)},
+    {"alpha": 10**400}, {"beta": 10**400}, {"attributes": _ic_with(range_max=10**400)},
 ], ids=["alpha", "beta", "range-max"])
 def test_config_number_too_large_for_a_float_stops_search_cut_at_load(tmp_path, capsys, changes):
     config = _config_with(tmp_path, **changes)
@@ -560,9 +541,19 @@ REFUSALS = [
     _refusal("load", "bad config: alpha must be a number, got '0.9'", config={"alpha": "0.9"},
              id="bad-config"),
     _refusal("load", "bad config: attribute name must be a string, got 5",
-             config={"attributes": _ic_name(5)}, id="attribute-name-number"),
+             config={"attributes": _ic_with(name=5)}, id="attribute-name-number"),
     _refusal("load", "bad config: attribute name must be a string, got None",
-             config={"attributes": _ic_name(None)}, id="attribute-name-null"),
+             config={"attributes": _ic_with(name=None)}, id="attribute-name-null"),
+    _refusal("load", "bad config: unknown keys ['block_ordr']", config={"block_ordr": "mean"},
+             id="unknown-key"),
+    _refusal("load", "bad config: unknown keys ['partition'] in overrides",
+             config={"overrides": {"partition": str(DATA_DIR / "eca_partition_override.json")}},
+             id="unknown-override-key"),
+    _refusal("load", "bad config: unknown keys ['rangemax'] in attribute 'IC'",
+             config={"attributes": _ic_with(rangemax=250)}, id="unknown-attribute-key"),
+    _refusal("load", "bad config: unknown keys ['weight'] in ladder 'SS'",
+             config={"ladders": {"SS": {**_ss_ladder()["SS"], "weight": [5]}}},
+             id="unknown-ladder-key"),
     _refusal("load", "header ['IC'] does not match declared attributes "
                      "['IC', 'IF', 'PP', 'RS', 'SS', 'ECA']",
              config={"data": "data.csv"}, files={"data.csv": "institution,IC\ni_1,1\n"},
@@ -604,6 +595,8 @@ REFUSALS = [
              files={"ordered.json": {"IC": [1, 2]}}, id="ordered-override"),
     _refusal("cluster", "rank 3 covered by two ranges",
              config={"rank_ranges": [[1, 3], [3, 6], [7, 9]]}, id="cluster"),
+    _refusal("cluster", "rank range [5, 3] is empty", config={"rank_ranges": [[5, 3]]},
+             id="cluster-empty-range"),
     _refusal("fca", "cluster 1: patched", patch=(fca, "build_context"), id="fca"),
     _refusal("emit", "cannot create {d}/config.json: [Errno 17] File exists: '{d}/config.json'",
              argv=["partition", "--config", "{d}/config.json", "--out", "{d}/config.json"],
@@ -615,6 +608,15 @@ REFUSALS = [
     _refusal("emit", "no output directory: set output_dir in the config or pass --out",
              argv=["partition", "--config", "{d}/config.json"], config={"omit": ["output_dir"]},
              id="emit-no-directory"),
+    # no path holds a NUL byte, in the output directory or a file name
+    *(_refusal("emit", "cannot create {d}/o\0ut: embedded null byte",
+               argv=[command, "--config", "{d}/config.json"], config={"output_dir": "o\0ut"},
+               id=f"emit-create-nul-{command}") for command in ("run", "partition")),
+    *(_refusal("emit", "cannot write {d}/out/proximity_a\0b.csv: embedded null byte",
+               argv=[command, *RUN[1:]], files={"data.csv": "object,a\0b\ni_1,3\ni_2,5\n"},
+               config={"data": "data.csv", "attributes": [{"name": "a\0b", "range_max": 10}],
+                       "rank_ranges": [[1, 2]]},
+               id=f"emit-write-nul-{command}") for command in ("run", "proximity")),
     _refusal("partition", "grid step must lie in (0, 1] and be at least 0.001, got 0.0",
              argv=["search-cut", "--config", "{d}/config.json", "--targets", TARGETS_PATH,
                    "--step=0"], id="search-step"),

@@ -1,5 +1,6 @@
 """The library keeps no method, and no private module-level function or
-constant, that only its tests read; its records are immutable."""
+constant, that only its tests read; its records are immutable, and no
+field defaults to a container that one record could write into."""
 
 import ast
 import dataclasses
@@ -201,3 +202,14 @@ def test_every_record_is_immutable(records, name):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+def test_no_record_field_defaults_to_a_mutable_container():
+    """Every record that takes a default shares it, so a default that is a
+    dict, list or set would be written into for all of them by one; an
+    empty default is a read-only mapping or ()."""
+    shared = [f"{name}.{field}" for name, record in sorted(RECORDS.items())
+              for field, value in (record._field_defaults.items() if issubclass(record, tuple)
+                                   else ((f.name, f.default) for f in dataclasses.fields(record)))
+              if isinstance(value, (dict, list, set))]
+    assert not shared, shared

@@ -36,6 +36,10 @@ def test_ladder_validation():
         LabelLadder(("High", "Low"), (1, 0))
     with pytest.raises(ValueError, match="duplicate"):
         LabelLadder(("High", "High"), (2, 1))
+    with pytest.raises(ValueError, match="^ladder labels and weights differ in length$"):
+        LabelLadder(("High", "Low"), (2,))
+    with pytest.raises(ValueError, match="^empty ladder$"):
+        LabelLadder((), ())
 
 
 def test_default_ladders():
@@ -98,6 +102,33 @@ def test_categorize_rejects_nominal(rnd_table):
     part = Partition.from_blocks([rnd_table.objects], rnd_table.objects)
     with pytest.raises(TableError, match="nominal"):
         categorize_partition(rnd_table, "rd", part, default_ladder(1))
+
+
+def test_categorize_refuses_a_partition_of_another_universe(institutions):
+    other = Partition.from_blocks([["x"], ["y"]], ("x", "y"))
+    with pytest.raises(TableError, match="^partition for 'IC' does not match the universe$"):
+        categorize_partition(institutions, "IC", other, default_ladder(2))
+
+
+def test_ordered_table_refuses_an_unknown_block_order(institutions, case_partitions):
+    message = "unknown block order 'bogus', expected one of ('appearance', 'mean')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_ordered_table(institutions, case_partitions, order_by="bogus")
+
+
+def test_ordered_table_refuses_a_missing_partition(institutions, case_partitions):
+    partitions = {name: part for name, part in case_partitions.items() if name != "PP"}
+    with pytest.raises(TableError, match="^no partition supplied for attribute 'PP'$"):
+        build_ordered_table(institutions, partitions)
+
+
+def test_ordered_table_skips_nominal_attributes(rnd_table):
+    # only the numeric profit column has a partition, and none is asked of the rest
+    part = Partition.from_blocks([["o_1", "o_3"], ["o_2", "o_5"], ["o_4", "o_6"]],
+                                 rnd_table.objects)
+    ordered = build_ordered_table(rnd_table, {"profit": part})
+    assert ordered.attribute_names == ("profit",)
+    assert [c.source_index for c in ordered.columns] == [4]
 
 
 def test_ordered_table_matches_reference(institutions, case_partitions):

@@ -1,3 +1,5 @@
+import copy
+import copyreg
 import dataclasses
 import hashlib
 import json
@@ -7,6 +9,8 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -22,7 +26,11 @@ from roughfca.pipeline import (
     _admissible_prefix,
     _check_order,
     emit_reports,
+    fca_stage,
     load_config_table,
+    partition_stage,
+    proximity_stage,
+    rank_stage,
     run_pipeline,
     search_alpha_beta,
     write_files,
@@ -75,8 +83,47 @@ def test_provenance_records_override_and_force(report):
     assert stages["order"]["dropped"] == ["RS"]
 
 
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same values all the way down:
+    arrays element by element, and records and containers entry by entry,
+    a relation or a context too, which compare by identity."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return _same(vars(a), vars(b))
+    if isinstance(a, Mapping):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_a_stage_leaves_the_report_it_was_given_unchanged(config, monkeypatch):
+    # one proximity result partitioned with the ECA override, then without:
+    # the first result still says that it used the override
+    shared = proximity_stage(config)
+    with_override = partition_stage(shared)
+    without = partition_stage(shared._replace(config=config._replace(partitions_override=None)))
+    assert with_override.provenance["stages"]["partition"]["ECA"] == "override"
+    assert without.provenance["stages"]["partition"]["ECA"] == "computed"
+    assert "partition" not in shared.provenance["stages"]
+
+    # a read-only mapping cannot be pickled, so a deep copy copies its items
+    monkeypatch.setitem(copyreg.dispatch_table, MappingProxyType,
+                        lambda proxy: (MappingProxyType, (dict(proxy),)))
+    report = proximity_stage(config)
+    for stage in (partition_stage, rank_stage, fca_stage):
+        given = copy.deepcopy(report)
+        result = stage(report)
+        assert _same(report, given), stage.__name__
+        report = result
+    assert _same(report, run_pipeline(config))
+
+
 def test_run_without_force_refuses(config):
-    bare = dataclasses.replace(config, force=False)
+    bare = config._replace(force=False)
     with pytest.raises(StageError, match=r"\[stage:validate\].*force") as refusal:
         run_pipeline(bare)
     assert str(refusal.value) == (
@@ -85,7 +132,7 @@ def test_run_without_force_refuses(config):
 
 
 def test_run_without_override_splits_eca(config):
-    no_override = dataclasses.replace(config, partitions_override=None)
+    no_override = config._replace(partitions_override=None)
     report = run_pipeline(no_override)
     expected = frozenset(frozenset(b) for b in golden.ECA_RECOMPUTED_BLOCKS)
     assert report.partitions["ECA"].as_sets() == expected
@@ -98,7 +145,7 @@ def test_override_transparency(config, report):
         {"attribute": name, "blocks": [list(b) for b in part.blocks]}
         for name, part in report.partitions.items()
     ]
-    with_parts = dataclasses.replace(config, partitions_override=None)
+    with_parts = config._replace(partitions_override=None)
     direct = run_pipeline(with_parts)
 
     import tempfile
@@ -110,7 +157,7 @@ def test_override_transparency(config, report):
             for name, part in direct.partitions.items()
         ]
         override_file.write_text(json.dumps(computed_doc), encoding="utf-8")
-        echoed = run_pipeline(dataclasses.replace(config, partitions_override=override_file))
+        echoed = run_pipeline(config._replace(partitions_override=override_file))
     assert {r.object: r.total for r in echoed.ranks.rows} == \
         {r.object: r.total for r in direct.ranks.rows}
     assert [a.basis for a in echoed.analyses] == [a.basis for a in direct.analyses]
@@ -122,7 +169,7 @@ def test_ordered_table_override_path(config, tmp_path):
     doc["ECA"]["i_1"] = "Outstanding"
     path = tmp_path / "ordered.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    report = run_pipeline(dataclasses.replace(config, ordered_override=path))
+    report = run_pipeline(config._replace(ordered_override=path))
     assert oracles.ordered_column(report.ordered, "ECA").label("i_2") == "Poor"
     assert report.provenance["stages"]["order"]["override"] == ["ECA"]
 
@@ -130,20 +177,20 @@ def test_ordered_table_override_path(config, tmp_path):
 def test_stage_errors_are_tagged(config, tmp_path):
     bad_data = tmp_path / "bad.csv"
     bad_data.write_text("object,IC\nx,999\n", encoding="utf-8")
-    broken = dataclasses.replace(config, data_path=bad_data)
+    broken = config._replace(data_path=bad_data)
     with pytest.raises(StageError, match=r"\[stage:load\]"):
         run_pipeline(broken)
 
-    missing = dataclasses.replace(config, data_path=tmp_path / "nope.csv")
+    missing = config._replace(data_path=tmp_path / "nope.csv")
     with pytest.raises(StageError, match=r"\[stage:load\]"):
         run_pipeline(missing)
 
     bad_override = tmp_path / "parts.json"
     bad_override.write_text(json.dumps([{"attribute": "XX", "blocks": []}]), encoding="utf-8")
     with pytest.raises(StageError, match=r"\[stage:partition\]"):
-        run_pipeline(dataclasses.replace(config, partitions_override=bad_override))
+        run_pipeline(config._replace(partitions_override=bad_override))
 
-    unreached = dataclasses.replace(config, rank_ranges=(*config.rank_ranges, (10, 12)))
+    unreached = config._replace(rank_ranges=(*config.rank_ranges, (10, 12)))
     with pytest.raises(StageError,
                        match=r"^\[stage:cluster\] rank range \[10, 12\] holds no object$"):
         run_pipeline(unreached)

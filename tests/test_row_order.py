@@ -14,7 +14,6 @@ columns and the config's attribute list together moves each context code
 ``A<position><level>`` to its attribute's new position and changes nothing
 else."""
 
-import dataclasses
 import json
 import random
 import sys
@@ -87,7 +86,7 @@ def shuffled_config(tmp_path_factory):
 
     def config_for(rows, block_order):
         path.write_text("".join(line + "\n" for line in (HEADER, *rows)), encoding="utf-8")
-        return dataclasses.replace(CONFIG, data_path=path, block_order=block_order)
+        return CONFIG._replace(data_path=path, block_order=block_order)
 
     return config_for
 
@@ -100,7 +99,7 @@ def test_row_order_changes_no_partition_or_violation_count(shuffled_config, rows
 
 @pytest.fixture(scope="module")
 def mean_outcome():
-    return outcome(run_pipeline(dataclasses.replace(CONFIG, block_order="mean")))
+    return outcome(run_pipeline(CONFIG._replace(block_order="mean")))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -140,7 +139,7 @@ def test_row_order_changes_nothing_on_a_generated_table_with_repeated_rows(gener
 
 @pytest.fixture(scope="module")
 def bundled_outcomes():
-    return {order: outcome(run_pipeline(dataclasses.replace(CONFIG, block_order=order)))
+    return {order: outcome(run_pipeline(CONFIG._replace(block_order=order)))
             for order in BLOCK_ORDERS}
 
 
@@ -160,8 +159,8 @@ def renamed_config(tmp_path_factory):
         override.write_text(json.dumps([{**doc, "blocks": [[new[o] for o in block]
                                                            for block in doc["blocks"]]}
                                         for doc in override_doc]), encoding="utf-8")
-        return dataclasses.replace(CONFIG, data_path=data, partitions_override=override,
-                                   block_order=block_order)
+        return CONFIG._replace(data_path=data, partitions_override=override,
+                               block_order=block_order)
 
     return config_for
 
@@ -196,8 +195,8 @@ def permuted_config(tmp_path_factory):
         lines = [line.split(",") for line in (HEADER, *ROWS)]
         path.write_text("".join(",".join(cells[i] for i in columns) + "\n" for cells in lines),
                         encoding="utf-8")
-        return dataclasses.replace(CONFIG, data_path=path,
-                                   attributes=tuple(specs[attribute] for attribute in order))
+        return CONFIG._replace(data_path=path,
+                               attributes=tuple(specs[attribute] for attribute in order))
 
     return config_for
 
@@ -232,8 +231,7 @@ def test_row_order_relabels_blocks_by_first_appearance(shuffled_config, bundled_
     # block the ladder label of its place in the new first-appearance order;
     # one rank range, since some orders leave a bundled range empty
     rows = random.Random(seed).sample(ROWS, len(ROWS))
-    config = dataclasses.replace(shuffled_config(rows, "appearance"),
-                                 rank_ranges=((1, len(ROWS)),))
+    config = shuffled_config(rows, "appearance")._replace(rank_ranges=((1, len(ROWS)),))
     report = run_pipeline(config)
     position = {row.split(",", 1)[0]: k for k, row in enumerate(rows)}
     assert {attr: _blocks(part) for attr, part in report.partitions.items()} == \

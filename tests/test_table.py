@@ -190,6 +190,30 @@ def test_attribute_spec_validation():
         AttributeSpec("a", kind="numeric")
     with pytest.raises(TableError):
         AttributeSpec("a", kind="nominal", ladder=("x", "x"))
+    with pytest.raises(TableError, match=r"^attribute 'a': unknown kind 'ordinal'$"):
+        AttributeSpec("a", kind="ordinal")
+
+
+@pytest.mark.parametrize("objects, names, message", [
+    (("x", "x"), ("a",), "duplicate object labels"),
+    (("x",), ("a", "a"), "duplicate attribute names"),
+], ids=["objects", "attributes"])
+def test_hand_built_table_refuses_duplicate_names(objects, names, message):
+    specs = tuple(AttributeSpec(name, range_max=10) for name in names)
+    with pytest.raises(TableError, match=f"^{message}$"):
+        InformationTable(objects, specs, {(obj, name): 3.0 for obj in objects for name in names})
+
+
+@pytest.mark.parametrize("row, cells", [("x,1", 1), ("x,1,2,3", 3)], ids=["short", "long"])
+def test_load_refuses_a_row_with_the_wrong_number_of_cells(row, cells):
+    specs = [AttributeSpec("a", range_max=10), AttributeSpec("b", range_max=10)]
+    with pytest.raises(TableError, match=rf"^row 'x': expected 2 cells, got {cells}$"):
+        load_table(f"object,a,b\n{row}\n", specs)
+
+
+def test_load_refuses_a_header_with_no_data_rows():
+    with pytest.raises(TableError, match="^no data rows$"):
+        load_table("object,a\n\n", [AttributeSpec("a", range_max=10)])
 
 
 @pytest.mark.parametrize("text, alone, field", [
